@@ -75,11 +75,8 @@ def _atomic_query(schema: Schema, relation: str) -> Query:
     return Query(out, (Atom(relation, out),), ())
 
 
-def secrecy_answer_instance(instance: Instance, views,
-                            mode: EnumerationMode = EnumerationMode.TARGETED) -> Instance:
-    """Instance assembled from the secret answers to every atomic query,
-    with fresh tuple ids assigned in canonical row order."""
-    solutions = enumerate_secrecy_instances(instance, views, mode)
+def _answer_instance_over(instance: Instance,
+                          solutions: list[SecrecySolution]) -> Instance:
     rows = {}
     for name in instance.schema.names():
         report = _secret_answers_over(solutions, _atomic_query(instance.schema, name))
@@ -87,12 +84,20 @@ def secrecy_answer_instance(instance: Instance, views,
     return Instance.from_values(instance.schema, rows)
 
 
+def secrecy_answer_instance(instance: Instance, views,
+                            mode: EnumerationMode = EnumerationMode.TARGETED) -> Instance:
+    """Instance assembled from the secret answers to every atomic query,
+    with fresh tuple ids assigned in canonical row order."""
+    solutions = enumerate_secrecy_instances(instance, views, mode)
+    return _answer_instance_over(instance, solutions)
+
+
 def check_no_leakage(instance: Instance, views,
                      mode: EnumerationMode = EnumerationMode.TARGETED) -> LeakageReport:
     """For every view, compare the secret answers to the view query with
     the view's extension on the secrecy answer instance."""
     solutions = enumerate_secrecy_instances(instance, views, mode)
-    answer_instance = secrecy_answer_instance(instance, views, mode)
+    answer_instance = _answer_instance_over(instance, solutions)
     failures = []
     for view in views:
         query = view_as_query(view)

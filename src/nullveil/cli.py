@@ -5,13 +5,16 @@ One subcommand per operation family:
     nullveil eval      --schema S --facts F --query Q
     nullveil instances --schema S --facts F --views V [--mode targeted|exhaustive]
     nullveil answer    --schema S --facts F --views V --query Q [--via direct|asp|both]
+                       [--max-nodes N]
     nullveil compile   --schema S --facts F --views V [--dialect dlv|clingo] [--dcs]
     nullveil solve     --schema S --facts F --views V [--query Q] [--solver PATH]
+                       [--max-nodes N]
 
 `--query` takes literal query text when it contains `:-`, otherwise a
 file path.  Output is plain text or, with `--format json`, stable JSON
-with rows sorted.  Exit codes: 0 success, 2 parse error, 3 semantic
-error, 4 cross-check failure, 5 bound exceeded.
+with rows sorted.  `--max-nodes` (old name `--max-models`) bounds the
+internal engine's stable-model search.  Exit codes: 0 success, 2 parse
+error, 3 semantic error, 4 cross-check failure, 5 bound exceeded.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def cmd_answer(args) -> int:
                                 max_cells=args.max_cells).answers
     if args.via in ("asp", "both"):
         answers_asp = asp.cautious_answers(instance, views, query,
-                                           max_nodes=args.max_models)
+                                           max_nodes=args.max_nodes)
     if args.via == "both" and direct != answers_asp:
         raise CrossCheckError(
             f"direct and asp answers disagree: {_rows_json(direct)} "
@@ -198,7 +201,7 @@ def cmd_solve(args) -> int:
         dialect = "clingo" if "clingo" in Path(solver_path).name else "dlv"
         models = _external_models(solver_path, asp.export_program(rules, dialect))
     else:
-        models = stable_models(asp.ground(rules), max_nodes=args.max_models)
+        models = stable_models(asp.ground(rules), max_nodes=args.max_nodes)
     instances = asp.models_to_instances(models, instance)
     items = []
     lines = [f"{len(models)} stable model(s)"]
@@ -238,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="query text (contains ':-') or file path")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BOUND)
-        p.add_argument("--max-models", type=int, default=DEFAULT_SEARCH_BOUND)
+
+    def node_bound(p):
+        p.add_argument("--max-nodes", "--max-models", dest="max_nodes", type=int,
+                       default=DEFAULT_SEARCH_BOUND,
+                       help="bound on stable-model search nodes "
+                            "(--max-models is the old name)")
 
     p = sub.add_parser("eval", help="evaluate a query under both semantics")
     common(p, query=True)
@@ -252,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("answer", help="compute secret answers to a query")
     common(p, views=True, query=True)
     p.add_argument("--via", choices=("direct", "asp", "both"), default="direct")
+    node_bound(p)
     p.set_defaults(func=cmd_answer)
 
     p = sub.add_parser("compile", help="emit the secrecy logic program")
@@ -266,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="optional query for cautious answers")
     p.add_argument("--solver", help="external ASP solver binary (falls back to "
                                     "the internal engine when absent)")
+    node_bound(p)
     p.set_defaults(func=cmd_solve)
     return parser
 

@@ -8,15 +8,37 @@ built-ins away: a false built-in deletes the instance, a true one is
 dropped.  Null is an ordinary constant here; order comparisons that
 involve null or unordered values simply fail.
 
-Model search is a clause-level DPLL enumeration.  Each ground rule gets
-an auxiliary variable equivalent to its body; clauses additionally
-require every true atom to have some rule with a true body and the atom
-in its head, a necessary condition for stability that prunes the search
-without excluding any stable model.  Every surviving total assignment is
-then verified to be a minimal model of the program's reduct.
+Model search maps the ground atoms to the integers 1..n once, in
+canonical order; search, propagation and the leaf check work on these
+ints, and ground atoms are rebuilt only for the returned models.  The
+search is a DPLL enumeration over clauses with an explicit stack: each
+ground rule gets a variable equivalent to its body, every rule is a
+clause, and every true atom needs some rule with a true body and the atom
+in its head.
 
-Grounding and model checking are pure; candidate checks could run
-concurrently and the model set merges order-independently.
+After unit propagation, every search node runs unfounded-set
+propagation.  Let S be the least set of atoms `a` having a rule `r` such
+that `a` is in the head of `r`, the body of `r` is not false, every
+positive body atom of `r` is in S, and no head atom of `r` outside `a`'s
+strongly connected component of the positive dependency graph is true.
+Atoms outside S are set false, a true one is a conflict, and the two
+propagations alternate until neither assigns anything.  This is sound
+for every disjunctive program: if a stable model M extending the
+assignment met M - S, take a component C that meets M - S while no
+component below it does; dropping the atoms of M - S in C from M
+leaves a model of the reduct, so M was not minimal.  S is kept
+incrementally: each atom that is not false keeps a source rule that
+founds it, and a node re-founds only the atoms whose sources its
+assignments invalidated.
+
+When no rule has two head atoms in one component, the program is
+head-cycle-free and S is exactly the least model of the shifted reduct
+(Ben-Eliyahu & Dechter 1994), so every leaf of the search is a stable
+model.  Only programs with head cycles still check each leaf for being a
+minimal model of its reduct, by a satisfiability search over the model.
+
+Grounding and model search are pure; the returned models do not depend
+on the order in which the search finds them.
 """
 
 from __future__ import annotations
@@ -215,7 +237,14 @@ _UNDEF, _FALSE, _TRUE = -1, 0, 1
 
 class _Enumerator:
     """DPLL over clauses with per-clause satisfied/unassigned counters and
-    a queue of clauses that became unit."""
+    a queue of clauses that became unit.
+
+    The search keeps its open branches on an explicit stack, so its depth
+    is bounded by `max_nodes` and not by the interpreter's recursion limit.
+    Subclasses extend `_propagate` and `_accept`.
+    """
+
+    stage = "reduct-minimality check"
 
     def __init__(self, nvars: int, clauses: list[list[int]], max_nodes: int):
         self.nvars = nvars
@@ -233,6 +262,7 @@ class _Enumerator:
         self.pending: list[int] = []
         self.max_nodes = max_nodes
         self.nodes = 0
+        self.found = 0
 
     def _set(self, var: int, value: int) -> bool:
         """Assign, update counters, queue clauses turned unit; False on conflict."""
@@ -280,118 +310,248 @@ class _Enumerator:
                     break
         return True
 
+    def _propagate(self) -> bool:
+        """Everything implied by the current assignment; False on conflict."""
+        return self._drain()
+
+    def _accept(self) -> bool:
+        """Whether the complete assignment at a leaf is a solution."""
+        return True
+
     def enumerate(self, branch_vars: list[int]) -> Iterator[list[int]]:
-        """Yield complete assignments (live assign arrays) of all classical
-        models, branching only on `branch_vars`."""
+        """Yield complete assignments (live assign arrays) of all accepted
+        classical models, branching only on `branch_vars`, false first."""
         if self.unsat:
             return
         self.pending = [idx for idx, clause in enumerate(self.clauses)
                         if len(clause) == 1]
-        if not self._drain():
-            return
-        yield from self._search(branch_vars, 0)
-
-    def _search(self, branch_vars: list[int], i: int) -> Iterator[list[int]]:
-        while i < len(branch_vars) and self.assign[branch_vars[i]] != _UNDEF:
-            i += 1
-        if i == len(branch_vars):
-            yield self.assign
-            return
-        var = branch_vars[i]
-        for value in (_FALSE, _TRUE):
+        ok = self._propagate()
+        stack: list[tuple[int, int, int]] = []  # (branch index, trail mark, value)
+        i = -1
+        while True:
+            if ok:
+                i += 1
+                while i < len(branch_vars) and self.assign[branch_vars[i]] != _UNDEF:
+                    i += 1
+                if i == len(branch_vars):
+                    if self._accept():
+                        self.found += 1
+                        yield self.assign
+                else:
+                    mark = len(self.trail)
+                    stack += ((i, mark, _TRUE), (i, mark, _FALSE))
+            if not stack:
+                return
+            i, mark, value = stack.pop()
+            self._undo_to(mark)
             self.nodes += 1
             if self.nodes > self.max_nodes:
                 raise BoundExceededError(
-                    f"stable-model search exceeded {self.max_nodes} nodes")
-            mark = len(self.trail)
+                    f"{self.stage} exceeded its bound of {self.max_nodes} nodes "
+                    f"({self.max_nodes} nodes visited, {self.found} models "
+                    f"found so far)")
             self.pending.clear()
-            if self._set(var, value) and self._drain():
-                yield from self._search(branch_vars, i + 1)
-            self._undo_to(mark)
+            ok = self._set(branch_vars[i], value) and self._propagate()
 
 
-def _satisfiable(nvars: int, clauses: list[list[int]]) -> bool:
-    """Plain DPLL satisfiability for the reduct-minimality subproblem."""
-    solver = _Enumerator(nvars, clauses, max_nodes=1 << 22)
-    for _ in solver.enumerate(list(range(1, nvars + 1))):
-        return True
-    return False
+def _components(natoms: int, rules: list[tuple]) -> list[int]:
+    """Strongly connected component of each atom in the positive
+    dependency graph (head atom -> positive body atom); iterative Tarjan."""
+    succ: list[list[int]] = [[] for _ in range(natoms + 1)]
+    for head, pos, _ in rules:
+        for h in head:
+            succ[h] += pos
+    index = [0] * (natoms + 1)  # DFS number; 0 while unvisited
+    low = [0] * (natoms + 1)
+    component = [-1] * (natoms + 1)
+    stack: list[int] = []
+    visited = ncomp = 0
+    for root in range(1, natoms + 1):
+        if index[root]:
+            continue
+        visited += 1
+        index[root] = low[root] = visited
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    visited += 1
+                    index[w] = low[w] = visited
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if component[w] < 0:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+    return component
 
 
-def _possible_atoms(ground_rules: list[GroundRule]) -> set:
-    possible: set[GAtom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for gr in ground_rules:
-            if all(p in possible for p in gr.pos):
-                for h in gr.head:
-                    if h not in possible:
-                        possible.add(h)
-                        changed = True
-    return possible
+class _StableSearch(_Enumerator):
+    """Stable-model search over an interned ground program.
+
+    Atoms are 1..natoms; rule r is a (head, pos, neg) triple of atom
+    tuples with body variable natoms + 1 + r.  Every atom that is not
+    false keeps a source: a rule that founds it, where the sources form an
+    acyclic derivation.  Assignments only invalidate sources, so sources
+    stay valid when the search backtracks and are never restored.
+    """
+
+    stage = "stable-model search"
+
+    def __init__(self, natoms: int, rules: list[tuple], max_nodes: int):
+        clauses: list[list[int]] = []
+        supports: list[list[int]] = [[] for _ in range(natoms + 1)]
+        for r, (head, pos, neg) in enumerate(rules):
+            body = natoms + 1 + r
+            clauses += ([-body, p] for p in pos)
+            clauses += ([-body, -n] for n in neg)
+            clauses.append([body] + [-p for p in pos] + list(neg))
+            clauses.append([-body] + list(head))
+            for h in head:
+                supports[h].append(body)
+        # true atoms need support
+        clauses += ([-a] + supports[a] for a in range(1, natoms + 1))
+        super().__init__(natoms + len(rules), clauses, max_nodes)
+        self.natoms = natoms
+        self.rules = rules
+        component = _components(natoms, rules)
+        self.hcf = all(len({component[h] for h in head}) == len(head)
+                       for head, _, _ in rules)
+        # per rule and head atom: the head atoms outside that atom's component
+        self.blockers = [
+            tuple(tuple(b for b in head if component[b] != component[a]) for a in head)
+            for head, _, _ in rules]
+        self.head_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
+        self.pos_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
+        self.blocked_by: list[list[tuple]] = [[] for _ in range(natoms + 1)]
+        for r, (head, pos, _) in enumerate(rules):
+            for a, blockers in zip(head, self.blockers[r]):
+                self.head_occ[a].append(r)
+                for b in blockers:
+                    self.blocked_by[b].append((r, a))
+            for p in pos:
+                self.pos_occ[p].append(r)
+        self.source = [-1] * (natoms + 1)
+        self.stale = list(range(1, natoms + 1))  # nothing is founded yet
+        self.checked = 0  # trail prefix already reflected in the sources
+
+    def _undo_to(self, mark: int) -> None:
+        super()._undo_to(mark)
+        self.checked = min(self.checked, mark)
+
+    def _propagate(self) -> bool:
+        """Unit propagation alternating with unfounded-set propagation
+        until neither assigns anything."""
+        while self._drain():
+            unfounded = self._refound(self._lost())
+            if not unfounded:
+                return True
+            for a in unfounded:
+                if self.assign[a] == _TRUE or not self._set(a, _FALSE):
+                    return False
+        return False
+
+    def _lost(self) -> set[int]:
+        """Atoms not false whose source the assignments since the last
+        check invalidated, closed under dependence through sources."""
+        assign, source, natoms = self.assign, self.source, self.natoms
+        todo, self.stale = self.stale, []
+        for var in self.trail[self.checked:]:
+            if var > natoms:
+                if assign[var] == _FALSE:
+                    r = var - natoms - 1
+                    todo += (a for a in self.rules[r][0] if source[a] == r)
+            elif assign[var] == _TRUE:
+                todo += (a for r, a in self.blocked_by[var] if source[a] == r)
+        self.checked = len(self.trail)
+        lost: set[int] = set()
+        while todo:
+            a = todo.pop()
+            if a in lost or assign[a] == _FALSE:
+                continue
+            lost.add(a)
+            for r in self.pos_occ[a]:
+                todo += (h for h in self.rules[r][0] if source[h] == r)
+        return lost
+
+    def _refound(self, lost: set[int]) -> set[int]:
+        """Give lost atoms new sources where possible and return the rest,
+        which are unfounded.  Rule r founds head atom a when r's body is
+        not false, every positive body atom of r is founded, and no head
+        atom of r outside a's component is true."""
+        assign, rules = self.assign, self.rules
+        missing: dict[int, int] = {}  # rule -> its positive atoms still lost
+        ready: list[int] = []
+        for a in lost:
+            for r in self.head_occ[a]:
+                if r not in missing and assign[self.natoms + 1 + r] != _FALSE:
+                    missing[r] = sum(p in lost for p in rules[r][1])
+                    if not missing[r]:
+                        ready.append(r)
+        while ready:
+            r = ready.pop()
+            for a, blockers in zip(rules[r][0], self.blockers[r]):
+                if a in lost and all(assign[b] != _TRUE for b in blockers):
+                    lost.discard(a)
+                    self.source[a] = r
+                    for q in self.pos_occ[a]:
+                        if q in missing:
+                            missing[q] -= 1
+                            if not missing[q]:
+                                ready.append(q)
+        return lost
+
+    def _accept(self) -> bool:
+        """On a head-cycle-free program every leaf is stable; otherwise
+        the model must be a minimal model of its reduct."""
+        if self.hcf:
+            return True
+        assign = self.assign
+        model = [a for a in range(1, self.natoms + 1) if assign[a] == _TRUE]
+        if not model:
+            return True
+        clauses = [[-a for a in model]]  # at least one atom off
+        for head, pos, neg in self.rules:
+            if any(assign[n] == _TRUE for n in neg) or any(assign[p] != _TRUE for p in pos):
+                continue  # not in the reduct, or false under every subset
+            clauses.append([-p for p in pos] + [h for h in head if assign[h] == _TRUE])
+        check = _Enumerator(self.natoms, clauses, max_nodes=1 << 22)
+        return next(check.enumerate(model), None) is None
 
 
-def _is_minimal_model(model: frozenset, reduct: list[tuple]) -> bool:
-    """No proper subset of `model` satisfies the (positive) reduct."""
-    if not model:
-        return True
-    atoms = sorted(model, key=_gatom_key)
-    ids = {a: i + 1 for i, a in enumerate(atoms)}
-    clauses: list[list[int]] = [[-ids[a] for a in atoms]]  # at least one atom off
-    for head, pos in reduct:
-        if not all(p in model for p in pos):
-            continue  # some positive atom false under every subset
-        clause = [-ids[p] for p in pos] + [ids[h] for h in head if h in model]
-        clauses.append(clause)
-    return not _satisfiable(len(atoms), clauses)
+def _interned(ids: dict, atoms: tuple) -> tuple[int, ...]:
+    return tuple(sorted({ids[a] for a in atoms if a in ids}))
 
 
 def stable_models(ground_rules: list[GroundRule],
                   max_nodes: int = DEFAULT_SEARCH_BOUND) -> list[frozenset]:
     """All stable models of the ground program: models that are minimal
     models of their own reduct.  Deterministic canonical output order."""
-    possible = _possible_atoms(ground_rules)
-    atoms = sorted(possible, key=_gatom_key)
-    atom_id = {a: i + 1 for i, a in enumerate(atoms)}
-
-    usable: list[GroundRule] = []
+    atoms = sorted({h for gr in ground_rules for h in gr.head}, key=_gatom_key)
+    atom_id = {a: i for i, a in enumerate(atoms, 1)}
+    rules = []
     for gr in ground_rules:
-        if not all(p in possible for p in gr.pos):
-            continue  # body can never hold
-        neg = tuple(n for n in gr.neg if n in possible)
-        head = gr.head
-        if set(head) & set(gr.pos):
+        if not all(p in atom_id for p in gr.pos):
+            continue  # a positive body atom heads no rule
+        head, pos = _interned(atom_id, gr.head), _interned(atom_id, gr.pos)
+        if set(head) & set(pos):
             continue  # tautological: a positive body atom reappears in the head
-        usable.append(GroundRule(head, gr.pos, neg))
-
-    nvars = len(atoms) + len(usable)
-    clauses: list[list[int]] = []
-    head_rules: dict[GAtom, list[int]] = {a: [] for a in atoms}
-    for r_idx, gr in enumerate(usable):
-        body_var = len(atoms) + r_idx + 1
-        body_def = [body_var]
-        for p in gr.pos:
-            clauses.append([-body_var, atom_id[p]])
-            body_def.append(-atom_id[p])
-        for n in gr.neg:
-            clauses.append([-body_var, -atom_id[n]])
-            body_def.append(atom_id[n])
-        clauses.append(body_def)
-        clauses.append([-body_var] + [atom_id[h] for h in gr.head])
-        for h in gr.head:
-            head_rules[h].append(body_var)
-    for a in atoms:
-        clauses.append([-atom_id[a]] + head_rules[a])  # true atoms need support
-
-    enumerator = _Enumerator(nvars, clauses, max_nodes)
-    reduct_input = [(gr.head, gr.pos) for gr in usable]
-    models: list[frozenset] = []
-    for assign in enumerator.enumerate(list(range(1, len(atoms) + 1))):
-        model = frozenset(a for a in atoms if assign[atom_id[a]] == _TRUE)
-        reduct = [(head, pos) for (head, pos), gr in zip(reduct_input, usable)
-                  if not any(n in model for n in gr.neg)]
-        if _is_minimal_model(model, reduct):
-            models.append(model)
-    models.sort(key=lambda m: tuple(sorted(map(_gatom_key, m))))
-    return models
+        rules.append((head, pos, _interned(atom_id, gr.neg)))
+    search = _StableSearch(len(atoms), rules, max_nodes)
+    branch = list(range(1, len(atoms) + 1))
+    models = sorted(tuple(a for a in branch if assign[a] == _TRUE)
+                    for assign in search.enumerate(branch))
+    return [frozenset(atoms[a - 1] for a in m) for m in models]

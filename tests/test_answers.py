@@ -1,6 +1,7 @@
 import random
 
 from nullveil import Instance, parse_facts, parse_schema
+from nullveil import answers as answers_module
 from nullveil.answers import (check_no_leakage, secrecy_answer_instance,
                               secret_answers)
 from corpus import answers, four_tuple_example, nonmono_example, row, two_tuple_example
@@ -89,3 +90,17 @@ def test_no_leakage_randomized():
         schema, instance, views = rand_case(rng, max_tuples=3)
         report = check_no_leakage(instance, views)
         assert report.ok, report.failures
+
+
+def test_no_leakage_enumerates_secrecy_instances_once(monkeypatch):
+    calls = []
+    enumerate_instances = answers_module.enumerate_secrecy_instances
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_instances(*args, **kwargs)
+
+    monkeypatch.setattr(answers_module, "enumerate_secrecy_instances", counting)
+    case = four_tuple_example()
+    assert check_no_leakage(case.instance, case.views).ok
+    assert len(calls) == 1

@@ -163,6 +163,21 @@ def test_exit_codes_semantic_and_bound(files, capsys):
     assert code == 5 and "bound" in err
 
 
+def test_search_node_bound_flag_and_its_old_name(files, capsys):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.")
+    query = "?(X,Y) :- P(X,Y)."
+    for flag in ("--max-nodes", "--max-models"):
+        for command in (["answer", "--via", "asp", "--query", query], ["solve"]):
+            code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
+                               "--views", views, flag, "1")
+            assert code == 5 and "stable-model search exceeded" in err
+            code, _, _ = run(capsys, *command, "--schema", schema, "--facts", facts,
+                             "--views", views, flag, "100")
+            assert code == 0
+
+
 def test_cmd_solve_with_stub_external_solver(files, capsys, tmp_path, monkeypatch):
     schema = files("s.nv", "relation P(A:sym). relation R(A:sym).")
     facts = files("f.nv", "P(a). R(a).")
