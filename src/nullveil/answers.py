@@ -13,18 +13,18 @@ a view over that instance returns exactly the secret answers to the view
 query, i.e. that recombining answers reveals nothing further.
 
 Per-instance evaluations are independent and may run concurrently; the
-intersection happens after all of them finish.
+intersection happens after all of them finish.  An empty family of
+secrecy instances raises `CrossCheckError` instead of answering nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .instances import EnumerationMode, SecrecySolution, enumerate_secrecy_instances
 from .lang import Atom, Query, Var, view_as_query
 from .model import Instance, Schema
-from .semantics import AnswerSet, eval_n
+from .semantics import AnswerSet, eval_n, intersect_answers
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,18 +45,11 @@ class LeakageReport:
     failures: tuple  # of (view name, secret answers, view-on-answer-instance)
 
 
-def _intersect(sets) -> AnswerSet:
-    sets = list(sets)
-    if not sets:
-        return frozenset()
-    return reduce(lambda a, b: a & b, sets)
-
-
 def _secret_answers_over(solutions: list[SecrecySolution], query: Query) -> SecretAnswerReport:
     per_instance = tuple(
         (solution.changes, eval_n(solution.instance, query))
         for solution in solutions)
-    answers = _intersect(ans for _, ans in per_instance)
+    answers = intersect_answers(ans for _, ans in per_instance)
     return SecretAnswerReport(query, answers, per_instance)
 
 

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 
-from .errors import CrossCheckError, DialectError, SemanticError, UnsupportedRuleError
+from .errors import DialectError, SemanticError, UnsupportedRuleError
 from .lang import (Atom, BuiltinAtom, COMPARISONS, Const, Query, UNARY_BUILTINS,
                    Var, ViewDef, _Parser)
 from .model import Instance, NULL, Row
-from .semantics import AnswerSet, relevant_vars, rewrite_query
+from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
 from .solver import GAtom, Literal, Rule, ground, stable_models
-from .views import attr_sets, head_atom_sets
+from .views import attr_sets, head_atom_sets, nulled_atom
 
 
 class Annotation(enum.Enum):
@@ -160,7 +161,7 @@ def _view_rules(view: ViewDef) -> list[Rule]:
 
     head_set = {v.name for v in low_view.head}
     for atom in low_view.body:
-        nulled = _null_occurrences(atom, head_set)
+        nulled = nulled_atom(atom, head_set)
         if nulled is None:
             continue
         s_guards = tuple(
@@ -171,7 +172,7 @@ def _view_rules(view: ViewDef) -> list[Rule]:
             body_t + low_view.phi + c_guards + (aux_lit,)
             + (Literal(_annotated(nulled, Annotation.A)),) + s_guards))
     for atom in low_view.body:
-        nulled = _null_occurrences(atom, set(relevant))
+        nulled = nulled_atom(atom, set(relevant))
         if nulled is None:
             continue
         rules.append(Rule(
@@ -179,13 +180,6 @@ def _view_rules(view: ViewDef) -> list[Rule]:
             body_t + low_view.phi + c_guards + (aux_lit,)
             + (Literal(_annotated(nulled, Annotation.A)),)))
     return rules
-
-
-def _null_occurrences(atom: Atom, names: set) -> Atom | None:
-    args = tuple(
-        Const(NULL) if isinstance(t, Var) and t.name in names else t
-        for t in atom.args)
-    return None if args == atom.args else Atom(atom.pred, args)
 
 
 def compile_query_program(query: Query) -> Rule:
@@ -212,28 +206,20 @@ def _srows_by_relation(model: frozenset, instance: Instance) -> dict[str, list]:
     return by_rel
 
 
-def _assign_rows(base_rows: tuple[Row, ...], srows: list) -> list | None:
+def _assign_rows(base_rows: tuple[Row, ...], srows: list) -> tuple | None:
     """Give every base tuple one surviving row it dominates, using every
-    surviving row at least once; None when no such assignment exists."""
+    surviving row at least once; None when no such assignment exists.
+    Assignments are tried in depth-first order without recursion, so the
+    number of rows is not limited by the interpreter's recursion limit."""
     def dominates(values, srow):
         return all(a == b or a.is_null for a, b in zip(srow, values))
 
-    candidates = [[s for s in srows if dominates(row.values, s)] for row in base_rows]
-    chosen: list = [None] * len(base_rows)
-
-    def search(i: int) -> bool:
-        if i == len(base_rows):
-            return set(chosen) >= set(map(tuple, srows))
-        for srow in candidates[i]:
-            chosen[i] = tuple(srow)
-            if search(i + 1):
-                return True
-        chosen[i] = None
-        return False
-
     if len(srows) > len(base_rows):
         return None
-    return chosen if search(0) else None
+    candidates = [[s for s in srows if dominates(row.values, s)] for row in base_rows]
+    wanted = set(srows)
+    return next((chosen for chosen in product(*candidates) if wanted <= set(chosen)),
+                None)
 
 
 def models_to_instances(models, base: Instance) -> list[Instance]:
@@ -263,16 +249,15 @@ def cautious_answers(instance: Instance, views, query: Query,
     query_rule = compile_query_program(query)
     ground_rules = ground(program.rules + (query_rule,))
     kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    models = stable_models(ground_rules, **kwargs)
-    if not models:
-        raise CrossCheckError("secrecy program has no stable models")
-    answer_sets = [
+    return model_answers(stable_models(ground_rules, **kwargs))
+
+
+def model_answers(models) -> AnswerSet:
+    """Cautious answers: the `ans` rows true in every stable model; no
+    stable model at all raises `CrossCheckError`."""
+    return intersect_answers(
         frozenset(args for pred, args in model if pred == ANS_PRED)
-        for model in models]
-    answers = answer_sets[0]
-    for ans in answer_sets[1:]:
-        answers &= ans
-    return frozenset(answers)
+        for model in models)
 
 
 # --------------------------------------------------------------------------

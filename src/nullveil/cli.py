@@ -14,7 +14,8 @@ One subcommand per operation family:
 file path.  Output is plain text or, with `--format json`, stable JSON
 with rows sorted.  `--max-nodes` (old name `--max-models`) bounds the
 internal engine's stable-model search.  Exit codes: 0 success, 2 parse
-error, 3 semantic error, 4 cross-check failure, 5 bound exceeded.
+error, 3 semantic error or failed external solver, 4 cross-check failure
+(no secrecy instance or stable model counts as one), 5 bound exceeded.
 """
 
 from __future__ import annotations
@@ -175,16 +176,20 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _external_models(solver: str, program_text: str) -> list[frozenset]:
+def _external_models(solver: str, dialect: str, program_text: str) -> list[frozenset]:
+    clingo = dialect == "clingo"
     with tempfile.NamedTemporaryFile("w", suffix=".lp", delete=False) as handle:
         handle.write(program_text)
-        path = handle.name
-    base = Path(solver).name
-    if "clingo" in base:
-        cmd = [solver, "--models=0", path]
-    else:
-        cmd = [solver, path]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    try:
+        cmd = [solver, "--models=0", handle.name] if clingo else [solver, handle.name]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    finally:
+        Path(handle.name).unlink()
+    # clingo's status is 10 satisfiable, 20 unsatisfiable, 30 all models found
+    if proc.returncode not in ((10, 20, 30) if clingo else (0,)):
+        raise NullveilError(
+            f"solver {solver} failed with exit status {proc.returncode}: "
+            f"{proc.stderr.strip()}")
     return asp.parse_answer_sets(proc.stdout)
 
 
@@ -199,9 +204,10 @@ def cmd_solve(args) -> int:
         raise SemanticError(f"solver binary not found: {args.solver}")
     if solver_path:
         dialect = "clingo" if "clingo" in Path(solver_path).name else "dlv"
-        models = _external_models(solver_path, asp.export_program(rules, dialect))
+        models = _external_models(solver_path, dialect, asp.export_program(rules, dialect))
     else:
         models = stable_models(asp.ground(rules), max_nodes=args.max_nodes)
+    answers = asp.model_answers(models)  # no model at all is a CrossCheckError
     instances = asp.models_to_instances(models, instance)
     items = []
     lines = [f"{len(models)} stable model(s)"]
@@ -214,10 +220,6 @@ def cmd_solve(args) -> int:
                 lines.append(f"  @{row.tid} {name}({args_text}).")
     payload = {"instances": items}
     if query is not None:
-        per_model = [frozenset(a for p, a in m if p == asp.ANS_PRED) for m in models]
-        answers = per_model[0] if per_model else frozenset()
-        for ans in per_model[1:]:
-            answers &= ans
         payload["answers"] = _rows_json(answers)
         lines.append("cautious answers:")
         lines += [f"  ({', '.join(r)})" for r in payload["answers"]]

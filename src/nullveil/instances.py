@@ -73,15 +73,16 @@ def instance_leq_D(base: Instance, d1: Instance, d2: Instance) -> bool:
 
 
 def _potential_violations(instance: Instance, view: ViewDef):
-    """Body matches that could force an update: comparisons hold with
-    null as ordinary constant and no combination variable binds null."""
+    """Matched rows of the body matches that could force an update:
+    comparisons hold with null as ordinary constant and no combination
+    variable binds null."""
     relevant = relevant_vars(view)
-    for env, picks in iter_matches(instance, view.body):
+    for env, rows in iter_matches(instance.rows, view.body):
         if any(env[name].is_null for name in relevant):
             continue
         if not all(builtin_classical(b, env) for b in view.phi):
             continue
-        yield env, picks
+        yield rows
 
 
 def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozenset:
@@ -94,13 +95,12 @@ def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozens
     cells = set()
     for view in views:
         targets = set(relevant_vars(view)) | {v.name for v in view.head}
-        for _, picks in _potential_violations(instance, view):
-            for atom, (rel, tid) in zip(view.body, picks):
-                row = instance.row(rel, tid)
+        for rows in _potential_violations(instance, view):
+            for atom, row in zip(view.body, rows):
                 for pos, term in enumerate(atom.args, 1):
                     if (isinstance(term, Var) and term.name in targets
                             and not row.values[pos - 1].is_null):
-                        cells.add(Cell(rel, tid, pos))
+                        cells.add(Cell(atom.pred, row.tid, pos))
     return frozenset(cells)
 
 

@@ -15,18 +15,24 @@ with the SQL-like one, by guarding every relevant variable with
 equivalence holds for SQL-like queries, i.e. those that do not already
 compare terms against the null constant with `=` or `!=`.
 
+`iter_matches` is the package's one body-matching engine: both
+evaluations, the admissibility sentence, the candidate-cell search and
+the grounder in `solver` bind conjunctive bodies through it.
+`intersect_answers` is the one intersection of answer sets over a family
+of worlds, shared by secret and cautious answers.
+
 Everything here is pure over immutable instances; evaluations can run
 concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import SemanticError
+from .errors import CrossCheckError, SemanticError
 from .lang import (Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var,
                    ViewDef, view_as_query)
-from .model import Instance, NULL, Value
+from .model import Instance, NULL, Row, Value
 
 AnswerSet = frozenset  # of tuple[Value, ...]
 
@@ -120,28 +126,30 @@ def negate_builtin(b: BuiltinAtom) -> BuiltinAtom:
     return BuiltinAtom(_NEGATION[b.op], b.args)
 
 
-def iter_matches(instance: Instance, atoms: tuple[Atom, ...],
-                 env: Assignment | None = None) -> Iterator[tuple[Assignment, tuple]]:
+RowSource = Callable[[str], Iterable[Row]]
+
+
+def iter_matches(rows_of: RowSource,
+                 atoms: tuple[Atom, ...]) -> Iterator[tuple[Assignment, tuple[Row, ...]]]:
     """Enumerate assignments satisfying the atom list syntactically.
 
-    Yields (assignment, picks) where picks gives the (relation, tid)
-    matched by each atom in order.  Null matches only the null constant,
-    exactly like any other constant.
+    This is the one routine that binds a conjunctive body to rows: query
+    and view evaluation pass `Instance.rows`, the grounder passes its
+    store of possibly derivable atoms.  `rows_of(relation)` gives the
+    rows an atom over that relation may match.  Yields (assignment,
+    rows) where rows are the rows matched by each atom in order.  Null
+    matches only the null constant, exactly like any other constant.
     """
-    base_env: Assignment = dict(env) if env else {}
-
-    def recurse(i: int, env: Assignment, picks: tuple):
+    def extend(i: int, env: Assignment, matched: tuple):
         if i == len(atoms):
-            yield env, picks
+            yield env, matched
             return
         atom = atoms[i]
-        for row in instance.rows(atom.pred):
+        for row in rows_of(atom.pred):
             bound = env
-            ok = True
             for term, value in zip(atom.args, row.values):
                 if isinstance(term, Const):
                     if term.value != value:
-                        ok = False
                         break
                 else:
                     existing = bound.get(term.name)
@@ -150,12 +158,22 @@ def iter_matches(instance: Instance, atoms: tuple[Atom, ...],
                             bound = dict(env)
                         bound[term.name] = value
                     elif existing != value:
-                        ok = False
                         break
-            if ok:
-                yield from recurse(i + 1, bound, picks + ((atom.pred, row.tid),))
+            else:
+                yield from extend(i + 1, bound, matched + (row,))
 
-    yield from recurse(0, base_env, ())
+    return extend(0, {}, ())
+
+
+def intersect_answers(answer_sets: Iterable[AnswerSet]) -> AnswerSet:
+    """Rows common to every answer set of a non-empty family of worlds
+    (secrecy instances or stable models), compared syntactically, nulls
+    included.  An empty family has no certain answers to speak of and is
+    reported as a fault rather than read as the empty answer."""
+    sets = list(answer_sets)
+    if not sets:
+        raise CrossCheckError("no secrecy instance or stable model to take answers over")
+    return frozenset.intersection(*sets)
 
 
 def _project(query: Query, env: Assignment) -> tuple[Value, ...]:
@@ -165,7 +183,7 @@ def _project(query: Query, env: Assignment) -> tuple[Value, ...]:
 def eval_classical(instance: Instance, query: Query) -> AnswerSet:
     """Standard conjunctive-query evaluation, null as ordinary constant."""
     answers = set()
-    for env, _ in iter_matches(instance, query.body):
+    for env, _ in iter_matches(instance.rows, query.body):
         if all(builtin_classical(b, env) for b in query.builtins):
             answers.add(_project(query, env))
     return frozenset(answers)
@@ -176,7 +194,7 @@ def eval_n(instance: Instance, query: Query) -> AnswerSet:
     bind null, and built-ins follow the null-rejecting semantics."""
     relevant = relevant_vars(query)
     answers = set()
-    for env, _ in iter_matches(instance, query.body):
+    for env, _ in iter_matches(instance.rows, query.body):
         if any(env[name].is_null for name in relevant):
             continue
         if all(builtin_n(b, env) for b in query.builtins):

@@ -5,7 +5,10 @@ negated atoms and built-in comparisons.  Grounding instantiates rules
 bottom-up over the atoms that can possibly be derived (facts plus heads
 of rules whose positive bodies are possibly derivable), evaluating
 built-ins away: a false built-in deletes the instance, a true one is
-dropped.  Null is an ordinary constant here; order comparisons that
+dropped.  Positive bodies are matched against the possible atoms by
+`semantics.iter_matches`, the same engine that evaluates queries over
+instances, so grounding a rule is evaluating its body as a conjunctive
+query.  Null is an ordinary constant here; order comparisons that
 involve null or unordered values simply fail.
 
 Model search maps the ground atoms to the integers 1..n once, in
@@ -47,9 +50,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, SemanticError, UnsupportedRuleError
-from .lang import Atom, BuiltinAtom, Const, Var
-from .model import Value
-from .semantics import builtin_classical
+from .lang import Atom, BuiltinAtom, Var
+from .model import Row
+from .semantics import builtin_classical, iter_matches
 
 DEFAULT_SEARCH_BOUND = 1 << 20
 
@@ -93,10 +96,6 @@ class Rule:
 
     def is_fact(self) -> bool:
         return len(self.head) == 1 and not self.body
-
-
-def rule(head: Iterable[Atom], body: Iterable = ()) -> Rule:
-    return Rule(tuple(head), tuple(body))
 
 
 def fact(atom: Atom) -> Rule:
@@ -146,32 +145,6 @@ def _builtin_holds(b: BuiltinAtom, env: dict) -> bool:
         return False  # unordered operands never satisfy an order comparison
 
 
-def _match(atoms: tuple[Atom, ...], by_pred: dict, env: dict, i: int) -> Iterator[dict]:
-    if i == len(atoms):
-        yield env
-        return
-    atom = atoms[i]
-    for gargs in by_pred.get(atom.pred, ()):
-        bound = env
-        ok = True
-        for term, value in zip(atom.args, gargs):
-            if isinstance(term, Const):
-                if term.value != value:
-                    ok = False
-                    break
-            else:
-                existing = bound.get(term.name)
-                if existing is None:
-                    if bound is env:
-                        bound = dict(env)
-                    bound[term.name] = value
-                elif existing != value:
-                    ok = False
-                    break
-        if ok:
-            yield from _match(atoms, by_pred, bound, i + 1)
-
-
 def _gatom_key(gatom: GAtom) -> tuple:
     return (gatom[0], tuple(v.sort_key() for v in gatom[1]))
 
@@ -192,29 +165,26 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
     rules = list(rules)
     for r in rules:
         _check_safety(r)
-    by_pred: dict[str, list] = {}
+    parts = [(r.head, r.pos_atoms(), r.neg_atoms(), r.builtins()) for r in rules]
+    by_pred: dict[str, list[Row]] = {}  # possible atoms, numbered per predicate
     possible: set[GAtom] = set()
     seen: set[GroundRule] = set()
     out: list[GroundRule] = []
 
-    def add_possible(gatom: GAtom) -> bool:
-        if gatom in possible:
-            return False
-        possible.add(gatom)
-        by_pred.setdefault(gatom[0], []).append(gatom[1])
-        return True
+    def rows_of(pred: str) -> list[Row]:
+        return by_pred.get(pred, [])
 
     changed = True
     while changed:
         changed = False
-        for r in rules:
-            for env in _match(r.pos_atoms(), by_pred, {}, 0):
-                if not all(_builtin_holds(b, env) for b in r.builtins()):
+        for head, pos, neg, builtins in parts:
+            for env, matched in iter_matches(rows_of, pos):
+                if not all(_builtin_holds(b, env) for b in builtins):
                     continue
                 gr = GroundRule(
-                    tuple(_ground_atom(a, env) for a in r.head),
-                    tuple(_ground_atom(a, env) for a in r.pos_atoms()),
-                    tuple(_ground_atom(a, env) for a in r.neg_atoms()))
+                    tuple(_ground_atom(a, env) for a in head),
+                    tuple((a.pred, row.values) for a, row in zip(pos, matched)),
+                    tuple(_ground_atom(a, env) for a in neg))
                 if gr in seen:
                     continue
                 seen.add(gr)
@@ -223,7 +193,10 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
                     raise BoundExceededError(
                         f"ground program exceeds {max_rules} rules")
                 for h in gr.head:
-                    if add_possible(h):
+                    if h not in possible:
+                        possible.add(h)
+                        store = by_pred.setdefault(h[0], [])
+                        store.append(Row(len(store) + 1, h[1]))
                         changed = True
     out.sort(key=_ground_rule_key)
     return out

@@ -67,7 +67,9 @@ def attr_sets(view: ViewDef) -> AttrSets:
     return AttrSets(frozenset(combination), frozenset(secrecy))
 
 
-def _nulled(atom: Atom, names: set) -> Atom | None:
+def nulled_atom(atom: Atom, names: set) -> Atom | None:
+    """`atom` with every occurrence of the named variables replaced by the
+    null constant; None when no such occurrence exists."""
     args = tuple(
         Const(NULL) if isinstance(t, Var) and t.name in names else t
         for t in atom.args)
@@ -79,8 +81,8 @@ def _nulled(atom: Atom, names: set) -> Atom | None:
 def head_atom_sets(view: ViewDef) -> HeadAtomSets:
     relevant = set(relevant_vars(view))
     head = {v.name for v in view.head}
-    cp = tuple(a for a in (_nulled(atom, relevant) for atom in view.body) if a)
-    sp = tuple(a for a in (_nulled(atom, head) for atom in view.body) if a)
+    cp = tuple(a for a in (nulled_atom(atom, relevant) for atom in view.body) if a)
+    sp = tuple(a for a in (nulled_atom(atom, head) for atom in view.body) if a)
     return HeadAtomSets(cp, sp)
 
 
@@ -99,7 +101,7 @@ def null_view_sentence_holds(instance: Instance, view: ViewDef) -> bool:
     relevant = relevant_vars(view)
     head = tuple(v.name for v in view.head)
     negated = [negate_builtin(b) for b in view.phi]
-    for env, _ in iter_matches(instance, view.body):
+    for env, _ in iter_matches(instance.rows, view.body):
         if any(env[name].is_null for name in relevant):
             continue
         if all(env[name].is_null for name in head):

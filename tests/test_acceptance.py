@@ -8,7 +8,6 @@ import random
 import re
 import shutil
 import subprocess
-import tempfile
 import time
 from contextlib import contextmanager
 
@@ -245,7 +244,7 @@ def _find_solver() -> str | None:
     return None
 
 
-def test_criterion_9_export_validity_with_external_solver():
+def test_criterion_9_export_validity_with_external_solver(tmp_path):
     solver = _find_solver()
     if solver is None:
         print("\n[SKIP] criterion 9: no external ASP solver on PATH")
@@ -255,9 +254,8 @@ def test_criterion_9_export_validity_with_external_solver():
         program = compile_program(two.instance, two.views)
         dialect = "clingo" if "clingo" in solver else "dlv"
         text = export_program(program, dialect)
-        with tempfile.NamedTemporaryFile("w", suffix=".lp", delete=False) as f:
-            f.write(text)
-            path = f.name
+        path = tmp_path / "program.lp"
+        path.write_text(text, encoding="utf-8")
         cmd = [solver, "--models=0", path] if dialect == "clingo" else [solver, path]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         models = parse_answer_sets(proc.stdout)

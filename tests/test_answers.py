@@ -1,6 +1,8 @@
 import random
 
-from nullveil import Instance, parse_facts, parse_schema
+import pytest
+
+from nullveil import CrossCheckError, Instance, parse_facts, parse_schema
 from nullveil import answers as answers_module
 from nullveil.answers import (check_no_leakage, secrecy_answer_instance,
                               secret_answers)
@@ -31,6 +33,14 @@ def test_secret_answers_intersects_per_instance_sets():
     report = secret_answers(case.instance, case.views, case.queries["p"])
     for _, per in report.per_instance:
         assert report.answers <= per
+
+
+def test_secret_answers_without_secrecy_instances_is_a_cross_check_failure(monkeypatch):
+    case = four_tuple_example()
+    monkeypatch.setattr(answers_module, "enumerate_secrecy_instances",
+                        lambda *args, **kwargs: [])
+    with pytest.raises(CrossCheckError):
+        secret_answers(case.instance, case.views, case.queries["p"])
 
 
 def test_secrecy_answer_instance_four_tuple_example():

@@ -267,3 +267,12 @@ def test_asp_route_matches_enumeration_randomized():
         query = rand_query(rng, schema)
         assert cautious_answers(instance, views, query) == \
             secret_answers(instance, views, query).answers, query.token()
+
+
+def test_readback_of_1100_rows_returns_the_instance():
+    # more base rows than the interpreter's default recursion limit (1,000)
+    schema = parse_schema("relation P(A:int, B:int).")
+    base = parse_facts(" ".join(f"P({i},{i + 1})." for i in range(1100)), schema)
+    views = [parse_view("Vs(X) :- P(X,Y), Y < 0.", schema)]
+    models = stable_models(ground(compile_program(base, views).rules))
+    assert models_to_instances(models, base) == [base]

@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -203,6 +204,39 @@ def test_cmd_solve_with_stub_external_solver(files, capsys, tmp_path, monkeypatc
     code, _, err = run(capsys, "solve", "--schema", schema, "--facts", facts,
                        "--views", views, "--solver", "no-such-solver")
     assert code == 3 and "not found" in err
+
+
+def _stub_solver(tmp_path, monkeypatch, script: str) -> None:
+    stub = tmp_path / "bin" / "dlv"
+    stub.parent.mkdir()
+    stub.write_text("#!/bin/sh\n" + script, encoding="utf-8")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{stub.parent}:/usr/bin:/bin")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+
+def test_cmd_solve_external_solver_failure_exits_3_and_cleans_up(
+        files, capsys, tmp_path, monkeypatch):
+    schema = files("s.nv", "relation P(A:sym). relation R(A:sym).")
+    facts = files("f.nv", "P(a). R(a).")
+    views = files("v.nv", "V(X) :- P(X), R(X).")
+    _stub_solver(tmp_path, monkeypatch, "echo 'solver crashed' >&2\nexit 1\n")
+    code, _, err = run(capsys, "solve", "--schema", schema, "--facts", facts,
+                       "--views", views, "--solver", "dlv")
+    assert code == 3
+    assert "exit status 1" in err and "solver crashed" in err
+    assert not list(tmp_path.glob("*.lp"))
+
+
+def test_cmd_solve_without_stable_models_exits_4(files, capsys, tmp_path, monkeypatch):
+    schema = files("s.nv", "relation P(A:sym). relation R(A:sym).")
+    facts = files("f.nv", "P(a). R(a).")
+    views = files("v.nv", "V(X) :- P(X), R(X).")
+    _stub_solver(tmp_path, monkeypatch, "exit 0\n")
+    code, _, err = run(capsys, "solve", "--schema", schema, "--facts", facts,
+                       "--views", views, "--solver", "dlv")
+    assert code == 4 and "cross-check failure" in err
+    assert not list(tmp_path.glob("*.lp"))
 
 
 def test_json_output_is_stable(files, capsys):
