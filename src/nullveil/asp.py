@@ -1,21 +1,27 @@
 """Compilation of an instance plus secrecy views into an annotated
 disjunctive logic program whose stable models are the secrecy instances.
 
-Tuple lifecycle is tracked through predicate-name suffixes standing for
-four annotations: `_a` marks the freshly written (nulled) version of a
-tuple, `_u` a tuple that has been overwritten, `_t` anything old or new,
-and `_s` what survives into the secrecy instance (old or new and never
+Every relation atom carries the tuple id as its last argument, so a
+tuple keeps the identity that `model` gives it through the whole
+program.  Tuple lifecycle is tracked through predicate-name suffixes
+standing for four annotations: `_a` marks an updated (nulled) version of
+a tuple, `_u` a version that has been overwritten, `_t` any version, old
+or new, and `_s` what survives into the secrecy instance (a version never
 overwritten).  Per view, a disjunctive rule fires on every violating
 match - comparisons hold, no combination variable is null, and some head
 variable is non-null (witnessed by an auxiliary per-view predicate over
 the head variables) - and chooses either one whole-atom secrecy-side
-update or one combination-side update.  Collection rules then mark the
-originals of chosen updates as overwritten.
+update that nulls a non-null head value or one combination-side update.
+Overwrite rules, one per relation position and keyed on the tuple id,
+then mark a version as overwritten once an update of the same tuple has
+nulled a value the version still holds.
 
 Queries are answered cautiously: the query is rewritten to its classical
 form, retargeted at `_s` atoms under a fresh `ans` head, and the answers
 true in every stable model are returned; they must coincide with the
-secret answers computed from the materialised secrecy instances.
+secret answers computed from the materialised secrecy instances.  Each
+secrecy instance is read off its stable model by projection: every `_s`
+atom is one tuple, named by its id.
 
 Export produces solver-ready text for the dlv and clingo dialects
 (predicates lowercased, disjunction `v` respectively `|`); denial
@@ -27,12 +33,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
+from itertools import count
 
 from .errors import DialectError, SemanticError, UnsupportedRuleError
 from .lang import (Atom, BuiltinAtom, COMPARISONS, Const, Query, UNARY_BUILTINS,
                    Var, ViewDef, _Parser)
-from .model import Instance, NULL, Row
+from .model import Instance, NULL, Row, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
 from .solver import GAtom, Literal, Rule, ground, stable_models
 from .views import attr_sets, head_atom_sets, nulled_atom
@@ -62,16 +68,22 @@ def _ann(pred: str, annotation: Annotation) -> str:
     return f"{pred}_{annotation.value}"
 
 
-def _lower_atom(atom: Atom) -> Atom:
-    return Atom(atom.pred.lower(), atom.args)
-
-
 def _annotated(atom: Atom, annotation: Annotation) -> Atom:
     return Atom(_ann(atom.pred, annotation), atom.args)
 
 
 def _not_null(name: str) -> BuiltinAtom:
     return BuiltinAtom("!=", (Var(name), Const(NULL)))
+
+
+def _with_tids(atoms: tuple[Atom, ...],
+               builtins: tuple[BuiltinAtom, ...]) -> tuple[Atom, ...]:
+    """Lowercase each atom and give it its own tuple-id variable, named
+    apart from every variable of the rule."""
+    used = {t.name for item in atoms + builtins for t in item.args if isinstance(t, Var)}
+    fresh = (name for name in (f"T{k}" for k in count(1)) if name not in used)
+    # tid last: matching goes left to right, so join columns reject a row first
+    return tuple(Atom(a.pred.lower(), a.args + (Var(next(fresh)),)) for a in atoms)
 
 
 def _reserved_names(instance: Instance, views) -> dict[str, str]:
@@ -102,26 +114,37 @@ def compile_program(instance: Instance, views) -> AnnotatedProgram:
     for name in instance.schema.names():
         low = name.lower()
         for row in instance.rows(name):
-            rules.append(Rule((Atom(low, tuple(Const(v) for v in row.values)),), ()))
+            values = row.values + (Value.of_int(row.tid),)
+            rules.append(Rule((Atom(low, tuple(Const(v) for v in values)),), ()))
 
     for view in views:
         rules.extend(_view_rules(view))
 
     for rel in instance.schema.relations:
-        low = rel.name.lower()
-        args = tuple(Var(f"X{i}") for i in range(1, rel.arity + 1))
-        plain = Atom(low, args)
-        rules.append(Rule((_annotated(plain, Annotation.T),), (Literal(plain),)))
-        rules.append(Rule((_annotated(plain, Annotation.T),),
-                          (Literal(_annotated(plain, Annotation.A)),)))
-    for rel in instance.schema.relations:
-        low = rel.name.lower()
-        args = tuple(Var(f"X{i}") for i in range(1, rel.arity + 1))
-        plain = Atom(low, args)
-        rules.append(Rule((_annotated(plain, Annotation.S),),
-                          (Literal(_annotated(plain, Annotation.T)),
-                           Literal(_annotated(plain, Annotation.U), negated=True))))
+        rules.extend(_version_rules(rel.name.lower(), rel.arity))
     return AnnotatedProgram(tuple(rules), instance, views)
+
+
+def _version_rules(low: str, arity: int) -> list[Rule]:
+    """`_t`, `_u` and `_s` rules of one relation: a version of tuple T is
+    overwritten once an update of T has nulled a value it still holds."""
+    tid = Var("T")
+    xs = tuple(Var(f"X{i}") for i in range(1, arity + 1))
+    ys = tuple(Var(f"Y{i}") for i in range(1, arity + 1))
+    version = Atom(low, xs + (tid,))
+    t_version = Literal(_annotated(version, Annotation.T))
+    update = Literal(_annotated(Atom(low, ys + (tid,)), Annotation.A))
+    overwritten = _annotated(version, Annotation.U)
+    rules = [Rule((_annotated(version, Annotation.T),), (Literal(version),)),
+             Rule((_annotated(version, Annotation.T),),
+                  (Literal(_annotated(version, Annotation.A)),))]
+    for x, y in zip(xs, ys):
+        rules.append(Rule((overwritten,), (update, t_version,
+                                           BuiltinAtom("=", (y, Const(NULL))),
+                                           _not_null(x.name))))
+    rules.append(Rule((_annotated(version, Annotation.S),),
+                      (t_version, Literal(overwritten, negated=True))))
+    return rules
 
 
 def _dedupe(atoms):
@@ -136,109 +159,76 @@ def _dedupe(atoms):
 
 def _view_rules(view: ViewDef) -> list[Rule]:
     low_view = ViewDef(view.name.lower(), view.head,
-                       tuple(_lower_atom(a) for a in view.body), view.phi)
+                       _with_tids(view.body, view.phi), view.phi)
     sets = attr_sets(low_view)
     heads = head_atom_sets(low_view)
     relevant = relevant_vars(low_view)
-    head_names = list(dict.fromkeys(v.name for v in low_view.head))
+    head_set = {v.name for v in low_view.head}
     body_t = tuple(Literal(_annotated(a, Annotation.T)) for a in low_view.body)
     c_guards = tuple(_not_null(v) for v in sorted(relevant))
     aux_atom = Atom(AUX_PREFIX + low_view.name, tuple(low_view.head))
-    aux_lit = Literal(aux_atom)
     cp_a = tuple(_annotated(a, Annotation.A) for a in heads.cp)
-    sp_a = tuple(_annotated(a, Annotation.A) for a in heads.sp)
 
     rules: list[Rule] = []
-    update_body = body_t + low_view.phi + c_guards + (aux_lit,)
+    update_body = body_t + low_view.phi + c_guards + (Literal(aux_atom),)
     if sets.combination & sets.secrecy:
         if cp_a:
             rules.append(Rule(_dedupe(cp_a), update_body))
     else:
-        for sp in sp_a:
-            rules.append(Rule(_dedupe((sp,) + cp_a), update_body))
-    for name in head_names:
+        # a secrecy-side update must null a value: one rule per head
+        # variable of the atom, guarded by that variable being non-null
+        for atom in low_view.body:
+            sp = nulled_atom(atom, head_set)
+            if sp is None:
+                continue
+            head = _dedupe((_annotated(sp, Annotation.A),) + cp_a)
+            for name in sorted({t.name for t in atom.args if isinstance(t, Var)}
+                               & head_set):
+                rules.append(Rule(head, update_body + (_not_null(name),)))
+    for name in dict.fromkeys(v.name for v in low_view.head):
         rules.append(Rule((aux_atom,), body_t + low_view.phi + (_not_null(name),)))
-
-    head_set = {v.name for v in low_view.head}
-    for atom in low_view.body:
-        nulled = nulled_atom(atom, head_set)
-        if nulled is None:
-            continue
-        s_guards = tuple(
-            _not_null(n) for n in sorted(
-                {t.name for t in atom.args if isinstance(t, Var)} & head_set))
-        rules.append(Rule(
-            (_annotated(atom, Annotation.U),),
-            body_t + low_view.phi + c_guards + (aux_lit,)
-            + (Literal(_annotated(nulled, Annotation.A)),) + s_guards))
-    for atom in low_view.body:
-        nulled = nulled_atom(atom, set(relevant))
-        if nulled is None:
-            continue
-        rules.append(Rule(
-            (_annotated(atom, Annotation.U),),
-            body_t + low_view.phi + c_guards + (aux_lit,)
-            + (Literal(_annotated(nulled, Annotation.A)),)))
     return rules
 
 
 def compile_query_program(query: Query) -> Rule:
     """Rewrite the query classically and retarget it at surviving atoms."""
     rewritten = rewrite_query(query)
-    body = tuple(Literal(_annotated(_lower_atom(a), Annotation.S))
-                 for a in rewritten.body) + rewritten.builtins
-    return Rule((Atom(ANS_PRED, tuple(rewritten.out)),), body)
+    body = tuple(Literal(_annotated(a, Annotation.S))
+                 for a in _with_tids(rewritten.body, rewritten.builtins))
+    return Rule((Atom(ANS_PRED, tuple(rewritten.out)),), body + rewritten.builtins)
 
 
 # --------------------------------------------------------------------------
 # model interpretation
 
-def _srows_by_relation(model: frozenset, instance: Instance) -> dict[str, list]:
-    by_rel: dict[str, list] = {name: [] for name in instance.schema.names()}
-    lows = {name.lower() + "_s": name for name in instance.schema.names()}
-    for pred, args in model:
-        name = lows.get(pred)
-        if name is not None:
-            by_rel[name].append(args)
-    for name in by_rel:
-        by_rel[name] = sorted(set(by_rel[name]),
-                              key=lambda vs: [v.sort_key() for v in vs])
-    return by_rel
-
-
-def _assign_rows(base_rows: tuple[Row, ...], srows: list) -> tuple | None:
-    """Give every base tuple one surviving row it dominates, using every
-    surviving row at least once; None when no such assignment exists.
-    Assignments are tried in depth-first order without recursion, so the
-    number of rows is not limited by the interpreter's recursion limit."""
-    def dominates(values, srow):
-        return all(a == b or a.is_null for a, b in zip(srow, values))
-
-    if len(srows) > len(base_rows):
-        return None
-    candidates = [[s for s in srows if dominates(row.values, s)] for row in base_rows]
-    wanted = set(srows)
-    return next((chosen for chosen in product(*candidates) if wanted <= set(chosen)),
-                None)
-
-
 def models_to_instances(models, base: Instance) -> list[Instance]:
     """Read one instance off each stable model by projecting to the
-    surviving (`_s`) atoms; tuple ids are recovered by matching each base
-    tuple with a surviving row it dominates."""
+    surviving (`_s`) atoms: each is one tuple, its last argument the id.
+    Every base tuple must survive exactly once."""
+    names = {name.lower() + "_s": name for name in base.schema.names()}
+    tids = {name: {Value.of_int(row.tid): row.tid for row in base.rows(name)}
+            for name in base.schema.names()}
     instances = []
     for model in models:
-        by_rel = _srows_by_relation(model, base)
-        rows: dict[str, list[Row]] = {}
-        for name in base.schema.names():
-            base_rows = base.rows(name)
-            assigned = _assign_rows(base_rows, by_rel[name])
-            if assigned is None:
-                raise SemanticError(
-                    f"surviving atoms of {name} are not traceable to base tuples")
-            rows[name] = [Row(row.tid, values)
-                          for row, values in zip(base_rows, assigned)]
-        instances.append(Instance(base.schema, rows))
+        rows: dict[str, dict[int, Row]] = {name: {} for name in tids}
+        for pred, args in model:
+            name = names.get(pred)
+            if name is None:
+                continue
+            tid = tids[name].get(args[-1]) if args else None
+            if tid is None:
+                raise SemanticError(f"surviving atom {pred}({','.join(v.token() for v in args)})"
+                                    f" names no tuple of {name}")
+            if tid in rows[name]:
+                raise SemanticError(f"tuple {name}#{tid} survives more than once")
+            rows[name][tid] = Row(tid, args[:-1])
+        for name, survivors in rows.items():
+            for row in base.rows(name):
+                if row.tid not in survivors:
+                    raise SemanticError(f"tuple {name}#{row.tid} does not survive")
+        instances.append(Instance(base.schema, {
+            name: [survivors[row.tid] for row in base.rows(name)]
+            for name, survivors in rows.items()}))
     return instances
 
 

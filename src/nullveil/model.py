@@ -259,14 +259,6 @@ class Instance:
         """The relation content as a set of value tuples (ids dropped)."""
         return frozenset(r.values for r in self.rows(relation))
 
-    def content_key(self) -> tuple:
-        """Per-relation value-row sets; compares instances the way the
-        annotated logic program sees them (no tuple ids)."""
-        return tuple(
-            (name, tuple(sorted(self.value_rows(name), key=_values_key)))
-            for name in self.schema.names()
-        )
-
     def canonical(self) -> tuple:
         return self._canonical
 
@@ -286,10 +278,6 @@ class Instance:
                 args = ",".join(v.token() for v in row.values)
                 parts.append(f"{name}#{row.tid}({args})")
         return "{" + ", ".join(parts) + "}"
-
-
-def _values_key(values: Sequence[Value]) -> tuple:
-    return tuple(v.sort_key() for v in values)
 
 
 def apply_changes(base: Instance, changes: Iterable[Cell]) -> Instance:

@@ -3,8 +3,8 @@
 Queries stay inside the SQL-like class (null never compared with = or
 !=), matching the domain on which the classical rewriting is exact.
 Views use plain comparisons only and, when `lp_safe` is set, carry at
-most one head-variable occurrence per body atom so that the compiled
-update program's old-tuple collection stays whole-atom.
+most one update target of each kind per body atom, so that the compiled
+program's whole-atom updates coincide with per-cell ones.
 """
 
 from __future__ import annotations
@@ -30,31 +30,19 @@ def rand_schema(rng: random.Random, max_relations: int = 2,
 
 
 def rand_instance(rng: random.Random, schema: Schema, max_tuples: int = 5,
-                  n_consts: int = 4, null_prob: float = 0.2,
-                  per_relation_unique: bool = False) -> Instance:
-    """Random instance; with `per_relation_unique`, rows are null-free and
-    no constant repeats within a relation, so any non-null projection of a
-    row identifies it uniquely (what the id-less update program needs);
-    constants still repeat across relations, keeping joins satisfiable."""
+                  n_consts: int = 4, null_prob: float = 0.2) -> Instance:
+    """Random instance; values repeat freely, but no row repeats within
+    a relation."""
     rows = {}
     for rel in schema.relations:
         rel_rows = []
-        used: set = set()
         for _ in range(rng.randint(0, max_tuples)):
-            if per_relation_unique:
-                free = [v for v in range(1, n_consts + 1) if v not in used]
-                if len(free) < rel.arity:
-                    break
-                picks = rng.sample(free, rel.arity)
-                used.update(picks)
-                values = tuple(Value.of_int(v) for v in picks)
-            else:
-                values = tuple(
-                    NULL if rng.random() < null_prob
-                    else Value.of_int(rng.randint(1, n_consts))
-                    for _ in range(rel.arity))
-                if values in rel_rows:
-                    continue
+            values = tuple(
+                NULL if rng.random() < null_prob
+                else Value.of_int(rng.randint(1, n_consts))
+                for _ in range(rel.arity))
+            if values in rel_rows:
+                continue
             rel_rows.append(values)
         rows[rel.name] = rel_rows
     return Instance.from_values(schema, rows)
@@ -117,20 +105,15 @@ def _head_occurrences(atoms, name: str) -> dict:
 def _lp_safe_shape(view: ViewDef) -> bool:
     """Whole-atom update granularity coincides with cell granularity only
     when no body atom carries two update targets (at most one relevant
-    and one head-variable occurrence per atom), and an update atom that
-    nulls every position of an atom would conflate distinct tuples, so
-    each atom must keep at least one untouched position per target kind."""
+    and one head-variable occurrence per atom)."""
     from nullveil import relevant_vars
 
     relevant = relevant_vars(view)
     head = {v.name for v in view.head}
     for atom in view.body:
         names = [t.name for t in atom.args if isinstance(t, Var)]
-        n_relevant = sum(1 for n in names if n in relevant)
-        n_head = sum(1 for n in names if n in head)
-        if n_relevant > 1 or n_head > 1:
-            return False
-        if n_relevant == len(atom.args) or n_head == len(atom.args):
+        if sum(1 for n in names if n in relevant) > 1 or \
+                sum(1 for n in names if n in head) > 1:
             return False
     return True
 
@@ -189,14 +172,12 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
 
 def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
               lp_safe: bool = False, max_arity: int = 2, n_consts: int = 4):
-    """A (schema, instance, views) triple; views share the schema.  With
-    `lp_safe` the data has per-relation-unique constants as well, keeping
-    the id-less update program's ground atoms tuple-unambiguous."""
+    """A (schema, instance, views) triple; views share the schema.
+    `lp_safe` restricts the view shape only, not the data."""
     while True:
         schema = rand_schema(rng, max_arity=max_arity)
-        consts = max(n_consts, 8) if lp_safe else n_consts
         instance = rand_instance(rng, schema, max_tuples=max_tuples,
-                                 n_consts=consts, per_relation_unique=lp_safe)
+                                 n_consts=n_consts)
         views = []
         for _ in range(rng.randint(1, max_views)):
             view = rand_view(rng, schema, lp_safe=lp_safe, n_consts=n_consts)

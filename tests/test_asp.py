@@ -25,26 +25,24 @@ def test_compiled_program_matches_worked_listing():
     program = compile_program(case.instance, case.views)
     lines = dlv_lines(program)
     assert lines == [
-        "p(1,2).",
-        "r(2,1).",
-        "p_a(null,Y) v p_a(X,null) v r_a(null,Z) :- "
-        "p_t(X,Y), r_t(Y,Z), Y < 3, Y != null, aux_vs(X,Z).",
-        "r_a(Y,null) v p_a(X,null) v r_a(null,Z) :- "
-        "p_t(X,Y), r_t(Y,Z), Y < 3, Y != null, aux_vs(X,Z).",
-        "aux_vs(X,Z) :- p_t(X,Y), r_t(Y,Z), Y < 3, X != null.",
-        "aux_vs(X,Z) :- p_t(X,Y), r_t(Y,Z), Y < 3, Z != null.",
-        "p_u(X,Y) :- p_t(X,Y), r_t(Y,Z), Y < 3, Y != null, aux_vs(X,Z), "
-        "p_a(null,Y), X != null.",
-        "r_u(Y,Z) :- p_t(X,Y), r_t(Y,Z), Y < 3, Y != null, aux_vs(X,Z), "
-        "r_a(Y,null), Z != null.",
-        "p_u(X,Y) :- p_t(X,Y), r_t(Y,Z), Y < 3, Y != null, aux_vs(X,Z), p_a(X,null).",
-        "r_u(Y,Z) :- p_t(X,Y), r_t(Y,Z), Y < 3, Y != null, aux_vs(X,Z), r_a(null,Z).",
-        "p_t(X1,X2) :- p(X1,X2).",
-        "p_t(X1,X2) :- p_a(X1,X2).",
-        "r_t(X1,X2) :- r(X1,X2).",
-        "r_t(X1,X2) :- r_a(X1,X2).",
-        "p_s(X1,X2) :- p_t(X1,X2), not p_u(X1,X2).",
-        "r_s(X1,X2) :- r_t(X1,X2), not r_u(X1,X2).",
+        "p(1,2,1).",
+        "r(2,1,1).",
+        "p_a(null,Y,T1) v p_a(X,null,T1) v r_a(null,Z,T2) :- "
+        "p_t(X,Y,T1), r_t(Y,Z,T2), Y < 3, Y != null, aux_vs(X,Z), X != null.",
+        "r_a(Y,null,T2) v p_a(X,null,T1) v r_a(null,Z,T2) :- "
+        "p_t(X,Y,T1), r_t(Y,Z,T2), Y < 3, Y != null, aux_vs(X,Z), Z != null.",
+        "aux_vs(X,Z) :- p_t(X,Y,T1), r_t(Y,Z,T2), Y < 3, X != null.",
+        "aux_vs(X,Z) :- p_t(X,Y,T1), r_t(Y,Z,T2), Y < 3, Z != null.",
+        "p_t(X1,X2,T) :- p(X1,X2,T).",
+        "p_t(X1,X2,T) :- p_a(X1,X2,T).",
+        "p_u(X1,X2,T) :- p_a(Y1,Y2,T), p_t(X1,X2,T), Y1 = null, X1 != null.",
+        "p_u(X1,X2,T) :- p_a(Y1,Y2,T), p_t(X1,X2,T), Y2 = null, X2 != null.",
+        "p_s(X1,X2,T) :- p_t(X1,X2,T), not p_u(X1,X2,T).",
+        "r_t(X1,X2,T) :- r(X1,X2,T).",
+        "r_t(X1,X2,T) :- r_a(X1,X2,T).",
+        "r_u(X1,X2,T) :- r_a(Y1,Y2,T), r_t(X1,X2,T), Y1 = null, X1 != null.",
+        "r_u(X1,X2,T) :- r_a(Y1,Y2,T), r_t(X1,X2,T), Y2 = null, X2 != null.",
+        "r_s(X1,X2,T) :- r_t(X1,X2,T), not r_u(X1,X2,T).",
     ]
 
 
@@ -63,8 +61,9 @@ def test_stable_models_project_base_facts_and_separate_u_from_s():
     case = two_tuple_example()
     program = compile_program(case.instance, case.views)
     models = stable_models(ground(program.rules))
-    base_t = {("p_t", r.values) for r in case.instance.rows("P")}
-    base_t |= {("r_t", r.values) for r in case.instance.rows("R")}
+    base_t = {(pred, r.values + (Value.of_int(r.tid),))
+              for pred, name in (("p_t", "P"), ("r_t", "R"))
+              for r in case.instance.rows(name)}
     for model in models:
         assert base_t <= model
         for pred, args in model:
@@ -101,17 +100,17 @@ def test_compile_query_program_golden():
     case = two_tuple_example()
     rule = compile_query_program(case.queries["view_query"])
     assert export_rule(rule, "dlv") == \
-        "ans(X,Z) :- p_s(X,Y), r_s(Y,Z), Y < 3, Y != null."
+        "ans(X,Z) :- p_s(X,Y,T1), r_s(Y,Z,T2), Y < 3, Y != null."
 
 
 def test_compile_query_program_atomic_and_isnull():
     schema = parse_schema("relation P(A:int, B:int).")
     atomic = parse_query("?(X,Y) :- P(X,Y).", schema)
     assert export_rule(compile_query_program(atomic), "dlv") == \
-        "ans(X,Y) :- p_s(X,Y)."
+        "ans(X,Y) :- p_s(X,Y,T1)."
     with_isnull = parse_query("?(X) :- P(X,Y), isnull(Y).", schema)
     assert export_rule(compile_query_program(with_isnull), "dlv") == \
-        "ans(X) :- p_s(X,Y), Y = null."
+        "ans(X) :- p_s(X,Y,T1), Y = null."
 
 
 def test_cautious_answers_match_secret_answers_on_goldens():
@@ -181,9 +180,16 @@ def test_models_to_instances_rejects_untraceable_atoms():
     from nullveil import SemanticError, Value
 
     case = two_tuple_example()
-    rogue = frozenset({("p_s", (Value.of_int(9), Value.of_int(9)))})
-    with pytest.raises(SemanticError):
-        models_to_instances([rogue], case.instance)
+    [model, *_] = stable_models(ground(compile_program(case.instance,
+                                                        case.views).rules))
+    [p_s] = [atom for atom in model if atom[0] == "p_s"]
+    one, nine = Value.of_int(1), Value.of_int(9)
+    with pytest.raises(SemanticError, match="P#1 does not survive"):
+        models_to_instances([model - {p_s}], case.instance)
+    with pytest.raises(SemanticError, match="P#1 survives more than once"):
+        models_to_instances([model | {("p_s", (nine, nine, one))}], case.instance)
+    with pytest.raises(SemanticError, match="names no tuple of P"):
+        models_to_instances([model | {("p_s", (nine, nine))}], case.instance)
 
 
 def test_eval_insensitive_to_row_order():
@@ -233,24 +239,59 @@ def test_whole_atom_update_granularity():
          frozenset({(Value.of_int(2), NULL)})}
 
 
-def test_update_atoms_conflate_tuples_agreeing_on_surviving_positions():
-    # Ground update atoms carry values only (no tuple ids), so two rows
-    # that agree everywhere an update atom keeps a value share one update
-    # atom; the program then updates them together, while cell-level
-    # enumeration updates them independently.
+def test_tuples_agreeing_on_surviving_positions_get_separate_updates():
+    # Update atoms carry the tuple id, so two rows that agree everywhere an
+    # update atom keeps a value are still updated independently.
     schema = parse_schema("relation P(A:int, B:int).")
     d = parse_facts("P(2,3). P(2,4).", schema)
     view = parse_view("V(Y) :- P(X,Y), X < 3.", schema)
-    program = compile_program(d, [view])
-    models = stable_models(ground(program.rules))
-    coarse = {frozenset(m_inst.value_rows("P"))
-              for m_inst in models_to_instances(models, d)}
-    assert coarse == {
-        frozenset({(NULL, Value.of_int(3)), (NULL, Value.of_int(4))}),
-        frozenset({(Value.of_int(2), NULL)}),  # both rows collapse
-    }
-    fine = enumerate_secrecy_instances(d, [view])
-    assert len(fine) == 4  # every combination of head/join cell per row
+    models = stable_models(ground(compile_program(d, [view]).rules))
+    expected = {s.instance for s in enumerate_secrecy_instances(d, [view])}
+    assert len(expected) == 4  # every combination of head/join cell per row
+    assert set(models_to_instances(models, d)) == expected
+
+
+def test_equal_valued_tuples_are_updated_apart():
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    d = parse_facts("@1 P(1,2). @2 P(1,2). @1 R(2,3).", schema)
+    views = [parse_view("V(X,Z) :- P(X,Y), R(Y,Z), Y < 5.", schema)]
+    models = stable_models(ground(compile_program(d, views).rules))
+    expected = {s.instance for s in enumerate_secrecy_instances(d, views)}
+    assert len(expected) == 5
+    assert set(models_to_instances(models, d)) == expected
+    query = parse_query("?(X,Y) :- P(X,Y).", schema)
+    assert cautious_answers(d, views, query) == \
+        secret_answers(d, views, query).answers
+
+
+def test_secrecy_side_update_of_null_head_cells_is_not_chosen():
+    # P#1's head cell is already null, so nulling it resolves nothing; the
+    # only minimal updates null Q#1's head cell or break the comparison.
+    schema = parse_schema("relation P(A:int, B:int). relation Q(A:int, B:int).")
+    d = parse_facts("P(null,3). P(2,2). Q(3,4).", schema)
+    views = [parse_view("V(X,Z) :- P(X,Y), Q(Z,W), W != Y.", schema)]
+    models = stable_models(ground(compile_program(d, views).rules))
+    assert set(models_to_instances(models, d)) == \
+        {s.instance for s in enumerate_secrecy_instances(d, views)}
+
+
+def test_user_variables_named_like_tid_variables():
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    d = parse_facts("P(1,2). P(3,4). R(2,1). R(3,3). R(4,2).", schema)
+    texts = [("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 4.", "?(X,Y) :- P(X,Y).",
+              "?(Y,Z) :- R(Y,Z), P(X,Y)."),
+             ("Vs(T1,T) :- P(T1,T2), R(T2,T), T2 < 4.", "?(T1,T2) :- P(T1,T2).",
+              "?(T2,T1) :- R(T2,T1), P(T3,T2).")]
+    results = []
+    for view_text, *query_texts in texts:
+        views = [parse_view(view_text, schema)]
+        models = stable_models(ground(compile_program(d, views).rules))
+        results.append((set(models_to_instances(models, d)),
+                        [cautious_answers(d, views, parse_query(q, schema))
+                         for q in query_texts]))
+    assert results[0] == results[1]
+    instances, answer_sets = results[0]
+    assert len(instances) == 3 and all(answer_sets)
 
 
 def test_asp_route_matches_enumeration_randomized():
@@ -261,8 +302,7 @@ def test_asp_route_matches_enumeration_randomized():
         models = stable_models(ground(program.rules))
         model_instances = models_to_instances(models, instance)
         expected = enumerate_secrecy_instances(instance, views)
-        assert {i.content_key() for i in model_instances} == \
-            {s.instance.content_key() for s in expected}, \
+        assert set(model_instances) == {s.instance for s in expected}, \
             (instance, [v.token() for v in views])
         query = rand_query(rng, schema)
         assert cautious_answers(instance, views, query) == \

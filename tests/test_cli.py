@@ -124,7 +124,7 @@ def test_cmd_compile_program_and_dcs(files, capsys, tmp_path):
     code, out, _ = run(capsys, "compile", "--schema", schema, "--facts", facts,
                        "--views", views, "--dialect", "dlv")
     assert code == 0
-    assert "p_s(X1,X2) :- p_t(X1,X2), not p_u(X1,X2)." in out
+    assert "p_s(X1,X2,T) :- p_t(X1,X2,T), not p_u(X1,X2,T)." in out
     code, out, _ = run(capsys, "compile", "--schema", schema, "--facts", facts,
                        "--views", views, "--dcs", "--format", "json")
     assert code == 0
@@ -186,10 +186,10 @@ def test_cmd_solve_with_stub_external_solver(files, capsys, tmp_path, monkeypatc
     stub = tmp_path / "dlv"
     stub.write_text(
         "#!/bin/sh\n"
-        "echo '{p(a), r(a), p_t(a), r_t(a), aux_v(a), p_a(null), p_t(null), "
-        "p_u(a), p_s(null), r_s(a)}'\n"
-        "echo '{p(a), r(a), p_t(a), r_t(a), aux_v(a), r_a(null), r_t(null), "
-        "r_u(a), p_s(a), r_s(null)}'\n",
+        "echo '{p(a,1), r(a,1), p_t(a,1), r_t(a,1), aux_v(a), p_a(null,1), "
+        "p_t(null,1), p_u(a,1), p_s(null,1), r_s(a,1)}'\n"
+        "echo '{p(a,1), r(a,1), p_t(a,1), r_t(a,1), aux_v(a), r_a(null,1), "
+        "r_t(null,1), r_u(a,1), p_s(a,1), r_s(null,1)}'\n",
         encoding="utf-8")
     stub.chmod(0o755)
     monkeypatch.setenv("PATH", f"{tmp_path}:/usr/bin:/bin")
