@@ -9,9 +9,12 @@ a tuple, `_u` a version that has been overwritten, `_t` any version, old
 or new, and `_s` what survives into the secrecy instance (a version never
 overwritten).  Per view, a disjunctive rule fires on every violating
 match - comparisons hold, no combination variable is null, and some head
-variable is non-null (witnessed by an auxiliary per-view predicate over
-the head variables) - and chooses either one whole-atom secrecy-side
+variable is non-null - and chooses either one whole-atom secrecy-side
 update that nulls a non-null head value or one combination-side update.
+Each secrecy-side rule guards the head variable it nulls; a view whose
+combination and secrecy positions overlap gets combination-side updates
+only, and an auxiliary per-view predicate over the head variables
+witnesses the non-null head value.
 Overwrite rules, one per relation position and keyed on the tuple id,
 then mark a version as overwritten once an update of the same tuple has
 nulled a value the version still holds.
@@ -166,14 +169,17 @@ def _view_rules(view: ViewDef) -> list[Rule]:
     head_set = {v.name for v in low_view.head}
     body_t = tuple(Literal(_annotated(a, Annotation.T)) for a in low_view.body)
     c_guards = tuple(_not_null(v) for v in sorted(relevant))
-    aux_atom = Atom(AUX_PREFIX + low_view.name, tuple(low_view.head))
     cp_a = tuple(_annotated(a, Annotation.A) for a in heads.cp)
 
     rules: list[Rule] = []
-    update_body = body_t + low_view.phi + c_guards + (Literal(aux_atom),)
+    update_body = body_t + low_view.phi + c_guards
     if sets.combination & sets.secrecy:
-        if cp_a:
-            rules.append(Rule(_dedupe(cp_a), update_body))
+        # combination-side updates only; the aux atom witnesses that some
+        # head variable is non-null
+        aux_atom = Atom(AUX_PREFIX + low_view.name, tuple(low_view.head))
+        rules.append(Rule(_dedupe(cp_a), update_body + (Literal(aux_atom),)))
+        for name in dict.fromkeys(v.name for v in low_view.head):
+            rules.append(Rule((aux_atom,), body_t + low_view.phi + (_not_null(name),)))
     else:
         # a secrecy-side update must null a value: one rule per head
         # variable of the atom, guarded by that variable being non-null
@@ -185,8 +191,6 @@ def _view_rules(view: ViewDef) -> list[Rule]:
             for name in sorted({t.name for t in atom.args if isinstance(t, Var)}
                                & head_set):
                 rules.append(Rule(head, update_body + (_not_null(name),)))
-    for name in dict.fromkeys(v.name for v in low_view.head):
-        rules.append(Rule((aux_atom,), body_t + low_view.phi + (_not_null(name),)))
     return rules
 
 

@@ -15,7 +15,8 @@ file path.  Output is plain text or, with `--format json`, stable JSON
 with rows sorted.  `--max-nodes` (old name `--max-models`) bounds the
 internal engine's stable-model search.  Exit codes: 0 success, 2 parse
 error, 3 semantic error or failed external solver, 4 cross-check failure
-(no secrecy instance or stable model counts as one), 5 bound exceeded.
+(no secrecy instance or stable model counts as one), 5 bound exceeded
+(running out of recursion depth or memory counts as one).
 """
 
 from __future__ import annotations
@@ -305,6 +306,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except (RecursionError, MemoryError) as exc:
+        what = "recursion depth" if isinstance(exc, RecursionError) else "memory"
+        print(f"bound exceeded: {args.command} ran out of {what}", file=sys.stderr)
+        return EXIT_BOUND
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,24 +2,35 @@
 
 A secrecy instance of a base instance D is an id-correlated null
 degradation of D that is admissible for the view set and whose set of
-nulled cells is inclusion-minimal among such degradations.  Enumeration
-sweeps subsets of a candidate cell pool in increasing size, skipping
-supersets of already-kept sets; the skip is sound with no monotonicity
-assumption, because a superset of an admissible set is never
-inclusion-minimal whatever its own admissibility.  A final pass
-re-verifies admissibility, strict minimality and pairwise
-incomparability of everything kept.
+nulled cells is inclusion-minimal among such degradations.
 
-Two candidate pools exist: the default pool restricted to combination
-and secrecy positions of tuples participating in potentially violating
-body matches (mirroring the shape of the compiled update program), and
-an exhaustive pool of every non-null cell, kept as an independent
-brute-force oracle for testing.  On views whose bodies hold no
-constants the two agree; a body constant can make nulling the matched
-cell admissible in a way only the exhaustive pool surfaces.
+View bodies hold no null constants and view built-ins neither mention
+null nor test for it, so nulling a cell can only destroy a body match or
+null one of its head values: admissibility is monotone in the set of
+nulled cells.  Enumeration therefore evaluates each view once and keeps
+its violating matches (comparisons hold, no combination variable binds
+null, some head value is non-null).  A match is resolved by nulling any
+one of its combination cells, or all of its non-null head cells, and the
+secrecy instances are exactly the inclusion-minimal cell sets resolving
+every match: the minimal covers of a hypergraph, the monotone
+dualization setting of Eiter & Gottlob (1995).  A search that branches
+on the first unresolved match reaches every minimal cover; the leaves
+that are not minimal are dropped, and a final pass re-verifies
+admissibility, strict minimality and pairwise incomparability of
+everything kept with real admissibility checks.
 
-Subset tests only read the immutable base instance, so they may run
-concurrently and merge results before the final minimality pass.
+The search chooses cells from one of two candidate pools: the default
+pool of combination and secrecy positions of tuples in potentially
+violating body matches (mirroring the shape of the compiled update
+program), and an exhaustive pool of every non-null cell.  Nulling a cell
+matched by a body constant destroys the match too; the exhaustive pool
+holds every such cell, the default pool only those that are targets of
+some match, so on views whose bodies hold no constants the two modes
+agree.
+
+`oracle_secrecy_instances` is the independent reference: it sweeps
+subsets of every non-null cell in increasing size with a cross-checked
+admissibility test on each, and assumes no monotonicity.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BoundExceededError, CrossCheckError
-from .lang import Var, ViewDef
+from .lang import Const, ViewDef
 from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
 from .semantics import builtin_classical, iter_matches, relevant_vars
 from .views import is_admissible
@@ -85,6 +96,27 @@ def _potential_violations(instance: Instance, view: ViewDef):
         yield rows
 
 
+def _match_cells(instance: Instance, view: ViewDef):
+    """Per potentially violating match of `view`: its combination cells,
+    the cells matched by body constants, and the non-null cells of the
+    remaining head variables.  Nulling a cell of either of the first two
+    kinds destroys the match."""
+    relevant = relevant_vars(view)
+    head = {v.name for v in view.head}
+    for rows in _potential_violations(instance, view):
+        combination, constant, heads = set(), set(), set()
+        for atom, row in zip(view.body, rows):
+            for pos, (term, value) in enumerate(zip(atom.args, row.values), 1):
+                cell = Cell(atom.pred, row.tid, pos)
+                if isinstance(term, Const):
+                    constant.add(cell)
+                elif term.name in relevant:
+                    combination.add(cell)
+                elif term.name in head and not value.is_null:
+                    heads.add(cell)
+        yield combination, constant, heads
+
+
 def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozenset:
     """Cells an update may null.  The default pool collects, per
     potentially violating match, the combination- and secrecy-variable
@@ -94,14 +126,60 @@ def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozens
         return frozenset(instance.cells())
     cells = set()
     for view in views:
-        targets = set(relevant_vars(view)) | {v.name for v in view.head}
-        for rows in _potential_violations(instance, view):
-            for atom, row in zip(view.body, rows):
-                for pos, term in enumerate(atom.args, 1):
-                    if (isinstance(term, Var) and term.name in targets
-                            and not row.values[pos - 1].is_null):
-                        cells.add(Cell(atom.pred, row.tid, pos))
+        for combination, _, heads in _match_cells(instance, view):
+            cells |= combination | heads
     return frozenset(cells)
+
+
+def _violating_matches(instance: Instance, views,
+                       pool: frozenset) -> list[tuple[frozenset, ...]]:
+    """For each violating match, the sets of `pool` cells that each
+    resolve it: every single pool cell whose nulling destroys the match
+    and, when no head variable is relevant, all non-null head cells
+    together.  A match whose head values are all null does not violate
+    its view."""
+    matches = []
+    for view in views:
+        head_relevant = bool({v.name for v in view.head} & relevant_vars(view))
+        for combination, constant, heads in _match_cells(instance, view):
+            options = [frozenset({cell})
+                       for cell in sorted_cells((combination | constant) & pool)]
+            if not head_relevant:
+                if not heads:
+                    continue
+                options.append(frozenset(heads))
+            matches.append(tuple(options))
+    return matches
+
+
+def _resolves(chosen: frozenset, options: tuple[frozenset, ...]) -> bool:
+    return any(option <= chosen for option in options)
+
+
+def _minimal_covers(matches: list[tuple[frozenset, ...]]) -> list[frozenset]:
+    """All inclusion-minimal cell sets resolving every match.
+
+    The search branches on the first match the chosen cells leave
+    unresolved, one child per way to resolve it.  Some way lies inside
+    any cover that contains the chosen cells, so every minimal cover is
+    a leaf; a leaf is kept when no one-cell-smaller set still covers.
+    """
+    leaves, seen = [], set()
+    stack = [(frozenset(), 0)]  # chosen cells, index before which all are resolved
+    while stack:
+        chosen, start = stack.pop()
+        if chosen in seen:
+            continue
+        seen.add(chosen)
+        for i in range(start, len(matches)):
+            if not _resolves(chosen, matches[i]):
+                stack.extend((chosen | option, i + 1) for option in matches[i])
+                break
+        else:
+            leaves.append(chosen)
+    return [cover for cover in leaves
+            if not any(all(_resolves(cover - {cell}, m) for m in matches)
+                       for cell in cover)]
 
 
 def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...],
@@ -131,11 +209,11 @@ def enumerate_secrecy_instances(instance: Instance, views,
     """All secrecy instances of `instance` for the view set, in canonical
     change-set order.  An admissible instance yields the single
     empty-change solution."""
-    cells = sorted_cells(candidate_cells(instance, views, mode))
-    if len(cells) > max_cells:
+    pool = candidate_cells(instance, views, mode)
+    if len(pool) > max_cells:
         raise BoundExceededError(
-            f"{len(cells)} candidate cells exceed the bound {max_cells}")
-    kept = _minimal_sweep(instance, views, cells, cross_check=False)
+            f"{len(pool)} candidate cells exceed the bound {max_cells}")
+    kept = _minimal_covers(_violating_matches(instance, views, pool))
     _verify_solutions(instance, views, kept)
     solutions = [SecrecySolution(c, apply_changes(instance, c)) for c in kept]
     solutions.sort(key=SecrecySolution.sort_key)
@@ -145,7 +223,7 @@ def enumerate_secrecy_instances(instance: Instance, views,
 def _verify_solutions(instance: Instance, views, kept: list[frozenset]) -> None:
     """Re-verify admissibility, strict minimality (no one-cell-removed
     subset admissible) and pairwise incomparability of the kept sets;
-    a failure here would mean the sweep itself is broken."""
+    a failure here would mean the search itself is broken."""
     for changes in kept:
         if not is_admissible(apply_changes(instance, changes), views, cross_check=False):
             raise CrossCheckError(f"kept change set is not admissible: {set(changes)}")

@@ -403,7 +403,7 @@ def print_facts(instance: Instance) -> str:
 # views and queries
 
 def _check_rule(body: tuple[Atom, ...], builtins: tuple[BuiltinAtom, ...],
-                schema: Schema, allow_null_builtins: bool) -> None:
+                schema: Schema, allow_null: bool) -> None:
     if not body:
         raise SemanticError("rule body must contain at least one database atom")
     var_sorts: dict[str, set[str]] = {}
@@ -415,6 +415,10 @@ def _check_rule(body: tuple[Atom, ...], builtins: tuple[BuiltinAtom, ...],
         for pos, term in enumerate(atom.args, 1):
             sort = rel.sort_at(pos)
             if isinstance(term, Const):
+                if term.value.is_null and not allow_null:
+                    raise SemanticError(
+                        f"null may not appear in view body atom {atom.token()}; "
+                        "views match non-null constants only")
                 if not value_fits_sort(term.value, sort):
                     raise SemanticError(
                         f"constant {term.token()} does not fit {atom.pred}[{pos}]:{sort}")
@@ -427,11 +431,11 @@ def _check_rule(body: tuple[Atom, ...], builtins: tuple[BuiltinAtom, ...],
                 raise SemanticError(
                     f"variable {term.name} of built-in {b.token()!r} "
                     "does not occur in any body atom")
-            if isinstance(term, Const) and term.value.is_null and not allow_null_builtins:
+            if isinstance(term, Const) and term.value.is_null and not allow_null:
                 raise SemanticError(
                     "null may not appear in a view built-in; "
                     "views are defined over plain comparisons")
-        if b.op in UNARY_BUILTINS and not allow_null_builtins:
+        if b.op in UNARY_BUILTINS and not allow_null:
             raise SemanticError(
                 f"{b.op} may not appear in a view definition")
         if b.op in ORDER_OPS:
@@ -464,7 +468,7 @@ def parse_views(text: str, schema: Schema) -> list[ViewDef]:
         parser.expect(":-")
         body, phi = parser.parse_body()
         parser.expect(".")
-        _check_rule(body, phi, schema, allow_null_builtins=False)
+        _check_rule(body, phi, schema, allow_null=False)
         body_vars = {t.name for a in body for t in a.args if isinstance(t, Var)}
         for var in head:
             if var.name not in body_vars:
@@ -495,7 +499,7 @@ def parse_query(text: str, schema: Schema) -> Query:
     if not parser.at_eof():
         tok = parser.peek()
         raise ParseError(f"unexpected input after query: {tok.text!r}", tok.line, tok.col)
-    _check_rule(body, builtins, schema, allow_null_builtins=True)
+    _check_rule(body, builtins, schema, allow_null=True)
     body_vars = {t.name for a in body for t in a.args if isinstance(t, Var)}
     for var in out:
         if var.name not in body_vars:

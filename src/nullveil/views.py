@@ -42,13 +42,12 @@ class AttrSets:
 class HeadAtomSets:
     """Body atoms with update targets nulled out, used as rule heads.
 
-    `cp` nulls every combination-variable occurrence of an atom, `sp`
-    every head-variable occurrence; atoms without such variables are
-    omitted.
+    `cp` nulls every combination-variable occurrence of an atom; atoms
+    without such variables are omitted.  The secrecy-side heads are built
+    per atom by the compiler, each with its own non-null guard.
     """
 
     cp: tuple[Atom, ...]
-    sp: tuple[Atom, ...]
 
 
 def attr_sets(view: ViewDef) -> AttrSets:
@@ -80,10 +79,8 @@ def nulled_atom(atom: Atom, names: set) -> Atom | None:
 
 def head_atom_sets(view: ViewDef) -> HeadAtomSets:
     relevant = set(relevant_vars(view))
-    head = {v.name for v in view.head}
     cp = tuple(a for a in (nulled_atom(atom, relevant) for atom in view.body) if a)
-    sp = tuple(a for a in (nulled_atom(atom, head) for atom in view.body) if a)
-    return HeadAtomSets(cp, sp)
+    return HeadAtomSets(cp)
 
 
 def is_null_view(instance: Instance, view: ViewDef) -> bool:

@@ -119,8 +119,11 @@ def _lp_safe_shape(view: ViewDef) -> bool:
 
 
 def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
-              n_consts: int = 4, max_atoms: int = 2) -> ViewDef | None:
-    """A random view with a constant-free body; None when no head choice
+              n_consts: int = 4, max_atoms: int = 2,
+              body_const_prob: float = 0.0) -> ViewDef | None:
+    """A random view whose body holds an integer constant at each position
+    with probability `body_const_prob` (none by default, which leaves the
+    draws of the default stream unchanged); None when no head choice
     satisfies the requested shape."""
     rels = list(schema.relations)
     rng.shuffle(rels)
@@ -130,7 +133,9 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
     for rel in rels:
         args = []
         for _ in range(rel.arity):
-            if pool and rng.random() < 0.45:
+            if body_const_prob and rng.random() < body_const_prob:
+                args.append(Const(Value.of_int(rng.randint(1, n_consts))))
+            elif pool and rng.random() < 0.45:
                 args.append(Var(rng.choice(pool)))
             else:
                 name = f"V{len(pool) + 1}"
@@ -171,7 +176,8 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
 
 
 def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
-              lp_safe: bool = False, max_arity: int = 2, n_consts: int = 4):
+              lp_safe: bool = False, max_arity: int = 2, n_consts: int = 4,
+              body_const_prob: float = 0.0):
     """A (schema, instance, views) triple; views share the schema.
     `lp_safe` restricts the view shape only, not the data."""
     while True:
@@ -180,7 +186,8 @@ def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
                                  n_consts=n_consts)
         views = []
         for _ in range(rng.randint(1, max_views)):
-            view = rand_view(rng, schema, lp_safe=lp_safe, n_consts=n_consts)
+            view = rand_view(rng, schema, lp_safe=lp_safe, n_consts=n_consts,
+                             body_const_prob=body_const_prob)
             if view is not None:
                 views.append(ViewDef(f"v{len(views)}", view.head,
                                      view.body, view.phi))

@@ -3,6 +3,7 @@ import tempfile
 
 import pytest
 
+import nullveil.cli as cli_module
 from nullveil.cli import main
 
 
@@ -237,6 +238,34 @@ def test_cmd_solve_without_stable_models_exits_4(files, capsys, tmp_path, monkey
                        "--views", views, "--solver", "dlv")
     assert code == 4 and "cross-check failure" in err
     assert not list(tmp_path.glob("*.lp"))
+
+
+@pytest.mark.parametrize("command, layer, error", [
+    ("instances", "enumerate_secrecy_instances", RecursionError),
+    ("eval", "eval_n", MemoryError),
+])
+def test_uncaught_recursion_or_memory_error_exits_5(files, capsys, monkeypatch,
+                                                     command, layer, error):
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli_module, layer, exhausted)
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.")
+    extra = ("--views", views) if command == "instances" else ("--query", "?(X) :- P(X,Y).")
+    code, _, err = run(capsys, command, "--schema", schema, "--facts", facts, *extra)
+    assert code == 5
+    assert f"bound exceeded: {command} ran out of" in err
+
+
+def test_cmd_instances_rejects_null_in_a_view_body(files, capsys):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    views = files("v.nv", "Vs(X) :- P(X,null).")
+    code, _, err = run(capsys, "instances", "--schema", schema, "--facts", facts,
+                       "--views", views)
+    assert code == 3 and "null may not appear in view body atom" in err
 
 
 def test_json_output_is_stable(files, capsys):

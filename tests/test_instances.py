@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from nullveil import (BoundExceededError, Cell, Instance, apply_changes,
+from nullveil import (BoundExceededError, Cell, Const, Instance, apply_changes,
                       parse_facts, parse_schema, parse_view)
-from nullveil.instances import (EnumerationMode, candidate_cells,
+import nullveil.instances as instances_module
+from nullveil.instances import (EnumerationMode, _minimal_sweep, candidate_cells,
                                 enumerate_secrecy_instances, instance_leq_D,
                                 oracle_secrecy_instances, tuple_leq)
+from nullveil.model import sorted_cells
 
 from corpus import row, two_tuple_example, four_tuple_example, nonmono_example
 from randgen import rand_case
@@ -162,3 +164,52 @@ def test_targeted_mode_matches_oracle_randomized():
         oracle = oracle_secrecy_instances(instance, views, max_cells=14)
         assert [s.changes for s in direct] == [s.changes for s in oracle], \
             (instance, [v.token() for v in views])
+
+
+def test_cover_search_matches_subset_sweep_randomized():
+    """The search over violating matches finds exactly the minimal
+    admissible subsets of the candidate pool, in both modes, on views
+    with integer body constants over data with nulls and repeated
+    values (two relations of at most three rows keep the sweep small)."""
+    rng = random.Random(47)
+    with_constants = several = modes_differ = 0
+    for _ in range(600):
+        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
+                                            n_consts=2, body_const_prob=0.2)
+        with_constants += any(isinstance(t, Const) for v in views
+                              for a in v.body for t in a.args)
+        found = {}
+        for mode in EnumerationMode:
+            pool = sorted_cells(candidate_cells(instance, views, mode))
+            swept = _minimal_sweep(instance, views, pool, cross_check=False)
+            found[mode] = [s.changes for s in
+                           enumerate_secrecy_instances(instance, views, mode)]
+            assert found[mode] == sorted(swept, key=sorted_cells), \
+                (mode, instance, [v.token() for v in views])
+        several += len(found[EnumerationMode.TARGETED]) > 1
+        modes_differ += found[EnumerationMode.TARGETED] != found[EnumerationMode.EXHAUSTIVE]
+    # 241 cases with a body constant, 54 with several secrecy instances,
+    # 34 where the two modes differ
+    assert with_constants >= 200 and several >= 40 and modes_differ >= 25
+
+
+def test_stream_instance_with_two_violations_makes_33_admissibility_checks(monkeypatch):
+    """Two independent violating joins: 9 secrecy instances, verified by
+    one admissibility check each plus one per nulled cell (24 cells in
+    all); the search itself checks nothing."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    d = parse_facts("P(1,10). P(2,20). P(3,1500). R(10,5). R(20,6). R(1600,7).",
+                    schema)
+    view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
+    calls = []
+    is_admissible = instances_module.is_admissible
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return is_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(instances_module, "is_admissible", counting)
+    solutions = enumerate_secrecy_instances(d, [view])
+    assert len(solutions) == 9
+    assert sum(len(s.changes) for s in solutions) == 24
+    assert len(calls) == 33

@@ -74,6 +74,8 @@ def test_parse_view_errors():
         parse_view("Vs(X) :- Q(X,Y).", schema)  # unknown predicate
     with pytest.raises(SemanticError):
         parse_view("Vs(X) :- P(X,Y), isnull(Y).", schema)  # null check in a view
+    with pytest.raises(SemanticError, match="null may not appear in view body atom"):
+        parse_view("Vs(X) :- P(X,null).", schema)  # null constant in a view body
     schema_sym = parse_schema("relation P(A:sym, B:sym).")
     with pytest.raises(SemanticError):
         parse_view("Vs(X) :- P(X,Y), Y < 3.", schema_sym)  # order on sym column

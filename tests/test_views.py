@@ -38,14 +38,12 @@ def test_head_atom_sets_three_head_vars():
     view = parse_view("Vs(X,Z,W) :- P(X,Y), Q(Y,Z,W).", schema)
     sets = head_atom_sets(view)
     assert [a.token() for a in sets.cp] == ["P(X, null)", "Q(null, Z, W)"]
-    assert [a.token() for a in sets.sp] == ["P(null, Y)", "Q(Y, null, null)"]
 
 
 def test_head_atom_sets_two_tuple_view():
     case = two_tuple_example()
     sets = head_atom_sets(case.views[0])
     assert [a.token() for a in sets.cp] == ["P(X, null)", "R(null, Z)"]
-    assert [a.token() for a in sets.sp] == ["P(null, Y)", "R(Y, null)"]
 
 
 def test_head_atom_sets_trivial():
@@ -53,7 +51,6 @@ def test_head_atom_sets_trivial():
     view = parse_view("Vs(X) :- P(X,Y).", schema)
     sets = head_atom_sets(view)
     assert sets.cp == ()
-    assert [a.token() for a in sets.sp] == ["P(null, Y)"]
 
 
 def test_attr_sets_positions_come_from_relevant_vars():
