@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instances import EnumerationMode, SecrecySolution, enumerate_secrecy_instances
+from .instances import (DEFAULT_CELL_BOUND, EnumerationMode, SecrecySolution,
+                        enumerate_secrecy_instances)
 from .lang import Atom, Query, Var, view_as_query
 from .model import Instance, Schema
 from .semantics import AnswerSet, eval_n, intersect_answers
@@ -55,10 +56,9 @@ def _secret_answers_over(solutions: list[SecrecySolution], query: Query) -> Secr
 
 def secret_answers(instance: Instance, views, query: Query,
                    mode: EnumerationMode = EnumerationMode.TARGETED,
-                   max_cells: int | None = None) -> SecretAnswerReport:
+                   max_cells: int = DEFAULT_CELL_BOUND) -> SecretAnswerReport:
     """Answers certain across every secrecy instance of `instance`."""
-    kwargs = {} if max_cells is None else {"max_cells": max_cells}
-    solutions = enumerate_secrecy_instances(instance, views, mode, **kwargs)
+    solutions = enumerate_secrecy_instances(instance, views, mode, max_cells)
     return _secret_answers_over(solutions, query)
 
 

@@ -11,10 +11,11 @@ overwritten).  Per view, a disjunctive rule fires on every violating
 match - comparisons hold, no combination variable is null, and some head
 variable is non-null - and chooses either one whole-atom secrecy-side
 update that nulls a non-null head value or one combination-side update.
-Each secrecy-side rule guards the head variable it nulls; a view whose
-combination and secrecy positions overlap gets combination-side updates
-only, and an auxiliary per-view predicate over the head variables
-witnesses the non-null head value.
+Each secrecy-side rule guards the head variable it nulls; a view with a
+relevant head variable gets combination-side updates only (the same test
+the enumeration makes, per variable, so a self-join whose positions
+overlap keeps both kinds), and an auxiliary per-view predicate over the
+head variables witnesses the non-null head value.
 Overwrite rules, one per relation position and keyed on the tuple id,
 then mark a version as overwritten once an update of the same tuple has
 nulled a value the version still holds.
@@ -43,8 +44,8 @@ from .lang import (Atom, BuiltinAtom, COMPARISONS, Const, Query, UNARY_BUILTINS,
                    Var, ViewDef, _Parser)
 from .model import Instance, NULL, Row, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
-from .solver import GAtom, Literal, Rule, ground, stable_models
-from .views import attr_sets, head_atom_sets, nulled_atom
+from .solver import DEFAULT_SEARCH_BOUND, GAtom, Literal, Rule, ground, stable_models
+from .views import nulled_atom
 
 
 class Annotation(enum.Enum):
@@ -163,19 +164,18 @@ def _dedupe(atoms):
 def _view_rules(view: ViewDef) -> list[Rule]:
     low_view = ViewDef(view.name.lower(), view.head,
                        _with_tids(view.body, view.phi), view.phi)
-    sets = attr_sets(low_view)
-    heads = head_atom_sets(low_view)
     relevant = relevant_vars(low_view)
     head_set = {v.name for v in low_view.head}
     body_t = tuple(Literal(_annotated(a, Annotation.T)) for a in low_view.body)
     c_guards = tuple(_not_null(v) for v in sorted(relevant))
-    cp_a = tuple(_annotated(a, Annotation.A) for a in heads.cp)
+    cp_a = tuple(_annotated(cp, Annotation.A) for cp in
+                 (nulled_atom(atom, relevant) for atom in low_view.body) if cp)
 
     rules: list[Rule] = []
     update_body = body_t + low_view.phi + c_guards
-    if sets.combination & sets.secrecy:
-        # combination-side updates only; the aux atom witnesses that some
-        # head variable is non-null
+    if head_set & relevant:
+        # a relevant head variable: combination-side updates only; the aux
+        # atom witnesses that some head variable is non-null
         aux_atom = Atom(AUX_PREFIX + low_view.name, tuple(low_view.head))
         rules.append(Rule(_dedupe(cp_a), update_body + (Literal(aux_atom),)))
         for name in dict.fromkeys(v.name for v in low_view.head):
@@ -237,13 +237,12 @@ def models_to_instances(models, base: Instance) -> list[Instance]:
 
 
 def cautious_answers(instance: Instance, views, query: Query,
-                     max_nodes: int | None = None) -> AnswerSet:
+                     max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
     """Query answers true in every stable model of the secrecy program."""
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)
     ground_rules = ground(program.rules + (query_rule,))
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    return model_answers(stable_models(ground_rules, **kwargs))
+    return model_answers(stable_models(ground_rules, max_nodes))
 
 
 def model_answers(models) -> AnswerSet:

@@ -13,10 +13,12 @@ One subcommand per operation family:
 `--query` takes literal query text when it contains `:-`, otherwise a
 file path.  Output is plain text or, with `--format json`, stable JSON
 with rows sorted.  `--max-nodes` (old name `--max-models`) bounds the
-internal engine's stable-model search.  Exit codes: 0 success, 2 parse
-error, 3 semantic error or failed external solver, 4 cross-check failure
-(no secrecy instance or stable model counts as one), 5 bound exceeded
-(running out of recursion depth or memory counts as one).
+internal engine's stable-model search; an external solver gets
+`SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse error, 3
+semantic error or failed external solver, 4 cross-check failure (no
+secrecy instance or stable model counts as one), 5 bound exceeded
+(running out of recursion depth or memory, or the external solver's time
+limit, counts as one).
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_CROSSCHECK = 4
 EXIT_BOUND = 5
+
+SOLVER_TIMEOUT_S = 600  # wall-clock limit on one external solver run
 
 
 def _read(path: str) -> str:
@@ -183,7 +187,11 @@ def _external_models(solver: str, dialect: str, program_text: str) -> list[froze
         handle.write(program_text)
     try:
         cmd = [solver, "--models=0", handle.name] if clingo else [solver, handle.name]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=SOLVER_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise BoundExceededError(
+            f"solver {solver} exceeded its time limit of {SOLVER_TIMEOUT_S} s") from None
     finally:
         Path(handle.name).unlink()
     # clingo's status is 10 satisfiable, 20 unsatisfiable, 30 all models found

@@ -7,17 +7,19 @@ nulled cells is inclusion-minimal among such degradations.
 View bodies hold no null constants and view built-ins neither mention
 null nor test for it, so nulling a cell can only destroy a body match or
 null one of its head values: admissibility is monotone in the set of
-nulled cells.  Enumeration therefore evaluates each view once and keeps
-its violating matches (comparisons hold, no combination variable binds
-null, some head value is non-null).  A match is resolved by nulling any
-one of its combination cells, or all of its non-null head cells, and the
-secrecy instances are exactly the inclusion-minimal cell sets resolving
-every match: the minimal covers of a hypergraph, the monotone
-dualization setting of Eiter & Gottlob (1995).  A search that branches
-on the first unresolved match reaches every minimal cover; the leaves
-that are not minimal are dropped, and a final pass re-verifies
-admissibility, strict minimality and pairwise incomparability of
-everything kept with real admissibility checks.
+nulled cells.  Enumeration therefore evaluates each view once, and that
+one pass gives both the candidate pool, checked against `max_cells`, and
+the violating matches (comparisons hold, no combination variable binds
+null, some head value is non-null), each with the pool cells that
+resolve it: any one of its combination cells, or all of its non-null
+head cells.  The secrecy instances are exactly the inclusion-minimal
+cell sets resolving every match: the minimal covers of a hypergraph, the
+monotone dualization setting of Eiter & Gottlob (1995).  A search that
+branches on the first unresolved match reaches every minimal cover, and
+the leaves that are not minimal are dropped.  Each kept change set is
+then applied once; that instance is re-verified with real admissibility
+checks (admissible, no one-cell-smaller set admissible, kept sets
+pairwise incomparable) and returned.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BoundExceededError, CrossCheckError
-from .lang import Const, ViewDef
+from .lang import Const
 from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
 from .semantics import builtin_classical, iter_matches, relevant_vars
 from .views import is_admissible
@@ -83,38 +85,59 @@ def instance_leq_D(base: Instance, d1: Instance, d2: Instance) -> bool:
     return changes1 <= changes2
 
 
-def _potential_violations(instance: Instance, view: ViewDef):
-    """Matched rows of the body matches that could force an update:
-    comparisons hold with null as ordinary constant and no combination
-    variable binds null."""
-    relevant = relevant_vars(view)
-    for env, rows in iter_matches(instance.rows, view.body):
-        if any(env[name].is_null for name in relevant):
-            continue
-        if not all(builtin_classical(b, env) for b in view.phi):
-            continue
-        yield rows
+def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
+                      max_cells: int | None = None) -> tuple[frozenset, list]:
+    """The candidate pool and, per violating match, the sets of pool cells
+    that each resolve it, from one evaluation of each view.
 
+    The default pool holds the combination cells and non-null head cells
+    of every match whose comparisons hold and whose combination variables
+    are non-null; the exhaustive pool is every non-null cell.  Each pool
+    cell at a combination or body-constant position of a match is one
+    option; when no head variable is relevant, so is the set of its
+    non-null head cells, and a match without any does not violate its
+    view.  With `max_cells`, a larger pool raises `BoundExceededError`,
+    the exhaustive pool before any view is evaluated.
+    """
+    def bounded(pool: frozenset) -> frozenset:
+        if max_cells is not None and len(pool) > max_cells:
+            raise BoundExceededError(
+                f"{len(pool)} candidate cells exceed the bound {max_cells}")
+        return pool
 
-def _match_cells(instance: Instance, view: ViewDef):
-    """Per potentially violating match of `view`: its combination cells,
-    the cells matched by body constants, and the non-null cells of the
-    remaining head variables.  Nulling a cell of either of the first two
-    kinds destroys the match."""
-    relevant = relevant_vars(view)
-    head = {v.name for v in view.head}
-    for rows in _potential_violations(instance, view):
-        combination, constant, heads = set(), set(), set()
-        for atom, row in zip(view.body, rows):
-            for pos, (term, value) in enumerate(zip(atom.args, row.values), 1):
-                cell = Cell(atom.pred, row.tid, pos)
-                if isinstance(term, Const):
-                    constant.add(cell)
-                elif term.name in relevant:
-                    combination.add(cell)
-                elif term.name in head and not value.is_null:
-                    heads.add(cell)
-        yield combination, constant, heads
+    pool = None
+    if mode is EnumerationMode.EXHAUSTIVE:
+        pool = bounded(frozenset(instance.cells()))
+    targets, matches = set(), []  # matches: (destroying cells, head option)
+    for view in views:
+        relevant = relevant_vars(view)
+        head = {v.name for v in view.head}
+        head_relevant = bool(head & relevant)
+        for env, rows in iter_matches(instance.rows, view.body):
+            if any(env[name].is_null for name in relevant):
+                continue
+            if not all(builtin_classical(b, env) for b in view.phi):
+                continue
+            destroying, heads = set(), set()
+            for atom, row in zip(view.body, rows):
+                for pos, (term, value) in enumerate(zip(atom.args, row.values), 1):
+                    cell = Cell(atom.pred, row.tid, pos)
+                    if isinstance(term, Const):
+                        destroying.add(cell)
+                    elif term.name in relevant:
+                        destroying.add(cell)
+                        targets.add(cell)
+                    elif term.name in head and not value.is_null:
+                        heads.add(cell)
+            targets |= heads
+            if head_relevant:
+                matches.append((destroying, ()))
+            elif heads:
+                matches.append((destroying, (frozenset(heads),)))
+    if pool is None:
+        pool = bounded(frozenset(targets))
+    return pool, [tuple(frozenset({cell}) for cell in sorted_cells(destroying & pool))
+                  + head_option for destroying, head_option in matches]
 
 
 def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozenset:
@@ -124,32 +147,7 @@ def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozens
     non-null cell."""
     if mode is EnumerationMode.EXHAUSTIVE:
         return frozenset(instance.cells())
-    cells = set()
-    for view in views:
-        for combination, _, heads in _match_cells(instance, view):
-            cells |= combination | heads
-    return frozenset(cells)
-
-
-def _violating_matches(instance: Instance, views,
-                       pool: frozenset) -> list[tuple[frozenset, ...]]:
-    """For each violating match, the sets of `pool` cells that each
-    resolve it: every single pool cell whose nulling destroys the match
-    and, when no head variable is relevant, all non-null head cells
-    together.  A match whose head values are all null does not violate
-    its view."""
-    matches = []
-    for view in views:
-        head_relevant = bool({v.name for v in view.head} & relevant_vars(view))
-        for combination, constant, heads in _match_cells(instance, view):
-            options = [frozenset({cell})
-                       for cell in sorted_cells((combination | constant) & pool)]
-            if not head_relevant:
-                if not heads:
-                    continue
-                options.append(frozenset(heads))
-            matches.append(tuple(options))
-    return matches
+    return _pool_and_options(instance, views, mode)[0]
 
 
 def _resolves(chosen: frozenset, options: tuple[frozenset, ...]) -> bool:
@@ -209,33 +207,33 @@ def enumerate_secrecy_instances(instance: Instance, views,
     """All secrecy instances of `instance` for the view set, in canonical
     change-set order.  An admissible instance yields the single
     empty-change solution."""
-    pool = candidate_cells(instance, views, mode)
-    if len(pool) > max_cells:
-        raise BoundExceededError(
-            f"{len(pool)} candidate cells exceed the bound {max_cells}")
-    kept = _minimal_covers(_violating_matches(instance, views, pool))
-    _verify_solutions(instance, views, kept)
-    solutions = [SecrecySolution(c, apply_changes(instance, c)) for c in kept]
-    solutions.sort(key=SecrecySolution.sort_key)
-    return solutions
+    _, options = _pool_and_options(instance, views, mode, max_cells)
+    return _verified_solutions(instance, views, _minimal_covers(options))
 
 
-def _verify_solutions(instance: Instance, views, kept: list[frozenset]) -> None:
-    """Re-verify admissibility, strict minimality (no one-cell-removed
-    subset admissible) and pairwise incomparability of the kept sets;
-    a failure here would mean the search itself is broken."""
+def _verified_solutions(instance: Instance, views,
+                        kept: list[frozenset]) -> list[SecrecySolution]:
+    """The kept change sets with their instances, each built once and
+    re-verified: admissible, strictly minimal (no one-cell-removed subset
+    admissible) and pairwise incomparable; a failure here would mean the
+    search itself is broken."""
+    solutions = []
     for changes in kept:
-        if not is_admissible(apply_changes(instance, changes), views, cross_check=False):
+        degraded = apply_changes(instance, changes)
+        if not is_admissible(degraded, views, cross_check=False):
             raise CrossCheckError(f"kept change set is not admissible: {set(changes)}")
         for cell in changes:
             smaller = changes - {cell}
             if is_admissible(apply_changes(instance, smaller), views, cross_check=False):
                 raise CrossCheckError(
                     f"kept change set is not minimal: {set(changes)} minus {cell.token()}")
+        solutions.append(SecrecySolution(changes, degraded))
     for a in kept:
         for b in kept:
             if a != b and a <= b:
                 raise CrossCheckError("kept change sets are not pairwise incomparable")
+    solutions.sort(key=SecrecySolution.sort_key)
+    return solutions
 
 
 def oracle_secrecy_instances(instance: Instance, views,

@@ -220,8 +220,3 @@ def rewrite_query(query: Query) -> Query:
     for name in sorted(relevant):
         builtins.append(BuiltinAtom("!=", (Var(name), Const(NULL))))
     return Query(query.out, query.body, tuple(builtins))
-
-
-def boolean_answer(answers: AnswerSet) -> bool:
-    """Yes/no reading of a boolean (zero projection) query's answer set."""
-    return tuple() in answers

@@ -10,9 +10,12 @@ every head variable to null, or falsifies the comparison conjunction.
 The two routes must agree; a disagreement is an internal fault and is
 reported as such rather than silently picking one side.
 
-Attribute sets locate the cells an update may touch: *combination*
-attributes are the positions of relevant (join/comparison) variables,
-*secrecy* attributes the positions of head variables.
+Attribute sets are the paper's description of where an update may
+touch: *combination* attributes are the positions of relevant
+(join/comparison) variables, *secrecy* attributes the positions of head
+variables.  The compiler and the enumeration decide per variable, not per
+position (see `attr_sets`); `nulled_atom` builds the compiler's update
+heads.
 """
 
 from __future__ import annotations
@@ -38,19 +41,12 @@ class AttrSets:
         return self.combination | self.secrecy
 
 
-@dataclass(frozen=True, slots=True)
-class HeadAtomSets:
-    """Body atoms with update targets nulled out, used as rule heads.
-
-    `cp` nulls every combination-variable occurrence of an atom; atoms
-    without such variables are omitted.  The secrecy-side heads are built
-    per atom by the compiler, each with its own non-null guard.
-    """
-
-    cp: tuple[Atom, ...]
-
-
 def attr_sets(view: ViewDef) -> AttrSets:
+    """The view's combination and secrecy attributes.  They can overlap
+    without any head variable being relevant: in `V(X) :- P(X,Y), P(Y,Z).`
+    position P.1 holds both X and Y.  Whether a view allows secrecy-side
+    updates is therefore decided by the variables (a relevant head
+    variable forbids them), never by overlapping positions."""
     relevant = relevant_vars(view)
     head = {v.name for v in view.head}
     combination = set()
@@ -75,12 +71,6 @@ def nulled_atom(atom: Atom, names: set) -> Atom | None:
     if args == atom.args:
         return None
     return Atom(atom.pred, args)
-
-
-def head_atom_sets(view: ViewDef) -> HeadAtomSets:
-    relevant = set(relevant_vars(view))
-    cp = tuple(a for a in (nulled_atom(atom, relevant) for atom in view.body) if a)
-    return HeadAtomSets(cp)
 
 
 def is_null_view(instance: Instance, view: ViewDef) -> bool:

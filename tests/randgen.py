@@ -120,14 +120,20 @@ def _lp_safe_shape(view: ViewDef) -> bool:
 
 def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
               n_consts: int = 4, max_atoms: int = 2,
-              body_const_prob: float = 0.0) -> ViewDef | None:
+              body_const_prob: float = 0.0,
+              self_joins: bool = False) -> ViewDef | None:
     """A random view whose body holds an integer constant at each position
-    with probability `body_const_prob` (none by default, which leaves the
-    draws of the default stream unchanged); None when no head choice
-    satisfies the requested shape."""
-    rels = list(schema.relations)
-    rng.shuffle(rels)
-    rels = rels[:rng.randint(1, min(max_atoms, len(rels)))]
+    with probability `body_const_prob`, and whose body relations are drawn
+    with replacement when `self_joins` is set, so one relation can occur
+    twice (neither by default, which leaves the draws of the default
+    stream unchanged); None when no head choice satisfies the requested
+    shape."""
+    if self_joins:
+        rels = [rng.choice(schema.relations) for _ in range(rng.randint(1, max_atoms))]
+    else:
+        rels = list(schema.relations)
+        rng.shuffle(rels)
+        rels = rels[:rng.randint(1, min(max_atoms, len(rels)))]
     pool: list = []
     atoms = []
     for rel in rels:
@@ -177,7 +183,7 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
 
 def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
               lp_safe: bool = False, max_arity: int = 2, n_consts: int = 4,
-              body_const_prob: float = 0.0):
+              body_const_prob: float = 0.0, self_joins: bool = False):
     """A (schema, instance, views) triple; views share the schema.
     `lp_safe` restricts the view shape only, not the data."""
     while True:
@@ -187,7 +193,8 @@ def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
         views = []
         for _ in range(rng.randint(1, max_views)):
             view = rand_view(rng, schema, lp_safe=lp_safe, n_consts=n_consts,
-                             body_const_prob=body_const_prob)
+                             body_const_prob=body_const_prob,
+                             self_joins=self_joins)
             if view is not None:
                 views.append(ViewDef(f"v{len(views)}", view.head,
                                      view.body, view.phi))

@@ -229,6 +229,20 @@ def test_cmd_solve_external_solver_failure_exits_3_and_cleans_up(
     assert not list(tmp_path.glob("*.lp"))
 
 
+def test_cmd_solve_external_solver_timeout_exits_5_and_cleans_up(
+        files, capsys, tmp_path, monkeypatch):
+    schema = files("s.nv", "relation P(A:sym). relation R(A:sym).")
+    facts = files("f.nv", "P(a). R(a).")
+    views = files("v.nv", "V(X) :- P(X), R(X).")
+    _stub_solver(tmp_path, monkeypatch, "exec sleep 5\n")
+    monkeypatch.setattr(cli_module, "SOLVER_TIMEOUT_S", 0.2)
+    code, _, err = run(capsys, "solve", "--schema", schema, "--facts", facts,
+                       "--views", views, "--solver", "dlv")
+    assert code == 5
+    assert "bound exceeded: solver" in err and "time limit of 0.2 s" in err
+    assert not list(tmp_path.glob("*.lp"))
+
+
 def test_cmd_solve_without_stable_models_exits_4(files, capsys, tmp_path, monkeypatch):
     schema = files("s.nv", "relation P(A:sym). relation R(A:sym).")
     facts = files("f.nv", "P(a). R(a).")

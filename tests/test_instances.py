@@ -193,23 +193,49 @@ def test_cover_search_matches_subset_sweep_randomized():
     assert with_constants >= 200 and several >= 40 and modes_differ >= 25
 
 
+def _stream_instance_with_two_violations():
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    d = parse_facts("P(1,10). P(2,20). P(3,1500). R(10,5). R(20,6). R(1600,7).",
+                    schema)
+    return schema, d, parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(instances_module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(instances_module, name, counting)
+    return calls
+
+
 def test_stream_instance_with_two_violations_makes_33_admissibility_checks(monkeypatch):
     """Two independent violating joins: 9 secrecy instances, verified by
     one admissibility check each plus one per nulled cell (24 cells in
     all); the search itself checks nothing."""
-    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
-    d = parse_facts("P(1,10). P(2,20). P(3,1500). R(10,5). R(20,6). R(1600,7).",
-                    schema)
-    view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
-    calls = []
-    is_admissible = instances_module.is_admissible
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return is_admissible(*args, **kwargs)
-
-    monkeypatch.setattr(instances_module, "is_admissible", counting)
+    _, d, view = _stream_instance_with_two_violations()
+    calls = _counting(monkeypatch, "is_admissible")
     solutions = enumerate_secrecy_instances(d, [view])
     assert len(solutions) == 9
     assert sum(len(s.changes) for s in solutions) == 24
     assert len(calls) == 33
+
+
+def test_enumeration_evaluates_each_view_once_and_builds_each_instance_once(
+        monkeypatch):
+    """One join per view gives the pool and the covers; each secrecy
+    instance is built once, for its check and its return, and once more
+    per nulled cell for the minimality checks."""
+    schema, d, view = _stream_instance_with_two_violations()
+    harmless = parse_view("Vt(X) :- P(X,Y), Y > 5000.", schema)
+    joins = _counting(monkeypatch, "iter_matches")
+    checks = _counting(monkeypatch, "is_admissible")
+    builds = _counting(monkeypatch, "apply_changes")
+    solutions = enumerate_secrecy_instances(d, [view, harmless])
+    assert len(solutions) == 9
+    assert len(joins) == 2
+    assert len(checks) == 33 and len(builds) == 33
+    assert all(s.instance == apply_changes(d, s.changes) for s in solutions)

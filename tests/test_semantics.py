@@ -5,7 +5,6 @@ import pytest
 from nullveil import (SemanticError, eval_classical, eval_n,
                       parse_query, parse_schema, parse_facts, relevant_vars,
                       rewrite_query)
-from nullveil.semantics import boolean_answer
 
 from corpus import (answers, join_example, sql_null_example, threshold_example,
                     two_tuple_example)
@@ -130,9 +129,9 @@ def test_boolean_queries():
     schema = parse_schema("relation P(A:int).")
     d = parse_facts("P(1).", schema)
     yes = parse_query("?() :- P(X).", schema)
-    assert boolean_answer(eval_n(d, yes))
+    assert eval_n(d, yes) == {()}
     no = parse_query("?() :- P(X), X > 5.", schema)
-    assert not boolean_answer(eval_n(d, no))
+    assert eval_n(d, no) == frozenset()
 
 
 def test_rewriting_equivalence_randomized():

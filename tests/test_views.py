@@ -2,8 +2,8 @@ import random
 
 from nullveil import (apply_changes, parse_facts, parse_schema,
                       parse_view, relevant_vars)
-from nullveil.views import (attr_sets, head_atom_sets, is_admissible,
-                            is_null_view, null_view_sentence_holds)
+from nullveil.views import (attr_sets, is_admissible, is_null_view,
+                            null_view_sentence_holds, nulled_atom)
 
 from corpus import threshold_example, two_tuple_example
 from randgen import rand_case, rand_schema, rand_view
@@ -32,25 +32,29 @@ def test_attr_sets_no_relevant_vars():
     assert sets.secrecy == {("P", 1)}
 
 
-def test_head_atom_sets_three_head_vars():
+def _combination_heads(view) -> list:
+    """The compiler's combination-side update heads of a view."""
+    relevant = relevant_vars(view)
+    return [a.token() for a in (nulled_atom(atom, relevant) for atom in view.body) if a]
+
+
+def test_nulled_atom_three_head_vars():
     schema = parse_schema(
         "relation P(A:int, B:int). relation Q(B:int, C:int, D:int).")
     view = parse_view("Vs(X,Z,W) :- P(X,Y), Q(Y,Z,W).", schema)
-    sets = head_atom_sets(view)
-    assert [a.token() for a in sets.cp] == ["P(X, null)", "Q(null, Z, W)"]
+    assert _combination_heads(view) == ["P(X, null)", "Q(null, Z, W)"]
 
 
-def test_head_atom_sets_two_tuple_view():
+def test_nulled_atom_two_tuple_view():
     case = two_tuple_example()
-    sets = head_atom_sets(case.views[0])
-    assert [a.token() for a in sets.cp] == ["P(X, null)", "R(null, Z)"]
+    assert _combination_heads(case.views[0]) == ["P(X, null)", "R(null, Z)"]
 
 
-def test_head_atom_sets_trivial():
+def test_nulled_atom_trivial():
     schema = parse_schema("relation P(A:int, B:int).")
     view = parse_view("Vs(X) :- P(X,Y).", schema)
-    sets = head_atom_sets(view)
-    assert sets.cp == ()
+    assert _combination_heads(view) == []
+    assert nulled_atom(view.body[0], {"Z"}) is None
 
 
 def test_attr_sets_positions_come_from_relevant_vars():
