@@ -14,8 +14,7 @@ update that nulls a non-null head value or one combination-side update.
 Each secrecy-side rule guards the head variable it nulls; a view with a
 relevant head variable gets combination-side updates only (the same test
 the enumeration makes, per variable, so a self-join whose positions
-overlap keeps both kinds), and an auxiliary per-view predicate over the
-head variables witnesses the non-null head value.
+overlap keeps both kinds).
 Overwrite rules, one per relation position and keyed on the tuple id,
 then mark a version as overwritten once an update of the same tuple has
 nulled a value the version still holds.
@@ -42,7 +41,7 @@ from itertools import count
 from .errors import DialectError, SemanticError, UnsupportedRuleError
 from .lang import (Atom, BuiltinAtom, COMPARISONS, Const, Query, UNARY_BUILTINS,
                    Var, ViewDef, _Parser)
-from .model import Instance, NULL, Row, Value
+from .model import Instance, NULL, Row, Schema, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
 from .solver import DEFAULT_SEARCH_BOUND, GAtom, Literal, Rule, ground, stable_models
 from .views import nulled_atom
@@ -56,7 +55,6 @@ class Annotation(enum.Enum):
 
 
 ANS_PRED = "ans"
-AUX_PREFIX = "aux_"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +88,7 @@ def _with_tids(atoms: tuple[Atom, ...],
     return tuple(Atom(a.pred.lower(), a.args + (Var(next(fresh)),)) for a in atoms)
 
 
-def _reserved_names(instance: Instance, views) -> dict[str, str]:
+def _reserved_names(schema: Schema) -> dict[str, str]:
     """Map every predicate name the program will use to its source; a
     clash means the compilation cannot keep predicates apart."""
     names: dict[str, str] = {ANS_PRED: "query head"}
@@ -99,20 +97,18 @@ def _reserved_names(instance: Instance, views) -> dict[str, str]:
             raise UnsupportedRuleError(
                 f"predicate name clash: {name!r} used by {source} and {names[name]}")
         names[name] = source
-    for rel in instance.schema.relations:
+    for rel in schema.relations:
         low = rel.name.lower()
         claim(low, f"relation {rel.name}")
         for annotation in Annotation:
             claim(_ann(low, annotation), f"relation {rel.name}")
-    for view in views:
-        claim(AUX_PREFIX + view.name.lower(), f"view {view.name}")
     return names
 
 
 def compile_program(instance: Instance, views) -> AnnotatedProgram:
     """Build the secrecy program for `instance` and the view set."""
     views = tuple(views)
-    _reserved_names(instance, views)
+    _reserved_names(instance.schema)
     rules: list[Rule] = []
 
     for name in instance.schema.names():
@@ -174,12 +170,9 @@ def _view_rules(view: ViewDef) -> list[Rule]:
     rules: list[Rule] = []
     update_body = body_t + low_view.phi + c_guards
     if head_set & relevant:
-        # a relevant head variable: combination-side updates only; the aux
-        # atom witnesses that some head variable is non-null
-        aux_atom = Atom(AUX_PREFIX + low_view.name, tuple(low_view.head))
-        rules.append(Rule(_dedupe(cp_a), update_body + (Literal(aux_atom),)))
-        for name in dict.fromkeys(v.name for v in low_view.head):
-            rules.append(Rule((aux_atom,), body_t + low_view.phi + (_not_null(name),)))
+        # a relevant head variable: combination-side updates only; its
+        # guard in `c_guards` already makes some head value non-null
+        rules.append(Rule(_dedupe(cp_a), update_body))
     else:
         # a secrecy-side update must null a value: one rule per head
         # variable of the atom, guarded by that variable being non-null
@@ -280,24 +273,16 @@ def _pretty_builtin(b: BuiltinAtom) -> str:
 DIALECTS = ("dlv", "clingo")
 
 
-def _export_term(term) -> str:
-    if isinstance(term, Var):
-        return term.name
-    return term.value.token()
-
-
 def _export_atom(atom: Atom) -> str:
     if not atom.args:
         return atom.pred
-    return f"{atom.pred}({','.join(_export_term(t) for t in atom.args)})"
+    return f"{atom.pred}({','.join(t.token() for t in atom.args)})"
 
 
 def _export_body_item(item) -> str:
     if isinstance(item, Literal):
         return ("not " if item.negated else "") + _export_atom(item.atom)
-    if item.op in UNARY_BUILTINS:
-        return f"{item.op}({_export_term(item.args[0])})"
-    return f"{_export_term(item.args[0])} {item.op} {_export_term(item.args[1])}"
+    return item.token()
 
 
 def export_rule(rule: Rule, dialect: str) -> str:

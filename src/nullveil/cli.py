@@ -4,16 +4,18 @@ One subcommand per operation family:
 
     nullveil eval      --schema S --facts F --query Q
     nullveil instances --schema S --facts F --views V [--mode targeted|exhaustive]
+                       [--max-cells N]
     nullveil answer    --schema S --facts F --views V --query Q [--via direct|asp|both]
-                       [--max-nodes N]
+                       [--max-cells N] [--max-nodes N]
     nullveil compile   --schema S --facts F --views V [--dialect dlv|clingo] [--dcs]
     nullveil solve     --schema S --facts F --views V [--query Q] [--solver PATH]
                        [--max-nodes N]
 
 `--query` takes literal query text when it contains `:-`, otherwise a
 file path.  Output is plain text or, with `--format json`, stable JSON
-with rows sorted.  `--max-nodes` (old name `--max-models`) bounds the
-internal engine's stable-model search; an external solver gets
+with rows sorted.  `--max-cells` (default 24) bounds the candidate cells
+of the secrecy-instance search.  `--max-nodes` (old name `--max-models`)
+bounds the internal engine's stable-model search; an external solver gets
 `SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse error, 3
 semantic error or failed external solver, 4 cross-check failure (no
 secrecy instance or stable model counts as one), 5 bound exceeded
@@ -37,7 +39,7 @@ from .errors import (BoundExceededError, CrossCheckError, NullveilError,
                      ParseError, SemanticError)
 from .instances import (DEFAULT_CELL_BOUND, EnumerationMode,
                         enumerate_secrecy_instances)
-from .lang import parse_facts, parse_query, parse_schema, parse_views
+from .lang import fact_lines, parse_facts, parse_query, parse_schema, parse_views
 from .model import Instance, sorted_cells
 from .semantics import eval_classical, eval_n
 from .solver import DEFAULT_SEARCH_BOUND, stable_models
@@ -52,7 +54,10 @@ SOLVER_TIMEOUT_S = 600  # wall-clock limit on one external solver run
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _query_text(value: str) -> str:
@@ -135,10 +140,7 @@ def cmd_instances(args) -> int:
         items.append(item)
         flag = "  [exhaustive-only]" if extra else ""
         lines.append(f"instance {i}: changes {_changes_text(solution.changes)}{flag}")
-        for name in solution.instance.schema.names():
-            for row in solution.instance.rows(name):
-                args_text = ", ".join(v.token() for v in row.values)
-                lines.append(f"  @{row.tid} {name}({args_text}).")
+        lines += ["  " + fact for fact in fact_lines(solution.instance)]
     _emit(args, {"instances": items}, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -223,10 +225,7 @@ def cmd_solve(args) -> int:
     for i, inst in enumerate(instances, 1):
         items.append({"facts": _instance_json(inst)})
         lines.append(f"model {i}:")
-        for name in inst.schema.names():
-            for row in inst.rows(name):
-                args_text = ", ".join(v.token() for v in row.values)
-                lines.append(f"  @{row.tid} {name}({args_text}).")
+        lines += ["  " + fact for fact in fact_lines(inst)]
     payload = {"instances": items}
     if query is not None:
         payload["answers"] = _rows_json(answers)
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--query", required=True,
                            help="query text (contains ':-') or file path")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BOUND)
 
     def node_bound(p):
         p.add_argument("--max-nodes", "--max-models", dest="max_nodes", type=int,
@@ -266,11 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instances", help="enumerate secrecy instances")
     common(p, views=True)
     p.add_argument("--mode", choices=("targeted", "exhaustive"), default="targeted")
+    p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BOUND)
     p.set_defaults(func=cmd_instances)
 
     p = sub.add_parser("answer", help="compute secret answers to a query")
     common(p, views=True, query=True)
     p.add_argument("--via", choices=("direct", "asp", "both"), default="direct")
+    p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BOUND)
     node_bound(p)
     p.set_defaults(func=cmd_answer)
 
@@ -308,10 +308,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except (SemanticError, NullveilError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except OSError as exc:
+    except (NullveilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except (RecursionError, MemoryError) as exc:

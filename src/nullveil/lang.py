@@ -95,10 +95,6 @@ class Query:
     body: tuple[Atom, ...]
     builtins: tuple[BuiltinAtom, ...]
 
-    @property
-    def free_vars(self) -> frozenset:
-        return frozenset(v.name for v in self.out)
-
     def token(self) -> str:
         return _rule_token(f"?({', '.join(v.name for v in self.out)})",
                            self.body, self.builtins)
@@ -164,9 +160,10 @@ def tokenize(text: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -347,7 +344,7 @@ def parse_facts(text: str, schema: Schema) -> Instance:
     parser = _Parser(text)
     rows: dict[str, list[Row]] = {name: [] for name in schema.names()}
     auto: dict[str, int] = {name: 0 for name in schema.names()}
-    explicit: dict[str, set[int]] = {name: set() for name in schema.names()}
+    taken: dict[str, set[int]] = {name: set() for name in schema.names()}
     while not parser.at_eof():
         tid = None
         if parser.peek().text == "@":
@@ -379,24 +376,27 @@ def parse_facts(text: str, schema: Schema) -> Instance:
             values.append(term.value)
         if tid is None:
             auto[rel.name] += 1
-            while auto[rel.name] in explicit[rel.name]:
+            while auto[rel.name] in taken[rel.name]:
                 auto[rel.name] += 1
             tid = auto[rel.name]
-        elif tid in explicit[rel.name] or any(r.tid == tid for r in rows[rel.name]):
+        elif tid in taken[rel.name]:
             raise ParseError(f"duplicate tuple id {rel.name}#{tid}",
                              name_tok.line, name_tok.col)
-        explicit[rel.name].add(tid)
+        taken[rel.name].add(tid)
         rows[rel.name].append(Row(tid, tuple(values)))
     return Instance(schema, rows)
 
 
-def print_facts(instance: Instance) -> str:
-    lines = []
+def fact_lines(instance: Instance):
+    """One `@TID NAME(values).` line per tuple; a string value may itself
+    hold a newline, so split the rows here, never the printed text."""
     for name in instance.schema.names():
         for row in instance.rows(name):
-            args = ", ".join(v.token() for v in row.values)
-            lines.append(f"@{row.tid} {name}({args}).")
-    return "\n".join(lines) + ("\n" if lines else "")
+            yield f"@{row.tid} {name}({', '.join(v.token() for v in row.values)})."
+
+
+def print_facts(instance: Instance) -> str:
+    return "".join(line + "\n" for line in fact_lines(instance))
 
 
 # --------------------------------------------------------------------------
@@ -484,10 +484,6 @@ def parse_views(text: str, schema: Schema) -> list[ViewDef]:
     return views
 
 
-def print_view(view: ViewDef) -> str:
-    return view.token()
-
-
 def parse_query(text: str, schema: Schema) -> Query:
     """Parse `?(VARS) :- body.` into a Query, checking safety and sorts."""
     parser = _Parser(text)
@@ -505,10 +501,6 @@ def parse_query(text: str, schema: Schema) -> Query:
         if var.name not in body_vars:
             raise SemanticError(f"free variable {var.name} does not occur in the body")
     return Query(out, body, builtins)
-
-
-def print_query(query: Query) -> str:
-    return query.token()
 
 
 def view_as_query(view: ViewDef) -> Query:

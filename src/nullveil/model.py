@@ -37,10 +37,6 @@ class Value:
     payload: int | str | None = None
 
     @staticmethod
-    def null() -> "Value":
-        return NULL
-
-    @staticmethod
     def of_int(n: int) -> "Value":
         return Value(INT_KIND, n)
 
@@ -222,10 +218,6 @@ class Instance:
         }
         return Instance(schema, built)
 
-    @staticmethod
-    def empty(schema: Schema) -> "Instance":
-        return Instance(schema, {})
-
     def rows(self, relation: str) -> tuple[Row, ...]:
         try:
             return self._table[relation]
@@ -247,17 +239,13 @@ class Instance:
             raise AddressError(f"position {cell.pos} out of range for {cell.relation}")
         return row.values[cell.pos - 1]
 
-    def cells(self, include_null: bool = False):
-        """All cell coordinates, optionally including null-valued ones."""
+    def cells(self):
+        """The coordinates of every non-null cell."""
         for name in self.schema.names():
             for row in self._table[name]:
                 for pos, value in enumerate(row.values, 1):
-                    if include_null or not value.is_null:
+                    if not value.is_null:
                         yield Cell(name, row.tid, pos)
-
-    def value_rows(self, relation: str) -> frozenset:
-        """The relation content as a set of value tuples (ids dropped)."""
-        return frozenset(r.values for r in self.rows(relation))
 
     def canonical(self) -> tuple:
         return self._canonical

@@ -94,9 +94,6 @@ class Rule:
     def builtins(self) -> tuple[BuiltinAtom, ...]:
         return tuple(e for e in self.body if isinstance(e, BuiltinAtom))
 
-    def is_fact(self) -> bool:
-        return len(self.head) == 1 and not self.body
-
 
 def fact(atom: Atom) -> Rule:
     return Rule((atom,), ())

@@ -36,10 +36,6 @@ class AttrSets:
     combination: frozenset
     secrecy: frozenset
 
-    @property
-    def srelevant(self) -> frozenset:
-        return self.combination | self.secrecy
-
 
 def attr_sets(view: ViewDef) -> AttrSets:
     """The view's combination and secrecy attributes.  They can overlap

