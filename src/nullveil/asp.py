@@ -88,27 +88,24 @@ def _with_tids(atoms: tuple[Atom, ...],
     return tuple(Atom(a.pred.lower(), a.args + (Var(next(fresh)),)) for a in atoms)
 
 
-def _reserved_names(schema: Schema) -> dict[str, str]:
-    """Map every predicate name the program will use to its source; a
+def _check_reserved_names(schema: Schema) -> None:
+    """Raise when two sources claim one predicate name of the program: a
     clash means the compilation cannot keep predicates apart."""
     names: dict[str, str] = {ANS_PRED: "query head"}
-    def claim(name: str, source: str):
-        if name in names:
-            raise UnsupportedRuleError(
-                f"predicate name clash: {name!r} used by {source} and {names[name]}")
-        names[name] = source
     for rel in schema.relations:
         low = rel.name.lower()
-        claim(low, f"relation {rel.name}")
-        for annotation in Annotation:
-            claim(_ann(low, annotation), f"relation {rel.name}")
-    return names
+        for name in (low, *(_ann(low, annotation) for annotation in Annotation)):
+            if name in names:
+                raise UnsupportedRuleError(
+                    f"predicate name clash: {name!r} used by relation {rel.name} "
+                    f"and {names[name]}")
+            names[name] = f"relation {rel.name}"
 
 
 def compile_program(instance: Instance, views) -> AnnotatedProgram:
     """Build the secrecy program for `instance` and the view set."""
     views = tuple(views)
-    _reserved_names(instance.schema)
+    _check_reserved_names(instance.schema)
     rules: list[Rule] = []
 
     for name in instance.schema.names():

@@ -44,7 +44,7 @@ from itertools import combinations
 from .errors import BoundExceededError, CrossCheckError
 from .lang import Const
 from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
-from .semantics import builtin_classical, iter_matches, relevant_vars
+from .semantics import builtin_classical, iter_matches, relevant_vars, scan
 from .views import is_admissible
 
 DEFAULT_ORACLE_CELL_BOUND = 16
@@ -113,7 +113,7 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
         relevant = relevant_vars(view)
         head = {v.name for v in view.head}
         head_relevant = bool(head & relevant)
-        for env, rows in iter_matches(instance.rows, view.body):
+        for env, rows in iter_matches(scan(instance), view.body):
             if any(env[name].is_null for name in relevant):
                 continue
             if not all(builtin_classical(b, env) for b in view.phi):

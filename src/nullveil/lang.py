@@ -157,7 +157,13 @@ def tokenize(text: str) -> list[_Token]:
             if j >= n:
                 raise ParseError("unterminated string", line, col)
             tokens.append(_Token("str", "".join(chunks), line, col))
-            col += j + 1 - i
+            literal = text[i:j + 1]
+            newlines = literal.count("\n")
+            if newlines:
+                line += newlines
+                col = len(literal) - literal.rindex("\n")
+            else:
+                col += len(literal)
             i = j + 1
             continue
         # isdecimal, not isdigit: int() rejects digits such as '²'

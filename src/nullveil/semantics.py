@@ -17,7 +17,9 @@ compare terms against the null constant with `=` or `!=`.
 
 `iter_matches` is the package's one body-matching engine: both
 evaluations, the admissibility sentence, the candidate-cell search and
-the grounder in `solver` bind conjunctive bodies through it.
+the grounder in `solver` bind conjunctive bodies through it.  Over
+instances every atom scans its relation; the grounder's row source
+probes a hash index instead.
 `intersect_answers` is the one intersection of answer sets over a family
 of worlds, shared by secret and cautious answers.
 
@@ -126,43 +128,60 @@ def negate_builtin(b: BuiltinAtom) -> BuiltinAtom:
     return BuiltinAtom(_NEGATION[b.op], b.args)
 
 
-RowSource = Callable[[str], Iterable[Row]]
+RowSource = Callable[[Atom, Assignment], Iterable[Row]]
 
 
-def iter_matches(rows_of: RowSource,
-                 atoms: tuple[Atom, ...]) -> Iterator[tuple[Assignment, tuple[Row, ...]]]:
+def scan(instance: Instance) -> RowSource:
+    """Row source over an instance: every row of the atom's relation.
+    Evaluation over instances keeps no index, so every atom scans."""
+    return lambda atom, env: instance.rows(atom.pred)
+
+
+def iter_matches(rows_of: RowSource, atoms: tuple[Atom, ...],
+                 first: Iterable[Row] | None = None
+                 ) -> Iterator[tuple[Assignment, tuple[Row, ...]]]:
     """Enumerate assignments satisfying the atom list syntactically.
 
     This is the one routine that binds a conjunctive body to rows: query
-    and view evaluation pass `Instance.rows`, the grounder passes its
-    store of possibly derivable atoms.  `rows_of(relation)` gives the
-    rows an atom over that relation may match.  Yields (assignment,
-    rows) where rows are the rows matched by each atom in order.  Null
-    matches only the null constant, exactly like any other constant.
+    and view evaluation scan instances (`scan`), the grounder probes its
+    indexed store of possibly derivable atoms.  `rows_of(atom, env)` is
+    told the atom being matched and the bindings made so far, and gives
+    the rows that atom may match; it may give more rows than match,
+    since every row is checked against every term here.  `first`, when
+    given, replaces `rows_of` for `atoms[0]`: the grounder seeds a rule's
+    new atom with the rows derived in the last round.  Yields
+    (assignment, rows) where rows are the rows matched by each atom in
+    order.  Null matches only the null constant, exactly like any other
+    constant.
     """
-    def extend(i: int, env: Assignment, matched: tuple):
-        if i == len(atoms):
-            yield env, matched
-            return
-        atom = atoms[i]
-        for row in rows_of(atom.pred):
-            bound = env
-            for term, value in zip(atom.args, row.values):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        break
-                else:
-                    existing = bound.get(term.name)
-                    if existing is None:
-                        if bound is env:
-                            bound = dict(env)
-                        bound[term.name] = value
-                    elif existing != value:
-                        break
-            else:
-                yield from extend(i + 1, bound, matched + (row,))
+    return _extend(rows_of, atoms, 0, {}, (), first)
 
-    return extend(0, {}, ())
+
+def _extend(rows_of: RowSource, atoms: tuple[Atom, ...], i: int, env: Assignment,
+            matched: tuple, rows: Iterable[Row] | None = None):
+    # A module-level generator, not a closure that calls itself: such a
+    # closure is a reference cycle that keeps the row source alive until
+    # the cyclic garbage collector runs.
+    if i == len(atoms):
+        yield env, matched
+        return
+    atom = atoms[i]
+    for row in rows_of(atom, env) if rows is None else rows:
+        bound = env
+        for term, value in zip(atom.args, row.values):
+            if isinstance(term, Const):
+                if term.value != value:
+                    break
+            else:
+                existing = bound.get(term.name)
+                if existing is None:
+                    if bound is env:
+                        bound = dict(env)
+                    bound[term.name] = value
+                elif existing != value:
+                    break
+        else:
+            yield from _extend(rows_of, atoms, i + 1, bound, matched + (row,))
 
 
 def intersect_answers(answer_sets: Iterable[AnswerSet]) -> AnswerSet:
@@ -183,7 +202,7 @@ def _project(query: Query, env: Assignment) -> tuple[Value, ...]:
 def eval_classical(instance: Instance, query: Query) -> AnswerSet:
     """Standard conjunctive-query evaluation, null as ordinary constant."""
     answers = set()
-    for env, _ in iter_matches(instance.rows, query.body):
+    for env, _ in iter_matches(scan(instance), query.body):
         if all(builtin_classical(b, env) for b in query.builtins):
             answers.add(_project(query, env))
     return frozenset(answers)
@@ -194,7 +213,7 @@ def eval_n(instance: Instance, query: Query) -> AnswerSet:
     bind null, and built-ins follow the null-rejecting semantics."""
     relevant = relevant_vars(query)
     answers = set()
-    for env, _ in iter_matches(instance.rows, query.body):
+    for env, _ in iter_matches(scan(instance), query.body):
         if any(env[name].is_null for name in relevant):
             continue
         if all(builtin_n(b, env) for b in query.builtins):

@@ -11,6 +11,26 @@ instances, so grounding a rule is evaluating its body as a conjunctive
 query.  Null is an ordinary constant here; order comparisons that
 involve null or unordered values simply fail.
 
+Grounding is semi-naive (Bancilhon & Ramakrishnan 1986).  It runs in
+rounds, and each round reads a snapshot: the possible atoms as they
+stood when it began.  The atoms a round derives are added when it ends
+and are the next round's delta.  Rules without positive body atoms are
+grounded once, in the first round.  Every other rule is matched once per
+positive body atom whose predicate gained atoms in the last round: that
+atom is matched first, against the delta only, and the others against
+the whole snapshot, so every instance found has at least one new atom
+and none over the older atoms is found again.  An instance with several
+new atoms is found once per new atom, and a set of the instances kept
+drops the repeats.  Grounding ends after a round that derives nothing.
+
+The snapshot keeps its atoms numbered per predicate in the order they
+were derived, and a hash index from (predicate, position, value) to the
+atoms holding that value there.  An atom with a constant or an already
+bound variable reads the shortest such index entry instead of scanning
+its predicate, so joining on a bound column costs the matching atoms,
+not all of them.  A column is indexed the first time a rule probes it,
+and kept up to date from then on; columns no rule binds cost nothing.
+
 Model search maps the ground atoms to the integers 1..n once, in
 canonical order; search, propagation and the leaf check work on these
 ints, and ground atoms are rebuilt only for the returned models.  The
@@ -51,13 +71,12 @@ from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, SemanticError, UnsupportedRuleError
 from .lang import Atom, BuiltinAtom, Var
-from .model import Row
+from .model import Row, Value
 from .semantics import builtin_classical, iter_matches
 
 DEFAULT_SEARCH_BOUND = 1 << 20
 
 GAtom = tuple  # (pred, tuple[Value, ...])
-StableModel = frozenset  # of GAtom
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +171,59 @@ def _ground_rule_key(gr: GroundRule) -> tuple:
             tuple(map(_gatom_key, gr.neg)))
 
 
+class _Store:
+    """The possible atoms, numbered per predicate in the order they were
+    derived, and the index of each column a rule has probed.  It is the
+    snapshot a round reads: the atoms a round derives are held back until
+    it ends."""
+
+    def __init__(self):
+        self.rows: dict[str, list[Row]] = {}
+        # (predicate, position) -> value -> the atoms with it, in order
+        self.columns: dict[tuple, dict[Value, list[Row]]] = {}
+        self.possible: set[GAtom] = set()
+        self.derived: list[GAtom] = []  # this round's, not yet in the store
+
+    def derive(self, gatom: GAtom) -> None:
+        if gatom not in self.possible:
+            self.possible.add(gatom)
+            self.derived.append(gatom)
+
+    def end_round(self) -> dict[str, list[Row]]:
+        """Add this round's atoms; returns them per predicate, the delta."""
+        delta: dict[str, list[Row]] = {}
+        for pred, values in self.derived:
+            rows = self.rows.setdefault(pred, [])
+            row = Row(len(rows) + 1, values)
+            rows.append(row)
+            delta.setdefault(pred, []).append(row)
+            for pos, value in enumerate(values):
+                column = self.columns.get((pred, pos))
+                if column is not None:
+                    column.setdefault(value, []).append(row)
+        self.derived = []
+        return delta
+
+    def rows_of(self, atom: Atom, env: dict) -> list[Row]:
+        """Row source for `iter_matches`: the shortest index entry over
+        the atom's constants and bound variables, else every atom of its
+        predicate.  A column is indexed the first time it is probed."""
+        best = self.rows.get(atom.pred, [])
+        for pos, term in enumerate(atom.args):
+            value = env.get(term.name) if isinstance(term, Var) else term.value
+            if value is None:
+                continue
+            column = self.columns.get((atom.pred, pos))
+            if column is None:
+                column = self.columns[atom.pred, pos] = {}
+                for row in self.rows.get(atom.pred, []):
+                    column.setdefault(row.values[pos], []).append(row)
+            hits = column.get(value, [])
+            if len(hits) < len(best):
+                best = hits
+        return best
+
+
 def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule]:
     """Instantiate `rules` over the possibly-derivable atoms.
 
@@ -163,38 +235,45 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
     for r in rules:
         _check_safety(r)
     parts = [(r.head, r.pos_atoms(), r.neg_atoms(), r.builtins()) for r in rules]
-    by_pred: dict[str, list[Row]] = {}  # possible atoms, numbered per predicate
-    possible: set[GAtom] = set()
+    store = _Store()
     seen: set[GroundRule] = set()
     out: list[GroundRule] = []
+    rounds = 1
 
-    def rows_of(pred: str) -> list[Row]:
-        return by_pred.get(pred, [])
+    def instantiate(head, pos, neg, builtins, k: int, matches) -> None:
+        """Ground rules of the matches of `pos` with atom k matched first."""
+        for env, matched in matches:
+            if not all(_builtin_holds(b, env) for b in builtins):
+                continue
+            rows = matched[1:k + 1] + matched[:1] + matched[k + 1:]
+            gr = GroundRule(tuple(_ground_atom(a, env) for a in head),
+                            tuple((a.pred, row.values) for a, row in zip(pos, rows)),
+                            tuple(_ground_atom(a, env) for a in neg))
+            known = len(seen)
+            seen.add(gr)  # one hash per instance, not two
+            if len(seen) == known:
+                continue
+            out.append(gr)
+            if len(out) > max_rules:
+                raise BoundExceededError(
+                    f"grounding exceeded its bound of {max_rules} ground rules "
+                    f"({rounds} rounds, {len(store.possible)} possible atoms so far)")
+            for h in gr.head:
+                store.derive(h)
 
-    changed = True
-    while changed:
-        changed = False
+    for head, pos, neg, builtins in parts:
+        if not pos:
+            instantiate(head, pos, neg, builtins, 0, iter_matches(store.rows_of, ()))
+    delta = store.end_round()
+    while delta:
+        rounds += 1
         for head, pos, neg, builtins in parts:
-            for env, matched in iter_matches(rows_of, pos):
-                if not all(_builtin_holds(b, env) for b in builtins):
-                    continue
-                gr = GroundRule(
-                    tuple(_ground_atom(a, env) for a in head),
-                    tuple((a.pred, row.values) for a, row in zip(pos, matched)),
-                    tuple(_ground_atom(a, env) for a in neg))
-                if gr in seen:
-                    continue
-                seen.add(gr)
-                out.append(gr)
-                if len(out) > max_rules:
-                    raise BoundExceededError(
-                        f"ground program exceeds {max_rules} rules")
-                for h in gr.head:
-                    if h not in possible:
-                        possible.add(h)
-                        store = by_pred.setdefault(h[0], [])
-                        store.append(Row(len(store) + 1, h[1]))
-                        changed = True
+            for k, atom in enumerate(pos):
+                if atom.pred in delta:
+                    order = (atom,) + pos[:k] + pos[k + 1:]
+                    instantiate(head, pos, neg, builtins, k,
+                                iter_matches(store.rows_of, order, first=delta[atom.pred]))
+        delta = store.end_round()
     out.sort(key=_ground_rule_key)
     return out
 
@@ -216,7 +295,7 @@ class _Enumerator:
 
     stage = "reduct-minimality check"
 
-    def __init__(self, nvars: int, clauses: list[list[int]], max_nodes: int):
+    def __init__(self, nvars: int, clauses: list, max_nodes: int):
         self.nvars = nvars
         self.unsat = any(not c for c in clauses)
         self.clauses = [c for c in clauses if c]
@@ -225,6 +304,8 @@ class _Enumerator:
         for idx, clause in enumerate(self.clauses):
             for lit in clause:
                 (self.occ_pos if lit > 0 else self.occ_neg)[abs(lit)].append(idx)
+        for occ in (self.occ_pos, self.occ_neg):
+            occ[:] = map(tuple, occ)  # read-only from here on; tuples are smaller
         self.sat_count = [0] * len(self.clauses)
         self.unassigned = [len(c) for c in self.clauses]
         self.assign = [_UNDEF] * (nvars + 1)
@@ -382,18 +463,20 @@ class _StableSearch(_Enumerator):
     stage = "stable-model search"
 
     def __init__(self, natoms: int, rules: list[tuple], max_nodes: int):
-        clauses: list[list[int]] = []
+        clauses: list[tuple[int, ...]] = []
         supports: list[list[int]] = [[] for _ in range(natoms + 1)]
+        # negative literals, one int object each, shared by all the clauses
+        minus = [-v for v in range(natoms + len(rules) + 1)]
         for r, (head, pos, neg) in enumerate(rules):
             body = natoms + 1 + r
-            clauses += ([-body, p] for p in pos)
-            clauses += ([-body, -n] for n in neg)
-            clauses.append([body] + [-p for p in pos] + list(neg))
-            clauses.append([-body] + list(head))
+            clauses += ((minus[body], p) for p in pos)
+            clauses += ((minus[body], minus[n]) for n in neg)
+            clauses.append((body, *(minus[p] for p in pos), *neg))
+            clauses.append((minus[body], *head))
             for h in head:
                 supports[h].append(body)
         # true atoms need support
-        clauses += ([-a] + supports[a] for a in range(1, natoms + 1))
+        clauses += ((minus[a], *supports[a]) for a in range(1, natoms + 1))
         super().__init__(natoms + len(rules), clauses, max_nodes)
         self.natoms = natoms
         self.rules = rules
@@ -414,6 +497,8 @@ class _StableSearch(_Enumerator):
                     self.blocked_by[b].append((r, a))
             for p in pos:
                 self.pos_occ[p].append(r)
+        for occ in (self.head_occ, self.pos_occ, self.blocked_by):
+            occ[:] = map(tuple, occ)  # read-only from here on; tuples are smaller
         self.source = [-1] * (natoms + 1)
         self.stale = list(range(1, natoms + 1))  # nothing is founded yet
         self.checked = 0  # trail prefix already reflected in the sources

@@ -26,7 +26,7 @@ from .errors import CrossCheckError
 from .lang import Atom, Const, Var, ViewDef, view_as_query
 from .model import Instance, NULL
 from .semantics import (builtin_classical, eval_n, iter_matches, negate_builtin,
-                        relevant_vars)
+                        relevant_vars, scan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +84,7 @@ def null_view_sentence_holds(instance: Instance, view: ViewDef) -> bool:
     relevant = relevant_vars(view)
     head = tuple(v.name for v in view.head)
     negated = [negate_builtin(b) for b in view.phi]
-    for env, _ in iter_matches(instance.rows, view.body):
+    for env, _ in iter_matches(scan(instance), view.body):
         if any(env[name].is_null for name in relevant):
             continue
         if all(env[name].is_null for name in head):

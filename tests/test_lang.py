@@ -52,6 +52,14 @@ def test_parse_facts_null_and_errors():
         parse_facts("R(a, 1).", schema)  # int in a sym column
 
 
+def test_positions_after_a_multi_line_string():
+    schema = parse_schema("relation P(A:str).")
+    with pytest.raises(ParseError, match="^3:1: unknown relation Q"):
+        parse_facts('P("a\nb").\nQ(1).', schema)
+    with pytest.raises(ParseError, match="^2:7: unknown relation Q"):
+        parse_facts('P("a\nbc"). Q(1).', schema)
+
+
 def test_digits_int_cannot_read_are_parse_errors():
     schema = parse_schema("relation P(A:int).")
     with pytest.raises(ParseError, match="unexpected character '²'"):

@@ -5,7 +5,11 @@ import pytest
 
 from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, NULL,
                       UnsupportedRuleError, Value, Var)
-from nullveil.solver import GroundRule, Literal, Rule, fact, ground, stable_models
+from nullveil.asp import compile_program, compile_query_program
+from nullveil.solver import (GroundRule, Literal, Rule, _builtin_holds, _ground_rule_key,
+                             fact, ground, stable_models)
+
+from randgen import rand_case, rand_query
 
 
 def gatom(pred, *ints):
@@ -226,7 +230,6 @@ def test_grounding_a_query_rule_is_classical_evaluation_randomized():
     grounding `ans(out) :- body, builtins` over the instance's facts must
     give exactly the classical answers."""
     from nullveil import SemanticError, eval_classical
-    from randgen import rand_case, rand_query
 
     rng = random.Random(83)
     compared = nonempty = 0
@@ -246,3 +249,82 @@ def test_grounding_a_query_rule_is_classical_evaluation_randomized():
         compared += 1
         nonempty += bool(expected)
     assert compared >= 250 and nonempty >= 60
+
+
+# --------------------------------------------------------------------------
+# naive-fixpoint oracle for the grounder
+
+def _unify(atom: Atom, gatom, env: dict) -> bool:
+    return all(t.value == v if isinstance(t, Const) else env.setdefault(t.name, v) == v
+               for t, v in zip(atom.args, gatom[1]))
+
+
+def _instance(atoms, env: dict) -> tuple:
+    return tuple((a.pred, tuple(t.value if isinstance(t, Const) else env[t.name]
+                                for t in a.args)) for a in atoms)
+
+
+def oracle_ground(rules) -> list:
+    """Join every rule with every tuple of possible atoms, by plain
+    unification, until a pass adds no possible atom."""
+    possible, out = set(), set()
+    while True:
+        for r in rules:
+            pos = r.pos_atoms()
+            for atoms in itertools.product(*([g for g in possible if g[0] == a.pred]
+                                              for a in pos)):
+                env: dict = {}
+                if (all(_unify(a, g, env) for a, g in zip(pos, atoms))
+                        and all(_builtin_holds(b, env) for b in r.builtins())):
+                    out.add(GroundRule(_instance(r.head, env), _instance(pos, env),
+                                       _instance(r.neg_atoms(), env)))
+        heads = {h for gr in out for h in gr.head}
+        if heads <= possible:
+            return sorted(out, key=_ground_rule_key)
+        possible |= heads
+
+
+def _path_rules(edges, doubling: bool) -> list:
+    """Transitive closure; `doubling` adds a rule with two `path` atoms."""
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    rules = [fact(Atom("edge", (Const(Value.of_int(a)), Const(Value.of_int(b)))))
+             for a, b in edges]
+    rules += [Rule((Atom("path", (x, y)),), (Literal(Atom("edge", (x, y))),)),
+              Rule((Atom("path", (x, z)),), (Literal(Atom("path", (x, y))),
+                                             Literal(Atom("edge", (y, z)))))]
+    if doubling:
+        rules.append(Rule((Atom("path", (x, z)),), (Literal(Atom("path", (x, y))),
+                                                    Literal(Atom("path", (y, z))))))
+    return rules
+
+
+CHAIN = [(i, i + 1) for i in range(30)]
+CYCLE = [(i, (i + 1) % 5) for i in range(5)]
+
+
+@pytest.mark.parametrize("rules, paths", [
+    (_path_rules(CHAIN, doubling=False), 31 * 30 // 2),
+    (_path_rules(CHAIN[:12], doubling=True), 13 * 12 // 2),
+    (_path_rules(CYCLE, doubling=True), 25),
+])
+def test_grounding_recursive_programs_matches_naive_fixpoint(rules, paths):
+    grounded = ground(rules)
+    assert grounded == oracle_ground(rules)
+    assert len({h for gr in grounded for h in gr.head if h[0] == "path"}) == paths
+
+
+def test_grounding_secrecy_programs_matches_naive_fixpoint():
+    rng = random.Random(97)
+    for i in range(400):
+        schema, instance, views = rand_case(rng, max_tuples=3, lp_safe=bool(i % 2),
+                                            self_joins=bool(i // 2 % 2))
+        rules = (compile_program(instance, views).rules
+                 + (compile_query_program(rand_query(rng, schema)),))
+        assert ground(rules) == oracle_ground(rules), (instance, views)
+
+
+def test_grounding_bound_names_stage_and_progress():
+    with pytest.raises(BoundExceededError) as exc:
+        ground(_path_rules(CHAIN, doubling=False), max_rules=100)
+    assert str(exc.value) == ("grounding exceeded its bound of 100 ground rules "
+                              "(4 rounds, 100 possible atoms so far)")
