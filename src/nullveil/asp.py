@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import DialectError, SemanticError, UnsupportedRuleError
-from .lang import (Atom, BuiltinAtom, COMPARISONS, Const, Query, UNARY_BUILTINS,
-                   Var, ViewDef, _Parser)
+from .lang import Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef, _Parser
 from .model import Instance, NULL, Row, Schema, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
 from .solver import DEFAULT_SEARCH_BOUND, GAtom, Literal, Rule, ground, stable_models
@@ -59,11 +58,9 @@ ANS_PRED = "ans"
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedProgram:
-    """The compiled program plus what it was compiled from."""
+    """The compiled secrecy program: its rules in compilation order."""
 
     rules: tuple[Rule, ...]
-    base: Instance
-    views: tuple[ViewDef, ...]
 
 
 def _ann(pred: str, annotation: Annotation) -> str:
@@ -104,7 +101,6 @@ def _check_reserved_names(schema: Schema) -> None:
 
 def compile_program(instance: Instance, views) -> AnnotatedProgram:
     """Build the secrecy program for `instance` and the view set."""
-    views = tuple(views)
     _check_reserved_names(instance.schema)
     rules: list[Rule] = []
 
@@ -119,7 +115,7 @@ def compile_program(instance: Instance, views) -> AnnotatedProgram:
 
     for rel in instance.schema.relations:
         rules.extend(_version_rules(rel.name.lower(), rel.arity))
-    return AnnotatedProgram(tuple(rules), instance, views)
+    return AnnotatedProgram(tuple(rules))
 
 
 def _version_rules(low: str, arity: int) -> list[Rule]:
@@ -337,23 +333,11 @@ def _parse_program_atom(parser: _Parser) -> Atom:
 
 
 def _parse_body_item(parser: _Parser):
-    tok = parser.peek()
-    if tok.text == "not":
+    if parser.peek().text == "not":
         parser.next()
         return Literal(_parse_program_atom(parser), negated=True)
-    if tok.kind == "lower" and tok.text in UNARY_BUILTINS:
-        parser.next()
-        args = parser.parse_term_list()
-        return BuiltinAtom(tok.text, args)
-    if tok.kind in ("lower", "upper") and parser.peek(1).text == "(":
-        return Literal(_parse_program_atom(parser))
-    left = parser.parse_term()
-    op_tok = parser.next()
-    op = "!=" if op_tok.text == "<>" else op_tok.text
-    if op not in COMPARISONS:
-        raise SemanticError(f"expected comparison, found {op_tok.text!r}")
-    right = parser.parse_term()
-    return BuiltinAtom(op, (left, right))
+    item = parser.parse_body_item()
+    return Literal(item) if isinstance(item, Atom) else item
 
 
 def parse_answer_sets(text: str) -> list[frozenset]:

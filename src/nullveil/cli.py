@@ -37,7 +37,7 @@ from . import asp
 from .answers import secret_answers
 from .errors import (BoundExceededError, CrossCheckError, NullveilError,
                      ParseError, SemanticError)
-from .instances import (DEFAULT_CELL_BOUND, EnumerationMode,
+from .instances import (DEFAULT_CELL_BOUND, EnumerationMode, candidate_cells,
                         enumerate_secrecy_instances)
 from .lang import fact_lines, parse_facts, parse_query, parse_schema, parse_views
 from .model import Instance, sorted_cells
@@ -124,18 +124,18 @@ def cmd_instances(args) -> int:
     mode = EnumerationMode(args.mode)
     solutions = enumerate_secrecy_instances(instance, views, mode,
                                             max_cells=args.max_cells)
-    targeted_changes = None
+    # the targeted options are the exhaustive ones inside the targeted
+    # pool, so the targeted instances are the ones whose changes lie there
+    pool = None
     if mode is EnumerationMode.EXHAUSTIVE:
-        targeted = enumerate_secrecy_instances(instance, views, EnumerationMode.TARGETED,
-                                            max_cells=args.max_cells)
-        targeted_changes = {s.changes for s in targeted}
+        pool = candidate_cells(instance, views, EnumerationMode.TARGETED)
     items = []
     lines = []
     for i, solution in enumerate(solutions, 1):
-        extra = targeted_changes is not None and solution.changes not in targeted_changes
+        extra = pool is not None and not solution.changes <= pool
         item = {"changes": _changes_json(solution.changes),
                 "facts": _instance_json(solution.instance)}
-        if targeted_changes is not None:
+        if pool is not None:
             item["exhaustive_only"] = extra
         items.append(item)
         flag = "  [exhaustive-only]" if extra else ""

@@ -267,33 +267,35 @@ class _Parser:
             out.append(term)
         return tuple(out)
 
+    def parse_body_item(self) -> Atom | BuiltinAtom:
+        """One body item: a unary null check, a database atom or a
+        comparison."""
+        tok = self.peek()
+        if tok.kind == "lower" and tok.text.lower() in UNARY_BUILTINS:
+            op = self.next().text.lower()
+            args = self.parse_term_list()
+            if len(args) != 1:
+                raise ParseError(f"{op} takes one argument", tok.line, tok.col)
+            return BuiltinAtom(op, args)
+        if tok.kind in ("lower", "upper") and self.peek(1).text == "(":
+            return Atom(self.next().text, self.parse_term_list())
+        left = self.parse_term()
+        op_tok = self.next()
+        op = "!=" if op_tok.text == "<>" else op_tok.text
+        if op not in COMPARISONS:
+            raise ParseError(f"expected comparison, found {op_tok.text!r}",
+                             op_tok.line, op_tok.col)
+        return BuiltinAtom(op, (left, self.parse_term()))
+
     def parse_body(self) -> tuple[tuple[Atom, ...], tuple[BuiltinAtom, ...]]:
         atoms: list[Atom] = []
         builtins: list[BuiltinAtom] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "lower" and tok.text.lower() in UNARY_BUILTINS:
-                op = self.next().text.lower()
-                args = self.parse_term_list()
-                if len(args) != 1:
-                    raise ParseError(f"{op} takes one argument", tok.line, tok.col)
-                builtins.append(BuiltinAtom(op, args))
-            elif tok.kind in ("lower", "upper") and self.peek(1).text == "(":
-                name = self.next().text
-                atoms.append(Atom(name, self.parse_term_list()))
-            else:
-                left = self.parse_term()
-                op_tok = self.next()
-                op = "!=" if op_tok.text == "<>" else op_tok.text
-                if op not in COMPARISONS:
-                    raise ParseError(f"expected comparison, found {op_tok.text!r}",
-                                     op_tok.line, op_tok.col)
-                right = self.parse_term()
-                builtins.append(BuiltinAtom(op, (left, right)))
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
+            item = self.parse_body_item()
+            (atoms if isinstance(item, Atom) else builtins).append(item)
+            if self.peek().text != ",":
+                break
+            self.next()
         return tuple(atoms), tuple(builtins)
 
 

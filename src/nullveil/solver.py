@@ -20,8 +20,10 @@ positive body atom whose predicate gained atoms in the last round: that
 atom is matched first, against the delta only, and the others against
 the whole snapshot, so every instance found has at least one new atom
 and none over the older atoms is found again.  An instance with several
-new atoms is found once per new atom, and a set of the instances kept
-drops the repeats.  Grounding ends after a round that derives nothing.
+new atoms is found once per new atom, and the instances kept so far
+drop the repeats.  Grounding ends after a round that derives nothing.
+The ground rules come out in derivation order, which does not depend on
+the hash seed; model search fixes its own canonical order of the atoms.
 
 The snapshot keeps its atoms numbered per predicate in the order they
 were derived, and a hash index from (predicate, position, value) to the
@@ -165,12 +167,6 @@ def _gatom_key(gatom: GAtom) -> tuple:
     return (gatom[0], tuple(v.sort_key() for v in gatom[1]))
 
 
-def _ground_rule_key(gr: GroundRule) -> tuple:
-    return (tuple(map(_gatom_key, gr.head)),
-            tuple(map(_gatom_key, gr.pos)),
-            tuple(map(_gatom_key, gr.neg)))
-
-
 class _Store:
     """The possible atoms, numbered per predicate in the order they were
     derived, and the index of each column a rule has probed.  It is the
@@ -229,15 +225,14 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
 
     Saturates: an atom is possibly derivable when it heads a rule all of
     whose positive body atoms are; negation does not gate possibility.
-    Output is canonically sorted and duplicate-free.
+    Output is duplicate-free, in derivation order.
     """
     rules = list(rules)
     for r in rules:
         _check_safety(r)
     parts = [(r.head, r.pos_atoms(), r.neg_atoms(), r.builtins()) for r in rules]
     store = _Store()
-    seen: set[GroundRule] = set()
-    out: list[GroundRule] = []
+    out: dict[GroundRule, None] = {}  # insertion-ordered, drops repeats
     rounds = 1
 
     def instantiate(head, pos, neg, builtins, k: int, matches) -> None:
@@ -249,11 +244,10 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
             gr = GroundRule(tuple(_ground_atom(a, env) for a in head),
                             tuple((a.pred, row.values) for a, row in zip(pos, rows)),
                             tuple(_ground_atom(a, env) for a in neg))
-            known = len(seen)
-            seen.add(gr)  # one hash per instance, not two
-            if len(seen) == known:
+            known = len(out)
+            out[gr] = None  # one hash per instance, not two
+            if len(out) == known:
                 continue
-            out.append(gr)
             if len(out) > max_rules:
                 raise BoundExceededError(
                     f"grounding exceeded its bound of {max_rules} ground rules "
@@ -274,8 +268,7 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
                     instantiate(head, pos, neg, builtins, k,
                                 iter_matches(store.rows_of, order, first=delta[atom.pred]))
         delta = store.end_round()
-    out.sort(key=_ground_rule_key)
-    return out
+    return list(out)
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +587,9 @@ def _interned(ids: dict, atoms: tuple) -> tuple[int, ...]:
 def stable_models(ground_rules: list[GroundRule],
                   max_nodes: int = DEFAULT_SEARCH_BOUND) -> list[frozenset]:
     """All stable models of the ground program: models that are minimal
-    models of their own reduct.  Deterministic canonical output order."""
+    models of their own reduct.  Deterministic canonical output order;
+    the atoms are numbered in canonical order here, so neither the models
+    nor a bound's message depend on the order of `ground_rules`."""
     atoms = sorted({h for gr in ground_rules for h in gr.head}, key=_gatom_key)
     atom_id = {a: i for i, a in enumerate(atoms, 1)}
     rules = []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nullveil import (DialectError, NULL, UnsupportedRuleError, Value,
+from nullveil import (DialectError, NULL, ParseError, UnsupportedRuleError, Value,
                       parse_facts, parse_query, parse_schema, parse_view)
 from nullveil.answers import secret_answers
 from nullveil.asp import (cautious_answers, compile_program,
@@ -168,6 +168,11 @@ def test_exported_text_round_trips():
     for dialect in ("dlv", "clingo"):
         parsed = parse_program_text(export_program(program, dialect))
         assert tuple(parsed) == program.rules
+
+
+def test_program_text_with_a_bad_comparison_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^2:17: expected comparison, found '\|'"):
+        parse_program_text("p(1).\nq(X) :- p(X), X | 1.")
 
 
 def test_reserved_predicate_names_are_rejected():
@@ -340,6 +345,22 @@ def test_asp_route_matches_enumeration_on_self_joins_randomized():
         assert set(models_to_instances(models, instance)) == \
             {s.instance for s in expected}, (instance, [v.token() for v in views])
     assert self_joined >= 100
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a stable model keeps two updates of p#1, each nulling a "
+                          "value the other keeps, so every version of p#1 is "
+                          "overwritten and the cautious answers come out empty")
+def test_routes_agree_when_two_updates_of_one_tuple_overwrite_each_other():
+    schema = parse_schema("relation p(c1:int, c2:int, c3:int).")
+    d = parse_facts("@1 p(1, 1, 1).", schema)
+    views = [parse_view(text, schema) for text in (
+        "v0(V2) :- p(V1, V2, V2), p(V2, V2, V3), V1 = V3, V2 != V1.",
+        "v1(V2) :- p(V1, V2, V1), V1 > V2, V2 < V1.",
+        "v2(V4, V2) :- p(V1, V2, V1), p(V1, V3, V4).")]
+    query = parse_query("?(B) :- p(A,B,C).", schema)
+    assert cautious_answers(d, views, query) == \
+        secret_answers(d, views, query).answers == {(Value.of_int(1),)}
 
 
 def test_readback_of_1100_rows_returns_the_instance():

@@ -88,13 +88,21 @@ def test_cmd_instances_text_indents_tuples_not_string_lines(files, capsys):
     assert out == 'instance 1: changes {}\n  @1 P("a\nb").\n  @2 P("c\u2028d").\n'
 
 
-def test_cmd_instances_exhaustive_flags_extra_solutions(files, capsys):
+def test_cmd_instances_exhaustive_flags_extra_solutions(files, capsys, monkeypatch):
     schema = files("s.nv", "relation P(A:int, B:int).")
     facts = files("f.nv", "P(1,2).")
     views = files("v.nv", "Vs(X) :- P(X,2).")
+    modes = []
+    enumerate_instances = cli_module.enumerate_secrecy_instances
+
+    def counting(instance, views, mode, **kwargs):
+        modes.append(mode)
+        return enumerate_instances(instance, views, mode, **kwargs)
+    monkeypatch.setattr(cli_module, "enumerate_secrecy_instances", counting)
     code, out, _ = run(capsys, "instances", "--schema", schema, "--facts", facts,
                        "--views", views, "--mode", "exhaustive", "--format", "json")
     assert code == 0
+    assert [m.value for m in modes] == ["exhaustive"]  # one search, not one per mode
     payload = json.loads(out)
     flags = {tuple((c["relation"], c["tid"], c["pos"]) for c in item["changes"]):
              item["exhaustive_only"] for item in payload["instances"]}

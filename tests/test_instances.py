@@ -186,6 +186,10 @@ def test_cover_search_matches_subset_sweep_randomized():
                            enumerate_secrecy_instances(instance, views, mode)]
             assert found[mode] == sorted(swept, key=sorted_cells), \
                 (mode, instance, [v.token() for v in views])
+        # the targeted instances are the exhaustive ones inside the targeted pool
+        targeted_pool = candidate_cells(instance, views, EnumerationMode.TARGETED)
+        assert found[EnumerationMode.TARGETED] == [
+            c for c in found[EnumerationMode.EXHAUSTIVE] if c <= targeted_pool]
         several += len(found[EnumerationMode.TARGETED]) > 1
         modes_differ += found[EnumerationMode.TARGETED] != found[EnumerationMode.EXHAUSTIVE]
     # 241 cases with a body constant, 54 with several secrecy instances,

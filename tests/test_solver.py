@@ -6,8 +6,8 @@ import pytest
 from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, NULL,
                       UnsupportedRuleError, Value, Var)
 from nullveil.asp import compile_program, compile_query_program
-from nullveil.solver import (GroundRule, Literal, Rule, _builtin_holds, _ground_rule_key,
-                             fact, ground, stable_models)
+from nullveil.solver import (GroundRule, Literal, Rule, _builtin_holds, fact, ground,
+                             stable_models)
 
 from randgen import rand_case, rand_query
 
@@ -225,6 +225,21 @@ def test_stable_models_match_brute_force_oracle():
     assert head_cycles >= 300  # the minimality-checked leaves are covered
 
 
+def test_stable_models_do_not_depend_on_rule_order():
+    """`ground` returns rules in derivation order; the search numbers the
+    atoms by its own sort, so models and bound messages ignore rule order."""
+    rng = random.Random(67)
+    for _ in range(1000):
+        rules = _rand_ground_program(rng)
+        assert stable_models(rng.sample(rules, len(rules))) == stable_models(rules), rules
+    rules = ground([Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(1100)])
+    rng.shuffle(rules)
+    with pytest.raises(BoundExceededError) as exc:
+        stable_models(rules, max_nodes=1200)
+    assert str(exc.value) == ("stable-model search exceeded its bound of 1200 nodes "
+                              "(1200 nodes visited, 52 models found so far)")
+
+
 def test_grounding_a_query_rule_is_classical_evaluation_randomized():
     """`ground` and `eval_classical` bind bodies through the same engine:
     grounding `ans(out) :- body, builtins` over the instance's facts must
@@ -264,7 +279,7 @@ def _instance(atoms, env: dict) -> tuple:
                                 for t in a.args)) for a in atoms)
 
 
-def oracle_ground(rules) -> list:
+def oracle_ground(rules) -> set:
     """Join every rule with every tuple of possible atoms, by plain
     unification, until a pass adds no possible atom."""
     possible, out = set(), set()
@@ -280,7 +295,7 @@ def oracle_ground(rules) -> list:
                                        _instance(r.neg_atoms(), env)))
         heads = {h for gr in out for h in gr.head}
         if heads <= possible:
-            return sorted(out, key=_ground_rule_key)
+            return out
         possible |= heads
 
 
@@ -309,7 +324,8 @@ CYCLE = [(i, (i + 1) % 5) for i in range(5)]
 ])
 def test_grounding_recursive_programs_matches_naive_fixpoint(rules, paths):
     grounded = ground(rules)
-    assert grounded == oracle_ground(rules)
+    assert len(grounded) == len(set(grounded))
+    assert set(grounded) == oracle_ground(rules)
     assert len({h for gr in grounded for h in gr.head if h[0] == "path"}) == paths
 
 
@@ -320,7 +336,9 @@ def test_grounding_secrecy_programs_matches_naive_fixpoint():
                                             self_joins=bool(i // 2 % 2))
         rules = (compile_program(instance, views).rules
                  + (compile_query_program(rand_query(rng, schema)),))
-        assert ground(rules) == oracle_ground(rules), (instance, views)
+        grounded = ground(rules)
+        assert len(grounded) == len(set(grounded)), (instance, views)
+        assert set(grounded) == oracle_ground(rules), (instance, views)
 
 
 def test_grounding_bound_names_stage_and_progress():
