@@ -140,16 +140,6 @@ def _version_rules(low: str, arity: int) -> list[Rule]:
     return rules
 
 
-def _dedupe(atoms):
-    seen = set()
-    out = []
-    for atom in atoms:
-        if atom not in seen:
-            seen.add(atom)
-            out.append(atom)
-    return tuple(out)
-
-
 def _view_rules(view: ViewDef) -> list[Rule]:
     low_view = ViewDef(view.name.lower(), view.head,
                        _with_tids(view.body, view.phi), view.phi)
@@ -165,7 +155,7 @@ def _view_rules(view: ViewDef) -> list[Rule]:
     if head_set & relevant:
         # a relevant head variable: combination-side updates only; its
         # guard in `c_guards` already makes some head value non-null
-        rules.append(Rule(_dedupe(cp_a), update_body))
+        rules.append(Rule(tuple(dict.fromkeys(cp_a)), update_body))
     else:
         # a secrecy-side update must null a value: one rule per head
         # variable of the atom, guarded by that variable being non-null
@@ -173,7 +163,7 @@ def _view_rules(view: ViewDef) -> list[Rule]:
             sp = nulled_atom(atom, head_set)
             if sp is None:
                 continue
-            head = _dedupe((_annotated(sp, Annotation.A),) + cp_a)
+            head = tuple(dict.fromkeys((_annotated(sp, Annotation.A),) + cp_a))
             for name in sorted({t.name for t in atom.args if isinstance(t, Var)}
                                & head_set):
                 rules.append(Rule(head, update_body + (_not_null(name),)))

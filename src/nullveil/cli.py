@@ -16,11 +16,11 @@ file path.  Output is plain text or, with `--format json`, stable JSON
 with rows sorted.  `--max-cells` (default 24) bounds the candidate cells
 of the secrecy-instance search.  `--max-nodes` (old name `--max-models`)
 bounds the internal engine's stable-model search; an external solver gets
-`SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse error, 3
-semantic error or failed external solver, 4 cross-check failure (no
-secrecy instance or stable model counts as one), 5 bound exceeded
-(running out of recursion depth or memory, or the external solver's time
-limit, counts as one).
+`SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse or usage
+error (a negative bound is one), 3 semantic error or failed external
+solver, 4 cross-check failure (no secrecy instance or stable model counts
+as one), 5 bound exceeded (running out of recursion depth or memory, or
+the external solver's time limit, counts as one).
 """
 
 from __future__ import annotations
@@ -295,6 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name in ("max_cells", "max_nodes"):
+            if getattr(args, name, 0) < 0:
+                parser.error(f"--{name.replace('_', '-')} must not be negative: "
+                             f"{getattr(args, name)}")
     except SystemExit as exc:  # argparse exits with 2 on bad usage
         return int(exc.code or 0)
     try:

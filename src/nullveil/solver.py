@@ -22,24 +22,28 @@ the whole snapshot, so every instance found has at least one new atom
 and none over the older atoms is found again.  An instance with several
 new atoms is found once per new atom, and the instances kept so far
 drop the repeats.  Grounding ends after a round that derives nothing.
-The ground rules come out in derivation order, which does not depend on
-the hash seed; model search fixes its own canonical order of the atoms.
+Each ground atom gets the next number, from 1, the first time grounding
+meets it, as a head atom or as a negated body atom; this is the only
+numbering of ground atoms, and ground rules are (head, pos, neg) triples
+of numbers.  A positive body atom is a matched store row, whose id is
+its atom's number.  None of this depends on the hash seed.
 
-The snapshot keeps its atoms numbered per predicate in the order they
-were derived, and a hash index from (predicate, position, value) to the
+The snapshot keeps its atoms per predicate in the order they were
+derived, and a hash index from (predicate, position, value) to the
 atoms holding that value there.  An atom with a constant or an already
 bound variable reads the shortest such index entry instead of scanning
 its predicate, so joining on a bound column costs the matching atoms,
 not all of them.  A column is indexed the first time a rule probes it,
 and kept up to date from then on; columns no rule binds cost nothing.
 
-Model search maps the ground atoms to the integers 1..n once, in
-canonical order; search, propagation and the leaf check work on these
-ints, and ground atoms are rebuilt only for the returned models.  The
-search is a DPLL enumeration over clauses with an explicit stack: each
-ground rule gets a variable equivalent to its body, every rule is a
-clause, and every true atom needs some rule with a true body and the atom
-in its head.
+Model search branches on the atoms in number order, so the choices (the
+secrecy program's update atoms) come before the atoms they decide (its
+`ans` atoms), and ground atoms are looked up only for the returned
+models, which are then sorted into a canonical order.  The search is a
+DPLL enumeration over clauses with an explicit stack: each ground rule
+gets a variable equivalent to its body, every rule is a clause, and
+every true atom needs some rule with a true body and the atom in its
+head.
 
 After unit propagation, every search node runs unfounded-set
 propagation.  Let S be the least set of atoms `a` having a rule `r` such
@@ -88,9 +92,6 @@ class Literal:
     atom: Atom
     negated: bool = False
 
-    def token(self) -> str:
-        return ("not " if self.negated else "") + self.atom.token()
-
 
 @dataclass(frozen=True, slots=True)
 class Rule:
@@ -121,12 +122,15 @@ def fact(atom: Atom) -> Rule:
 
 
 @dataclass(frozen=True, slots=True)
-class GroundRule:
-    """A rule instance with built-ins already evaluated away."""
+class GroundProgram:
+    """Rule instances, built-ins evaluated away, as (head, pos, neg) triples
+    of atom numbers; atom n is `atoms[n - 1]`.  `len` counts the rules."""
 
-    head: tuple  # of GAtom
-    pos: tuple   # of GAtom
-    neg: tuple   # of GAtom
+    atoms: list  # of GAtom
+    rules: list  # of (head, pos, neg)
+
+    def __len__(self) -> int:
+        return len(self.rules)
 
 
 def _atom_vars(atom: Atom) -> set:
@@ -168,30 +172,33 @@ def _gatom_key(gatom: GAtom) -> tuple:
 
 
 class _Store:
-    """The possible atoms, numbered per predicate in the order they were
-    derived, and the index of each column a rule has probed.  It is the
-    snapshot a round reads: the atoms a round derives are held back until
-    it ends."""
+    """The numbered ground atoms, the possible ones per predicate in the
+    order they were derived, and the index of each column a rule has
+    probed.  It is the snapshot a round reads: the atoms a round derives
+    are held back until it ends."""
 
     def __init__(self):
+        self.numbers: dict[GAtom, int] = {}  # its keys are the atoms in number order
         self.rows: dict[str, list[Row]] = {}
         # (predicate, position) -> value -> the atoms with it, in order
         self.columns: dict[tuple, dict[Value, list[Row]]] = {}
-        self.possible: set[GAtom] = set()
-        self.derived: list[GAtom] = []  # this round's, not yet in the store
+        self.possible: set[int] = set()
+        self.derived: list[tuple] = []  # this round's (number, atom), not yet stored
 
-    def derive(self, gatom: GAtom) -> None:
-        if gatom not in self.possible:
-            self.possible.add(gatom)
-            self.derived.append(gatom)
+    def number(self, gatom: GAtom) -> int:
+        return self.numbers.setdefault(gatom, len(self.numbers) + 1)
+
+    def derive(self, n: int, gatom: GAtom) -> None:
+        if n not in self.possible:
+            self.possible.add(n)
+            self.derived.append((n, gatom))
 
     def end_round(self) -> dict[str, list[Row]]:
         """Add this round's atoms; returns them per predicate, the delta."""
         delta: dict[str, list[Row]] = {}
-        for pred, values in self.derived:
-            rows = self.rows.setdefault(pred, [])
-            row = Row(len(rows) + 1, values)
-            rows.append(row)
+        for n, (pred, values) in self.derived:
+            row = Row(n, values)
+            self.rows.setdefault(pred, []).append(row)
             delta.setdefault(pred, []).append(row)
             for pos, value in enumerate(values):
                 column = self.columns.get((pred, pos))
@@ -220,19 +227,19 @@ class _Store:
         return best
 
 
-def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule]:
+def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
     """Instantiate `rules` over the possibly-derivable atoms.
 
     Saturates: an atom is possibly derivable when it heads a rule all of
     whose positive body atoms are; negation does not gate possibility.
-    Output is duplicate-free, in derivation order.
+    Rules are duplicate-free, in derivation order; atoms are numbered as met.
     """
     rules = list(rules)
     for r in rules:
         _check_safety(r)
     parts = [(r.head, r.pos_atoms(), r.neg_atoms(), r.builtins()) for r in rules]
     store = _Store()
-    out: dict[GroundRule, None] = {}  # insertion-ordered, drops repeats
+    out: dict[tuple, None] = {}  # insertion-ordered, drops repeats
     rounds = 1
 
     def instantiate(head, pos, neg, builtins, k: int, matches) -> None:
@@ -241,9 +248,9 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
             if not all(_builtin_holds(b, env) for b in builtins):
                 continue
             rows = matched[1:k + 1] + matched[:1] + matched[k + 1:]
-            gr = GroundRule(tuple(_ground_atom(a, env) for a in head),
-                            tuple((a.pred, row.values) for a, row in zip(pos, rows)),
-                            tuple(_ground_atom(a, env) for a in neg))
+            heads = tuple(_ground_atom(a, env) for a in head)
+            gr = (tuple(map(store.number, heads)), tuple(row.tid for row in rows),
+                  tuple(store.number(_ground_atom(a, env)) for a in neg))
             known = len(out)
             out[gr] = None  # one hash per instance, not two
             if len(out) == known:
@@ -252,8 +259,8 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
                 raise BoundExceededError(
                     f"grounding exceeded its bound of {max_rules} ground rules "
                     f"({rounds} rounds, {len(store.possible)} possible atoms so far)")
-            for h in gr.head:
-                store.derive(h)
+            for n, h in zip(gr[0], heads):
+                store.derive(n, h)
 
     for head, pos, neg, builtins in parts:
         if not pos:
@@ -268,7 +275,7 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> list[GroundRule
                     instantiate(head, pos, neg, builtins, k,
                                 iter_matches(store.rows_of, order, first=delta[atom.pred]))
         delta = store.end_round()
-    return list(out)
+    return GroundProgram(list(store.numbers), list(out))
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +451,7 @@ def _components(natoms: int, rules: list[tuple]) -> list[int]:
 
 
 class _StableSearch(_Enumerator):
-    """Stable-model search over an interned ground program.
+    """Stable-model search over a numbered ground program.
 
     Atoms are 1..natoms; rule r is a (head, pos, neg) triple of atom
     tuples with body variable natoms + 1 + r.  Every atom that is not
@@ -580,28 +587,23 @@ class _StableSearch(_Enumerator):
         return next(check.enumerate(model), None) is None
 
 
-def _interned(ids: dict, atoms: tuple) -> tuple[int, ...]:
-    return tuple(sorted({ids[a] for a in atoms if a in ids}))
-
-
-def stable_models(ground_rules: list[GroundRule],
+def stable_models(program: GroundProgram,
                   max_nodes: int = DEFAULT_SEARCH_BOUND) -> list[frozenset]:
     """All stable models of the ground program: models that are minimal
-    models of their own reduct.  Deterministic canonical output order;
-    the atoms are numbered in canonical order here, so neither the models
-    nor a bound's message depend on the order of `ground_rules`."""
-    atoms = sorted({h for gr in ground_rules for h in gr.head}, key=_gatom_key)
-    atom_id = {a: i for i, a in enumerate(atoms, 1)}
-    rules = []
-    for gr in ground_rules:
-        if not all(p in atom_id for p in gr.pos):
-            continue  # a positive body atom heads no rule
-        head, pos = _interned(atom_id, gr.head), _interned(atom_id, gr.pos)
-        if set(head) & set(pos):
-            continue  # tautological: a positive body atom reappears in the head
-        rules.append((head, pos, _interned(atom_id, gr.neg)))
+    models of their own reduct.  The search branches in atom-number order,
+    so neither the models nor a bound's message depend on the order of
+    `program.rules`; the models are sorted by `_gatom_key`, computed only
+    for the atoms some model holds."""
+    atoms, rules = program.atoms, []
+    for head, pos, neg in program.rules:
+        head, pos = set(head), set(pos)  # a repeated literal would hide a unit clause
+        if not head & pos:  # else tautological: a positive body atom is in the head
+            rules.append((tuple(head), tuple(pos), tuple(set(neg))))
     search = _StableSearch(len(atoms), rules, max_nodes)
     branch = list(range(1, len(atoms) + 1))
-    models = sorted(tuple(a for a in branch if assign[a] == _TRUE)
-                    for assign in search.enumerate(branch))
+    models = [[a for a in branch if assign[a] == _TRUE]
+              for assign in search.enumerate(branch)]
+    true = sorted({a for m in models for a in m}, key=lambda a: _gatom_key(atoms[a - 1]))
+    rank = {a: i for i, a in enumerate(true)}
+    models.sort(key=lambda m: sorted(rank[a] for a in m))
     return [frozenset(atoms[a - 1] for a in m) for m in models]

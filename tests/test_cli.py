@@ -227,6 +227,24 @@ def test_search_node_bound_flag_and_its_old_name(files, capsys):
             assert code == 0
 
 
+def test_negative_bounds_are_usage_errors(files, capsys):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.")
+    query = "?(X,Y) :- P(X,Y)."
+    for command, flag in ((["answer", "--via", "asp", "--query", query], "--max-nodes"),
+                          (["solve"], "--max-models"),
+                          (["instances"], "--max-cells"),
+                          (["answer", "--query", query], "--max-cells")):
+        code, out, err = run(capsys, *command, "--schema", schema, "--facts", facts,
+                             "--views", views, flag, "-5")
+        assert code == 2 and not out and "must not be negative: -5" in err
+        # zero is a bound like any other: nothing fits in it
+        code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
+                           "--views", views, flag, "0")
+        assert code == 5 and "bound" in err
+
+
 def test_cmd_solve_with_stub_external_solver(files, capsys, tmp_path, monkeypatch):
     schema = files("s.nv", "relation P(A:sym). relation R(A:sym).")
     facts = files("f.nv", "P(a). R(a).")

@@ -6,7 +6,7 @@ import pytest
 from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, NULL,
                       UnsupportedRuleError, Value, Var)
 from nullveil.asp import compile_program, compile_query_program
-from nullveil.solver import (GroundRule, Literal, Rule, _builtin_holds, fact, ground,
+from nullveil.solver import (GroundProgram, Literal, Rule, _builtin_holds, fact, ground,
                              stable_models)
 
 from randgen import rand_case, rand_query
@@ -22,6 +22,21 @@ def sym_atom(pred, *names):
 
 def a0(name):
     return Atom(name, ())
+
+
+def numbered(rules) -> GroundProgram:
+    """A hand-written ground program of (head, pos, neg) atom triples,
+    its atoms numbered in the order they are first met."""
+    ids: dict = {}
+    triples = [tuple(tuple(ids.setdefault(a, len(ids) + 1) for a in part) for part in rule)
+               for rule in rules]
+    return GroundProgram(list(ids), triples)
+
+
+def decoded(program: GroundProgram) -> list:
+    """The program's rules as (head, pos, neg) triples of atoms."""
+    return [tuple(tuple(program.atoms[n - 1] for n in part) for part in rule)
+            for rule in program.rules]
 
 
 def test_fact_only_program_has_one_model():
@@ -90,8 +105,7 @@ def test_grounding_instantiates_over_possible_atoms():
         Rule((Atom("q", (x,)),),
              (Literal(Atom("p", (x,))), BuiltinAtom("<", (x, Const(Value.of_int(2)))))),
     ]
-    gr = ground(rules)
-    heads = {h for r in gr for h in r.head}
+    heads = {h for head, _, _ in decoded(ground(rules)) for h in head}
     assert gatom("q", 1) in heads
     assert gatom("q", 2) not in heads
 
@@ -106,7 +120,7 @@ def test_grounding_builtins_with_null_fail():
         Rule((Atom("nn", (x,)),),
              (Literal(Atom("p", (x,))), BuiltinAtom("!=", (x, Const(NULL))))),
     ]
-    heads = {h for r in ground(rules) for h in r.head}
+    heads = {h for head, _, _ in decoded(ground(rules)) for h in head}
     assert ("big", (Value.of_int(3),)) in heads
     assert ("big", (NULL,)) not in heads
     assert ("nn", (Value.of_int(3),)) in heads
@@ -124,7 +138,21 @@ def test_grounding_rejects_unsafe_rules():
 def test_ground_program_with_no_facts_only_keeps_groundable_rules():
     x = Var("X")
     rules = [Rule((Atom("q", (x,)),), (Literal(Atom("p", (x,))),))]
-    assert ground(rules) == []
+    assert ground(rules) == GroundProgram([], [])
+
+
+def test_grounding_numbers_atoms_in_the_order_it_meets_them():
+    """Derived atoms are numbered in derivation order; an atom never
+    derived (`e`) is numbered where it is first negated, and one negated
+    before it is derived (`c`) keeps that earlier number."""
+    a, b, c, d, e = (a0(name) for name in "abcde")
+    rules = [Rule((c,), (Literal(b),)),
+             Rule((b,), (Literal(a), Literal(c, negated=True))),
+             Rule((d,), (Literal(a), Literal(e, negated=True))),
+             fact(a)]
+    assert ground(rules) == GroundProgram(
+        [("a", ()), ("b", ()), ("c", ()), ("d", ()), ("e", ())],
+        [((1,), (), ()), ((2,), (1,), (3,)), ((4,), (1,), (5,)), ((3,), (2,), ())])
 
 
 def test_search_bound_is_enforced():
@@ -141,6 +169,19 @@ def test_search_depth_is_bounded_by_nodes_not_recursion():
                               "(1200 nodes visited, 52 models found so far)")
 
 
+def test_repeated_atoms_in_a_ground_rule_still_propagate():
+    """`p(X) v p(Y) :- q(X), q(Y).` over `q(1)` grounds to a rule that
+    repeats p(1) and q(1); the search reads it as `p(1) :- q(1).`, which
+    propagation decides without branching."""
+    x, y = Var("X"), Var("Y")
+    rules = [fact(Atom("q", (Const(Value.of_int(1)),))),
+             Rule((Atom("p", (x,)), Atom("p", (y,))),
+                  (Literal(Atom("q", (x,))), Literal(Atom("q", (y,)))))]
+    program = ground(rules)
+    assert decoded(program)[1] == ((gatom("p", 1),) * 2, (gatom("q", 1),) * 2, ())
+    assert stable_models(program, max_nodes=0) == [frozenset({gatom("p", 1), gatom("q", 1)})]
+
+
 def test_many_independent_choices_enumerate_fully():
     rules = [Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(6)]
     models = stable_models(ground(rules))
@@ -154,19 +195,19 @@ ATOMS = [(name, ()) for name in "abcde"]
 
 
 def _satisfies(model: set, rules) -> bool:
-    return all(set(r.head) & model for r in rules
-               if set(r.pos) <= model and not set(r.neg) & model)
+    return all(set(head) & model for head, pos, neg in rules
+               if set(pos) <= model and not set(neg) & model)
 
 
 def oracle_stable_models(rules) -> list:
     """M is stable iff M satisfies the program and no proper subset of M
     satisfies the reduct P^M."""
-    atoms = sorted({a for r in rules for a in r.head + r.pos + r.neg})
+    atoms = sorted({a for head, pos, neg in rules for a in head + pos + neg})
     subsets = [set(c) for k in range(len(atoms) + 1)
                for c in itertools.combinations(atoms, k)]
     models = []
     for m in subsets:
-        reduct = [GroundRule(r.head, r.pos, ()) for r in rules if not set(r.neg) & m]
+        reduct = [(head, pos, ()) for head, pos, neg in rules if not set(neg) & m]
         if _satisfies(m, rules) and not any(s < m and _satisfies(s, reduct)
                                             for s in subsets):
             models.append(frozenset(m))
@@ -175,12 +216,12 @@ def oracle_stable_models(rules) -> list:
 
 def _has_head_cycle(rules) -> bool:
     """Two head atoms of one rule reach each other through positive bodies."""
-    usable = [r for r in rules if not set(r.head) & set(r.pos)]
-    reach = {(h, p) for r in usable for h in r.head for p in r.pos}
+    usable = [(head, pos) for head, pos, _ in rules if not set(head) & set(pos)]
+    reach = {(h, p) for head, pos in usable for h in head for p in pos}
     for _ in ATOMS:
         reach |= {(x, z) for x, y in reach for y2, z in reach if y == y2}
     return any((h, g) in reach and (g, h) in reach
-               for r in usable for h in r.head for g in r.head if h != g)
+               for head, _ in usable for h in head for g in head if h != g)
 
 
 def _rand_ground_program(rng: random.Random) -> list:
@@ -189,30 +230,30 @@ def _rand_ground_program(rng: random.Random) -> list:
     def some(sizes):
         return tuple(rng.sample(atoms, min(len(atoms), rng.choice(sizes))))
     # empty heads are constraints
-    rules = [GroundRule(some((0, 1, 1, 2, 2, 3)), some((0, 1, 1, 2)), some((0, 0, 1)))
+    rules = [(some((0, 1, 1, 2, 2, 3)), some((0, 1, 1, 2)), some((0, 0, 1)))
              for _ in range(rng.randint(1, 6))]
     if len(atoms) > 1 and rng.random() < 0.5:
         # a positive loop, so that disjunctions over it form head cycles
         x, y = rng.sample(atoms, 2)
-        rules += [GroundRule((x,), (y,), some((0, 0, 1))), GroundRule((y,), (x,), ())]
+        rules += [((x,), (y,), some((0, 0, 1))), ((y,), (x,), ())]
     return rules
 
 
 @pytest.mark.parametrize("rules, expected", [
     # non-head-cycle-free: propagation that treated every head atom as a
     # blocker would prune the one stable model
-    ([GroundRule((("a", ()), ("b", ())), (), ()),
-      GroundRule((("a", ()),), (("b", ()),), ()),
-      GroundRule((("b", ()),), (("a", ()),), ())],
+    ([((("a", ()), ("b", ())), (), ()),
+      ((("a", ()),), (("b", ()),), ()),
+      ((("b", ()),), (("a", ()),), ())],
      [frozenset({("a", ()), ("b", ())})]),
     # a positive loop founds nothing
-    ([GroundRule((("a", ()),), (("b", ()),), ()),
-      GroundRule((("b", ()),), (("a", ()),), ())],
+    ([((("a", ()),), (("b", ()),), ()),
+      ((("b", ()),), (("a", ()),), ())],
      [frozenset()]),
 ])
 def test_stable_models_named_cases(rules, expected):
     assert oracle_stable_models(rules) == expected
-    assert stable_models(rules) == expected
+    assert stable_models(numbered(rules)) == expected
 
 
 def test_stable_models_match_brute_force_oracle():
@@ -221,21 +262,27 @@ def test_stable_models_match_brute_force_oracle():
     for _ in range(3000):
         rules = _rand_ground_program(rng)
         head_cycles += _has_head_cycle(rules)
-        assert stable_models(rules) == oracle_stable_models(rules), rules
+        assert stable_models(numbered(rules)) == oracle_stable_models(rules), rules
     assert head_cycles >= 300  # the minimality-checked leaves are covered
 
 
 def test_stable_models_do_not_depend_on_rule_order():
-    """`ground` returns rules in derivation order; the search numbers the
-    atoms by its own sort, so models and bound messages ignore rule order."""
+    """The search branches on the atoms in number order, so under a fixed
+    numbering neither the models nor a bound's message depend on the
+    order of the rules; the models come out in canonical order, so a
+    different numbering gives the same list too."""
     rng = random.Random(67)
     for _ in range(1000):
         rules = _rand_ground_program(rng)
-        assert stable_models(rng.sample(rules, len(rules))) == stable_models(rules), rules
-    rules = ground([Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(1100)])
-    rng.shuffle(rules)
+        program = numbered(rules)
+        models = stable_models(program)
+        shuffled = GroundProgram(program.atoms, rng.sample(program.rules, len(rules)))
+        assert stable_models(shuffled) == models, rules
+        assert stable_models(numbered(rng.sample(rules, len(rules)))) == models, rules
+    program = ground([Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(1100)])
+    shuffled = GroundProgram(program.atoms, rng.sample(program.rules, len(program)))
     with pytest.raises(BoundExceededError) as exc:
-        stable_models(rules, max_nodes=1200)
+        stable_models(shuffled, max_nodes=1200)
     assert str(exc.value) == ("stable-model search exceeded its bound of 1200 nodes "
                               "(1200 nodes visited, 52 models found so far)")
 
@@ -258,8 +305,8 @@ def test_grounding_a_query_rule_is_classical_evaluation_randomized():
         facts = [fact(Atom(name, tuple(Const(v) for v in row.values)))
                  for name in schema.names() for row in instance.rows(name)]
         body = tuple(Literal(a) for a in query.body) + query.builtins
-        grounded = ground(facts + [Rule((Atom("ans", query.out),), body)])
-        answers = {gr.head[0][1] for gr in grounded if gr.head[0][0] == "ans"}
+        grounded = decoded(ground(facts + [Rule((Atom("ans", query.out),), body)]))
+        answers = {head[0][1] for head, _, _ in grounded if head[0][0] == "ans"}
         assert answers == expected, (instance, query)
         compared += 1
         nonempty += bool(expected)
@@ -291,9 +338,9 @@ def oracle_ground(rules) -> set:
                 env: dict = {}
                 if (all(_unify(a, g, env) for a, g in zip(pos, atoms))
                         and all(_builtin_holds(b, env) for b in r.builtins())):
-                    out.add(GroundRule(_instance(r.head, env), _instance(pos, env),
-                                       _instance(r.neg_atoms(), env)))
-        heads = {h for gr in out for h in gr.head}
+                    out.add((_instance(r.head, env), _instance(pos, env),
+                             _instance(r.neg_atoms(), env)))
+        heads = {h for head, _, _ in out for h in head}
         if heads <= possible:
             return out
         possible |= heads
@@ -323,10 +370,10 @@ CYCLE = [(i, (i + 1) % 5) for i in range(5)]
     (_path_rules(CYCLE, doubling=True), 25),
 ])
 def test_grounding_recursive_programs_matches_naive_fixpoint(rules, paths):
-    grounded = ground(rules)
+    grounded = decoded(ground(rules))
     assert len(grounded) == len(set(grounded))
     assert set(grounded) == oracle_ground(rules)
-    assert len({h for gr in grounded for h in gr.head if h[0] == "path"}) == paths
+    assert len({h for head, _, _ in grounded for h in head if h[0] == "path"}) == paths
 
 
 def test_grounding_secrecy_programs_matches_naive_fixpoint():
@@ -336,7 +383,7 @@ def test_grounding_secrecy_programs_matches_naive_fixpoint():
                                             self_joins=bool(i // 2 % 2))
         rules = (compile_program(instance, views).rules
                  + (compile_query_program(rand_query(rng, schema)),))
-        grounded = ground(rules)
+        grounded = decoded(ground(rules))
         assert len(grounded) == len(set(grounded)), (instance, views)
         assert set(grounded) == oracle_ground(rules), (instance, views)
 
