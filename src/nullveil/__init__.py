@@ -25,6 +25,6 @@ from .lang import (Atom, BuiltinAtom, Const, Query, QueryClass, Term, Var, ViewD
 from .model import (NULL, Cell, ChangeSet, Instance, Relation, Row, Schema, Value,
                     apply_changes, diff_changes, sorted_cells)
 from .semantics import (eval_classical, eval_n, relevant_vars, rewrite_query)
-from .solver import GroundProgram, Literal, Rule, ground, stable_models
+from .solver import GroundProgram, Rule, ground, stable_models
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instances import (DEFAULT_CELL_BOUND, EnumerationMode, SecrecySolution,
-                        enumerate_secrecy_instances)
+from .instances import DEFAULT_CELL_BOUND, SecrecySolution, enumerate_secrecy_instances
 from .lang import Atom, Query, Var, view_as_query
 from .model import Instance, Schema
 from .semantics import AnswerSet, eval_n, intersect_answers
@@ -55,10 +54,9 @@ def _secret_answers_over(solutions: list[SecrecySolution], query: Query) -> Secr
 
 
 def secret_answers(instance: Instance, views, query: Query,
-                   mode: EnumerationMode = EnumerationMode.TARGETED,
                    max_cells: int = DEFAULT_CELL_BOUND) -> SecretAnswerReport:
     """Answers certain across every secrecy instance of `instance`."""
-    solutions = enumerate_secrecy_instances(instance, views, mode, max_cells)
+    solutions = enumerate_secrecy_instances(instance, views, max_cells=max_cells)
     return _secret_answers_over(solutions, query)
 
 
@@ -77,19 +75,17 @@ def _answer_instance_over(instance: Instance,
     return Instance.from_values(instance.schema, rows)
 
 
-def secrecy_answer_instance(instance: Instance, views,
-                            mode: EnumerationMode = EnumerationMode.TARGETED) -> Instance:
+def secrecy_answer_instance(instance: Instance, views) -> Instance:
     """Instance assembled from the secret answers to every atomic query,
     with fresh tuple ids assigned in canonical row order."""
-    solutions = enumerate_secrecy_instances(instance, views, mode)
+    solutions = enumerate_secrecy_instances(instance, views)
     return _answer_instance_over(instance, solutions)
 
 
-def check_no_leakage(instance: Instance, views,
-                     mode: EnumerationMode = EnumerationMode.TARGETED) -> LeakageReport:
+def check_no_leakage(instance: Instance, views) -> LeakageReport:
     """For every view, compare the secret answers to the view query with
     the view's extension on the secrecy answer instance."""
-    solutions = enumerate_secrecy_instances(instance, views, mode)
+    solutions = enumerate_secrecy_instances(instance, views)
     answer_instance = _answer_instance_over(instance, solutions)
     failures = []
     for view in views:

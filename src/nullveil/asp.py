@@ -42,7 +42,7 @@ from .errors import DialectError, SemanticError, UnsupportedRuleError
 from .lang import Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef, _Parser
 from .model import Instance, NULL, Row, Schema, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
-from .solver import DEFAULT_SEARCH_BOUND, GAtom, Literal, Rule, ground, stable_models
+from .solver import DEFAULT_SEARCH_BOUND, GAtom, Rule, ground, stable_models
 from .views import nulled_atom
 
 
@@ -108,7 +108,7 @@ def compile_program(instance: Instance, views) -> AnnotatedProgram:
         low = name.lower()
         for row in instance.rows(name):
             values = row.values + (Value.of_int(row.tid),)
-            rules.append(Rule((Atom(low, tuple(Const(v) for v in values)),), ()))
+            rules.append(Rule((Atom(low, tuple(Const(v) for v in values)),)))
 
     for view in views:
         rules.extend(_view_rules(view))
@@ -125,18 +125,15 @@ def _version_rules(low: str, arity: int) -> list[Rule]:
     xs = tuple(Var(f"X{i}") for i in range(1, arity + 1))
     ys = tuple(Var(f"Y{i}") for i in range(1, arity + 1))
     version = Atom(low, xs + (tid,))
-    t_version = Literal(_annotated(version, Annotation.T))
-    update = Literal(_annotated(Atom(low, ys + (tid,)), Annotation.A))
+    t_version = _annotated(version, Annotation.T)
+    update = _annotated(Atom(low, ys + (tid,)), Annotation.A)
     overwritten = _annotated(version, Annotation.U)
-    rules = [Rule((_annotated(version, Annotation.T),), (Literal(version),)),
-             Rule((_annotated(version, Annotation.T),),
-                  (Literal(_annotated(version, Annotation.A)),))]
+    rules = [Rule((t_version,), (version,)),
+             Rule((t_version,), (_annotated(version, Annotation.A),))]
     for x, y in zip(xs, ys):
-        rules.append(Rule((overwritten,), (update, t_version,
-                                           BuiltinAtom("=", (y, Const(NULL))),
-                                           _not_null(x.name))))
-    rules.append(Rule((_annotated(version, Annotation.S),),
-                      (t_version, Literal(overwritten, negated=True))))
+        rules.append(Rule((overwritten,), (update, t_version),
+                          builtins=(BuiltinAtom("=", (y, Const(NULL))), _not_null(x.name))))
+    rules.append(Rule((_annotated(version, Annotation.S),), (t_version,), (overwritten,)))
     return rules
 
 
@@ -145,17 +142,17 @@ def _view_rules(view: ViewDef) -> list[Rule]:
                        _with_tids(view.body, view.phi), view.phi)
     relevant = relevant_vars(low_view)
     head_set = {v.name for v in low_view.head}
-    body_t = tuple(Literal(_annotated(a, Annotation.T)) for a in low_view.body)
+    body_t = tuple(_annotated(a, Annotation.T) for a in low_view.body)
     c_guards = tuple(_not_null(v) for v in sorted(relevant))
     cp_a = tuple(_annotated(cp, Annotation.A) for cp in
                  (nulled_atom(atom, relevant) for atom in low_view.body) if cp)
 
     rules: list[Rule] = []
-    update_body = body_t + low_view.phi + c_guards
+    guards = low_view.phi + c_guards
     if head_set & relevant:
         # a relevant head variable: combination-side updates only; its
         # guard in `c_guards` already makes some head value non-null
-        rules.append(Rule(tuple(dict.fromkeys(cp_a)), update_body))
+        rules.append(Rule(tuple(dict.fromkeys(cp_a)), body_t, builtins=guards))
     else:
         # a secrecy-side update must null a value: one rule per head
         # variable of the atom, guarded by that variable being non-null
@@ -166,16 +163,16 @@ def _view_rules(view: ViewDef) -> list[Rule]:
             head = tuple(dict.fromkeys((_annotated(sp, Annotation.A),) + cp_a))
             for name in sorted({t.name for t in atom.args if isinstance(t, Var)}
                                & head_set):
-                rules.append(Rule(head, update_body + (_not_null(name),)))
+                rules.append(Rule(head, body_t, builtins=guards + (_not_null(name),)))
     return rules
 
 
 def compile_query_program(query: Query) -> Rule:
     """Rewrite the query classically and retarget it at surviving atoms."""
     rewritten = rewrite_query(query)
-    body = tuple(Literal(_annotated(a, Annotation.S))
+    body = tuple(_annotated(a, Annotation.S)
                  for a in _with_tids(rewritten.body, rewritten.builtins))
-    return Rule((Atom(ANS_PRED, tuple(rewritten.out)),), body + rewritten.builtins)
+    return Rule((Atom(ANS_PRED, tuple(rewritten.out)),), body, builtins=rewritten.builtins)
 
 
 # --------------------------------------------------------------------------
@@ -262,18 +259,14 @@ def _export_atom(atom: Atom) -> str:
     return f"{atom.pred}({','.join(t.token() for t in atom.args)})"
 
 
-def _export_body_item(item) -> str:
-    if isinstance(item, Literal):
-        return ("not " if item.negated else "") + _export_atom(item.atom)
-    return item.token()
-
-
 def export_rule(rule: Rule, dialect: str) -> str:
     sep = " v " if dialect == "dlv" else " | "
     head = sep.join(_export_atom(a) for a in rule.head)
-    if not rule.body:
+    body = ", ".join([*map(_export_atom, rule.pos),
+                      *(f"not {_export_atom(a)}" for a in rule.neg),
+                      *(b.token() for b in rule.builtins)])
+    if not body:
         return f"{head}."
-    body = ", ".join(_export_body_item(e) for e in rule.body)
     if not rule.head:
         return f":- {body}."
     return f"{head} :- {body}."
@@ -302,17 +295,21 @@ def parse_program_text(text: str) -> list[Rule]:
             while parser.peek().text == "|" or parser.peek().text == "v":
                 parser.next()
                 head.append(_parse_program_atom(parser))
-        body: list = []
+        pos, neg, builtins = [], [], []
         if parser.peek().text == ":-":
             parser.next()
             while True:
-                body.append(_parse_body_item(parser))
-                if parser.peek().text == ",":
+                if parser.peek().text == "not":
                     parser.next()
-                    continue
-                break
+                    neg.append(_parse_program_atom(parser))
+                else:
+                    item = parser.parse_body_item()
+                    (pos if isinstance(item, Atom) else builtins).append(item)
+                if parser.peek().text != ",":
+                    break
+                parser.next()
         parser.expect(".")
-        rules.append(Rule(tuple(head), tuple(body)))
+        rules.append(Rule(tuple(head), tuple(pos), tuple(neg), tuple(builtins)))
     return rules
 
 
@@ -320,14 +317,6 @@ def _parse_program_atom(parser: _Parser) -> Atom:
     name = parser.expect_name("predicate").text
     args = parser.parse_term_list() if parser.peek().text == "(" else ()
     return Atom(name, args)
-
-
-def _parse_body_item(parser: _Parser):
-    if parser.peek().text == "not":
-        parser.next()
-        return Literal(_parse_program_atom(parser), negated=True)
-    item = parser.parse_body_item()
-    return Literal(item) if isinstance(item, Atom) else item
 
 
 def parse_answer_sets(text: str) -> list[frozenset]:

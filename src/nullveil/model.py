@@ -247,9 +247,6 @@ class Instance:
                     if not value.is_null:
                         yield Cell(name, row.tid, pos)
 
-    def canonical(self) -> tuple:
-        return self._canonical
-
     def total_rows(self) -> int:
         return sum(len(rows) for rows in self._table.values())
 

@@ -1,15 +1,17 @@
 """Grounder and stable-model enumerator for disjunctive programs.
 
-Rules are disjunctions of atoms over a body of positive atoms, default-
-negated atoms and built-in comparisons.  Grounding instantiates rules
-bottom-up over the atoms that can possibly be derived (facts plus heads
-of rules whose positive bodies are possibly derivable), evaluating
-built-ins away: a false built-in deletes the instance, a true one is
-dropped.  Positive bodies are matched against the possible atoms by
-`semantics.iter_matches`, the same engine that evaluates queries over
-instances, so grounding a rule is evaluating its body as a conjunctive
-query.  Null is an ordinary constant here; order comparisons that
-involve null or unordered values simply fail.
+A rule keeps its four parts apart from the compiler to the search: the
+head, a disjunction of atoms; the positive body atoms; the default-
+negated body atoms; and the built-in comparisons.  This is the form that
+grounders such as gringo work on, and no stage re-splits a mixed body.
+Grounding instantiates rules bottom-up over the atoms that can possibly
+be derived (facts plus heads of rules whose positive bodies are possibly
+derivable), evaluating built-ins away: a false built-in deletes the
+instance, a true one is dropped.  Positive bodies are matched against
+the possible atoms by `semantics.iter_matches`, the same engine that
+evaluates queries over instances, so grounding a rule is evaluating its
+body as a conjunctive query.  Null is an ordinary constant here; order
+comparisons that involve null or unordered values simply fail.
 
 Grounding is semi-naive (Bancilhon & Ramakrishnan 1986).  It runs in
 rounds, and each round reads a snapshot: the possible atoms as they
@@ -86,39 +88,22 @@ GAtom = tuple  # (pred, tuple[Value, ...])
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
-    """A possibly default-negated database atom in a rule body."""
-
-    atom: Atom
-    negated: bool = False
-
-
-@dataclass(frozen=True, slots=True)
 class Rule:
-    """A disjunctive rule; an empty head is an integrity constraint.
+    """A disjunctive rule `head :- pos, not neg, builtins`; an empty head
+    is an integrity constraint.
 
-    The body keeps its written order and mixes literals with built-ins;
-    safety requires every head, negated and built-in variable to occur in
+    Safety requires every head, negated and built-in variable to occur in
     some positive body atom.
     """
 
     head: tuple[Atom, ...]
-    body: tuple  # of Literal | BuiltinAtom
-
-    def pos_atoms(self) -> tuple[Atom, ...]:
-        return tuple(e.atom for e in self.body
-                     if isinstance(e, Literal) and not e.negated)
-
-    def neg_atoms(self) -> tuple[Atom, ...]:
-        return tuple(e.atom for e in self.body
-                     if isinstance(e, Literal) and e.negated)
-
-    def builtins(self) -> tuple[BuiltinAtom, ...]:
-        return tuple(e for e in self.body if isinstance(e, BuiltinAtom))
+    pos: tuple[Atom, ...] = ()
+    neg: tuple[Atom, ...] = ()
+    builtins: tuple[BuiltinAtom, ...] = ()
 
 
 def fact(atom: Atom) -> Rule:
-    return Rule((atom,), ())
+    return Rule((atom,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,18 +123,10 @@ def _atom_vars(atom: Atom) -> set:
 
 
 def _check_safety(r: Rule) -> None:
-    bound = set()
-    for atom in r.pos_atoms():
-        bound |= _atom_vars(atom)
-    unsafe = set()
-    for atom in r.head:
-        unsafe |= _atom_vars(atom) - bound
-    for atom in r.neg_atoms():
-        unsafe |= _atom_vars(atom) - bound
-    for b in r.builtins():
-        for t in b.args:
-            if isinstance(t, Var) and t.name not in bound:
-                unsafe.add(t.name)
+    bound = set().union(*map(_atom_vars, r.pos))
+    unsafe = set().union(*map(_atom_vars, r.head + r.neg))
+    unsafe |= {t.name for b in r.builtins for t in b.args if isinstance(t, Var)}
+    unsafe -= bound
     if unsafe:
         raise UnsupportedRuleError(
             f"unsafe rule: variables {sorted(unsafe)} not bound by a positive atom")
@@ -232,25 +209,26 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
 
     Saturates: an atom is possibly derivable when it heads a rule all of
     whose positive body atoms are; negation does not gate possibility.
+    A rule's `pos` atoms are matched, its `builtins` evaluated and its
+    `head` and `neg` atoms numbered, each read from its own field.
     Rules are duplicate-free, in derivation order; atoms are numbered as met.
     """
     rules = list(rules)
     for r in rules:
         _check_safety(r)
-    parts = [(r.head, r.pos_atoms(), r.neg_atoms(), r.builtins()) for r in rules]
     store = _Store()
     out: dict[tuple, None] = {}  # insertion-ordered, drops repeats
     rounds = 1
 
-    def instantiate(head, pos, neg, builtins, k: int, matches) -> None:
-        """Ground rules of the matches of `pos` with atom k matched first."""
+    def instantiate(r: Rule, k: int, matches) -> None:
+        """Ground rules of the matches of `r.pos` with atom k matched first."""
         for env, matched in matches:
-            if not all(_builtin_holds(b, env) for b in builtins):
+            if not all(_builtin_holds(b, env) for b in r.builtins):
                 continue
             rows = matched[1:k + 1] + matched[:1] + matched[k + 1:]
-            heads = tuple(_ground_atom(a, env) for a in head)
+            heads = tuple(_ground_atom(a, env) for a in r.head)
             gr = (tuple(map(store.number, heads)), tuple(row.tid for row in rows),
-                  tuple(store.number(_ground_atom(a, env)) for a in neg))
+                  tuple(store.number(_ground_atom(a, env)) for a in r.neg))
             known = len(out)
             out[gr] = None  # one hash per instance, not two
             if len(out) == known:
@@ -262,18 +240,18 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
             for n, h in zip(gr[0], heads):
                 store.derive(n, h)
 
-    for head, pos, neg, builtins in parts:
-        if not pos:
-            instantiate(head, pos, neg, builtins, 0, iter_matches(store.rows_of, ()))
+    for r in rules:
+        if not r.pos:
+            instantiate(r, 0, iter_matches(store.rows_of, ()))
     delta = store.end_round()
     while delta:
         rounds += 1
-        for head, pos, neg, builtins in parts:
-            for k, atom in enumerate(pos):
+        for r in rules:
+            for k, atom in enumerate(r.pos):
                 if atom.pred in delta:
-                    order = (atom,) + pos[:k] + pos[k + 1:]
-                    instantiate(head, pos, neg, builtins, k,
-                                iter_matches(store.rows_of, order, first=delta[atom.pred]))
+                    order = (atom,) + r.pos[:k] + r.pos[k + 1:]
+                    instantiate(r, k, iter_matches(store.rows_of, order,
+                                                   first=delta[atom.pred]))
         delta = store.end_round()
     return GroundProgram(list(store.numbers), list(out))
 
@@ -405,13 +383,15 @@ class _Enumerator:
             ok = self._set(branch_vars[i], value) and self._propagate()
 
 
-def _components(natoms: int, rules: list[tuple]) -> list[int]:
+def _components(rules: list[tuple], head_occ: list) -> list[int]:
     """Strongly connected component of each atom in the positive
-    dependency graph (head atom -> positive body atom); iterative Tarjan."""
-    succ: list[list[int]] = [[] for _ in range(natoms + 1)]
-    for head, pos, _ in rules:
-        for h in head:
-            succ[h] += pos
+    dependency graph (head atom -> positive body atom of each rule in
+    `head_occ[atom]`, the rules it heads); iterative Tarjan."""
+    natoms = len(head_occ) - 1
+
+    def successors(v: int) -> Iterator[int]:
+        return (p for r in head_occ[v] for p in rules[r][1])
+
     index = [0] * (natoms + 1)  # DFS number; 0 while unvisited
     low = [0] * (natoms + 1)
     component = [-1] * (natoms + 1)
@@ -423,7 +403,7 @@ def _components(natoms: int, rules: list[tuple]) -> list[int]:
         visited += 1
         index[root] = low[root] = visited
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, successors(root))]
         while work:
             v, edges = work[-1]
             for w in edges:
@@ -431,7 +411,7 @@ def _components(natoms: int, rules: list[tuple]) -> list[int]:
                     visited += 1
                     index[w] = low[w] = visited
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, successors(w)))
                     break
                 if component[w] < 0:  # still on the stack
                     low[v] = min(low[v], index[w])
@@ -454,17 +434,20 @@ class _StableSearch(_Enumerator):
     """Stable-model search over a numbered ground program.
 
     Atoms are 1..natoms; rule r is a (head, pos, neg) triple of atom
-    tuples with body variable natoms + 1 + r.  Every atom that is not
-    false keeps a source: a rule that founds it, where the sources form an
-    acyclic derivation.  Assignments only invalidate sources, so sources
-    stay valid when the search backtracks and are never restored.
+    tuples with body variable natoms + 1 + r.  One index, `head_occ`,
+    lists per atom the rules whose head holds it; the atom's support
+    clause, the strongly connected components and re-founding a lost
+    atom all read it.  Every atom that is not false keeps a source: a
+    rule that founds it, where the sources form an acyclic derivation.
+    Assignments only invalidate sources, so sources stay valid when the
+    search backtracks and are never restored.
     """
 
     stage = "stable-model search"
 
     def __init__(self, natoms: int, rules: list[tuple], max_nodes: int):
         clauses: list[tuple[int, ...]] = []
-        supports: list[list[int]] = [[] for _ in range(natoms + 1)]
+        head_occ: list[list[int]] = [[] for _ in range(natoms + 1)]  # atom -> rules it heads
         # negative literals, one int object each, shared by all the clauses
         minus = [-v for v in range(natoms + len(rules) + 1)]
         for r, (head, pos, neg) in enumerate(rules):
@@ -474,25 +457,25 @@ class _StableSearch(_Enumerator):
             clauses.append((body, *(minus[p] for p in pos), *neg))
             clauses.append((minus[body], *head))
             for h in head:
-                supports[h].append(body)
+                head_occ[h].append(r)
         # true atoms need support
-        clauses += ((minus[a], *supports[a]) for a in range(1, natoms + 1))
+        clauses += ((minus[a], *(natoms + 1 + r for r in head_occ[a]))
+                    for a in range(1, natoms + 1))
         super().__init__(natoms + len(rules), clauses, max_nodes)
         self.natoms = natoms
         self.rules = rules
-        component = _components(natoms, rules)
+        component = _components(rules, head_occ)
         self.hcf = all(len({component[h] for h in head}) == len(head)
                        for head, _, _ in rules)
         # per rule and head atom: the head atoms outside that atom's component
         self.blockers = [
             tuple(tuple(b for b in head if component[b] != component[a]) for a in head)
             for head, _, _ in rules]
-        self.head_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
+        self.head_occ = head_occ
         self.pos_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
         self.blocked_by: list[list[tuple]] = [[] for _ in range(natoms + 1)]
         for r, (head, pos, _) in enumerate(rules):
             for a, blockers in zip(head, self.blockers[r]):
-                self.head_occ[a].append(r)
                 for b in blockers:
                     self.blocked_by[b].append((r, a))
             for p in pos:

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nullveil import (DialectError, NULL, ParseError, UnsupportedRuleError, Value,
-                      parse_facts, parse_query, parse_schema, parse_view)
+from nullveil import (Atom, BuiltinAtom, Const, DialectError, NULL, ParseError, Rule,
+                      UnsupportedRuleError, Value, Var, parse_facts, parse_query,
+                      parse_schema, parse_view)
 from nullveil.answers import secret_answers
 from nullveil.asp import (cautious_answers, compile_program,
                           compile_query_program, export_program, export_rule,
@@ -82,7 +87,7 @@ def test_overlapping_head_and_join_variable_uses_single_rule():
     assert export_rule(disjunctive[0], "dlv") == \
         "p_a(null,Y,T1) v r_a(null,T2) :- p_t(X,Y,T1), r_t(X,T2), X < 5, X != null."
     assert not any(a.pred.startswith("aux_") for r in program.rules
-                   for a in r.head + r.pos_atoms() + r.neg_atoms())
+                   for a in r.head + r.pos + r.neg)
     models = stable_models(ground(program.rules))
     expected = {s.instance for s in enumerate_secrecy_instances(d, [view])}
     assert set(models_to_instances(models, d)) == expected
@@ -93,7 +98,8 @@ def test_empty_instance_program_still_carries_rules():
     empty = parse_facts("", case.schema)
     program = compile_program(empty, case.views)
     assert any(len(r.head) > 1 for r in program.rules)
-    assert not any(len(r.head) == 1 and not r.body for r in program.rules)
+    assert not any(len(r.head) == 1 and not (r.pos or r.neg or r.builtins)
+                   for r in program.rules)
     models = stable_models(ground(program.rules))
     assert models == [frozenset()]
 
@@ -184,6 +190,59 @@ def test_exported_text_round_trips():
     for dialect in ("dlv", "clingo"):
         parsed = parse_program_text(export_program(program, dialect))
         assert tuple(parsed) == program.rules
+
+
+def test_program_text_round_trips_whatever_the_body_order():
+    """Parsing puts each body item into its field wherever it is written;
+    export writes positive atoms, negated atoms, then built-ins."""
+    x = Var("X")
+    [rule] = parse_program_text("h(X) v g(X) :- X < 3, not q(X), p(X).")
+    assert rule == Rule((Atom("h", (x,)), Atom("g", (x,))), pos=(Atom("p", (x,)),),
+                        neg=(Atom("q", (x,)),),
+                        builtins=(BuiltinAtom("<", (x, Const(Value.of_int(3)))),))
+    for dialect, sep in (("dlv", " v "), ("clingo", " | ")):
+        text = export_program([rule], dialect)
+        assert text == f"h(X){sep}g(X) :- p(X), not q(X), X < 3.\n"
+        assert parse_program_text(text) == [rule]
+        assert export_program(parse_program_text(text), dialect) == text
+
+
+HASH_SEED_SCRIPT = """
+from nullveil import parse_facts, parse_query, parse_schema, parse_view
+from nullveil.asp import cautious_answers, compile_program, compile_query_program, export_program
+from nullveil.solver import ground, stable_models
+
+def text(gatom):
+    return f"{gatom[0]}({','.join(v.token() for v in gatom[1])})"
+
+schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+instance = parse_facts("P(1, 101). R(101, 201). P(2, 102). R(102, 202). "
+                       "P(3, 103). R(104, 204).", schema)
+views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+query = parse_query("?(X) :- P(X,Y).", schema)
+rules = compile_program(instance, views).rules + (compile_query_program(query),)
+program = ground(rules)
+models = stable_models(program)
+print(len(models), [text(a) for a in program.atoms])
+print(program.rules)
+print([sorted(map(text, model)) for model in models])
+print(export_program(rules, "dlv") + export_program(rules, "clingo"))
+print(sorted(tuple(v.token() for v in row) for row in cautious_answers(instance, views, query)))
+"""
+
+
+def test_program_route_does_not_depend_on_the_hash_seed():
+    """Atom numbering, ground rules, the model list, the exported text and
+    the cautious answers of a k=2 stream database are the same under two
+    hash seeds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = [subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+                              ).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("9 ") and outputs[0].endswith("[('3',)]\n")
 
 
 def test_program_text_with_a_bad_comparison_is_a_parse_error():

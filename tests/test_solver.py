@@ -6,8 +6,7 @@ import pytest
 from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, NULL,
                       UnsupportedRuleError, Value, Var)
 from nullveil.asp import compile_program, compile_query_program
-from nullveil.solver import (GroundProgram, Literal, Rule, _builtin_holds, fact, ground,
-                             stable_models)
+from nullveil.solver import GroundProgram, Rule, _builtin_holds, fact, ground, stable_models
 
 from randgen import rand_case, rand_query
 
@@ -46,7 +45,7 @@ def test_fact_only_program_has_one_model():
 
 
 def test_textbook_disjunction():
-    rules = [Rule((a0("a"), a0("b")), ())]
+    rules = [Rule((a0("a"), a0("b")))]
     models = stable_models(ground(rules))
     assert sorted(models, key=sorted) == [frozenset({("a", ())}),
                                           frozenset({("b", ())})]
@@ -54,8 +53,8 @@ def test_textbook_disjunction():
 
 def test_default_negation_even_loop():
     rules = [
-        Rule((a0("a"),), (Literal(a0("b"), negated=True),)),
-        Rule((a0("b"),), (Literal(a0("a"), negated=True),)),
+        Rule((a0("a"),), neg=(a0("b"),)),
+        Rule((a0("b"),), neg=(a0("a"),)),
     ]
     models = stable_models(ground(rules))
     assert sorted(models, key=sorted) == [frozenset({("a", ())}),
@@ -63,14 +62,14 @@ def test_default_negation_even_loop():
 
 
 def test_odd_loop_has_no_model():
-    rules = [Rule((a0("a"),), (Literal(a0("a"), negated=True),))]
+    rules = [Rule((a0("a"),), neg=(a0("a"),))]
     assert stable_models(ground(rules)) == []
 
 
 def test_constraint_prunes_models():
     rules = [
-        Rule((a0("a"), a0("b")), ()),
-        Rule((), (Literal(a0("a")),)),
+        Rule((a0("a"), a0("b"))),
+        Rule((), (a0("a"),)),
     ]
     models = stable_models(ground(rules))
     assert models == [frozenset({("b", ())})]
@@ -79,8 +78,8 @@ def test_constraint_prunes_models():
 def test_unsupported_atoms_never_true():
     # c is underivable; the disjunctive choice must not leak into it
     rules = [
-        Rule((a0("a"), a0("b")), ()),
-        Rule((a0("c"),), (Literal(a0("d")),)),
+        Rule((a0("a"), a0("b"))),
+        Rule((a0("c"),), (a0("d"),)),
     ]
     models = stable_models(ground(rules))
     assert all(("c", ()) not in m and ("d", ()) not in m for m in models)
@@ -90,8 +89,8 @@ def test_minimality_rejects_supersets():
     # a v b with an extra rule deriving b from a: {a} violates b <- a,
     # and {a, b} is a non-minimal model, so {b} is the one stable model
     rules = [
-        Rule((a0("a"), a0("b")), ()),
-        Rule((a0("b"),), (Literal(a0("a")),)),
+        Rule((a0("a"), a0("b"))),
+        Rule((a0("b"),), (a0("a"),)),
     ]
     models = stable_models(ground(rules))
     assert models == [frozenset({("b", ())})]
@@ -102,8 +101,8 @@ def test_grounding_instantiates_over_possible_atoms():
     rules = [
         fact(Atom("p", (Const(Value.of_int(1)),))),
         fact(Atom("p", (Const(Value.of_int(2)),))),
-        Rule((Atom("q", (x,)),),
-             (Literal(Atom("p", (x,))), BuiltinAtom("<", (x, Const(Value.of_int(2)))))),
+        Rule((Atom("q", (x,)),), (Atom("p", (x,)),),
+             builtins=(BuiltinAtom("<", (x, Const(Value.of_int(2)))),)),
     ]
     heads = {h for head, _, _ in decoded(ground(rules)) for h in head}
     assert gatom("q", 1) in heads
@@ -115,10 +114,10 @@ def test_grounding_builtins_with_null_fail():
     rules = [
         fact(Atom("p", (Const(NULL),))),
         fact(Atom("p", (Const(Value.of_int(3)),))),
-        Rule((Atom("big", (x,)),),
-             (Literal(Atom("p", (x,))), BuiltinAtom(">", (x, Const(Value.of_int(1)))))),
-        Rule((Atom("nn", (x,)),),
-             (Literal(Atom("p", (x,))), BuiltinAtom("!=", (x, Const(NULL))))),
+        Rule((Atom("big", (x,)),), (Atom("p", (x,)),),
+             builtins=(BuiltinAtom(">", (x, Const(Value.of_int(1)))),)),
+        Rule((Atom("nn", (x,)),), (Atom("p", (x,)),),
+             builtins=(BuiltinAtom("!=", (x, Const(NULL))),)),
     ]
     heads = {h for head, _, _ in decoded(ground(rules)) for h in head}
     assert ("big", (Value.of_int(3),)) in heads
@@ -129,15 +128,14 @@ def test_grounding_builtins_with_null_fail():
 
 def test_grounding_rejects_unsafe_rules():
     with pytest.raises(UnsupportedRuleError):
-        ground([Rule((Atom("q", (Var("X"),)),), ())])
+        ground([Rule((Atom("q", (Var("X"),)),))])
     with pytest.raises(UnsupportedRuleError):
-        ground([Rule((a0("q"),),
-                     (Literal(Atom("p", (Var("X"),)), negated=True),))])
+        ground([Rule((a0("q"),), neg=(Atom("p", (Var("X"),)),))])
 
 
 def test_ground_program_with_no_facts_only_keeps_groundable_rules():
     x = Var("X")
-    rules = [Rule((Atom("q", (x,)),), (Literal(Atom("p", (x,))),))]
+    rules = [Rule((Atom("q", (x,)),), (Atom("p", (x,)),))]
     assert ground(rules) == GroundProgram([], [])
 
 
@@ -146,9 +144,9 @@ def test_grounding_numbers_atoms_in_the_order_it_meets_them():
     derived (`e`) is numbered where it is first negated, and one negated
     before it is derived (`c`) keeps that earlier number."""
     a, b, c, d, e = (a0(name) for name in "abcde")
-    rules = [Rule((c,), (Literal(b),)),
-             Rule((b,), (Literal(a), Literal(c, negated=True))),
-             Rule((d,), (Literal(a), Literal(e, negated=True))),
+    rules = [Rule((c,), (b,)),
+             Rule((b,), (a,), (c,)),
+             Rule((d,), (a,), (e,)),
              fact(a)]
     assert ground(rules) == GroundProgram(
         [("a", ()), ("b", ()), ("c", ()), ("d", ()), ("e", ())],
@@ -156,13 +154,13 @@ def test_grounding_numbers_atoms_in_the_order_it_meets_them():
 
 
 def test_search_bound_is_enforced():
-    rules = [Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(12)]
+    rules = [Rule((a0(f"x{i}"), a0(f"y{i}"))) for i in range(12)]
     with pytest.raises(BoundExceededError):
         stable_models(ground(rules), max_nodes=10)
 
 
 def test_search_depth_is_bounded_by_nodes_not_recursion():
-    rules = [Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(1100)]
+    rules = [Rule((a0(f"x{i}"), a0(f"y{i}"))) for i in range(1100)]
     with pytest.raises(BoundExceededError) as exc:
         stable_models(ground(rules), max_nodes=1200)
     assert str(exc.value) == ("stable-model search exceeded its bound of 1200 nodes "
@@ -175,15 +173,14 @@ def test_repeated_atoms_in_a_ground_rule_still_propagate():
     propagation decides without branching."""
     x, y = Var("X"), Var("Y")
     rules = [fact(Atom("q", (Const(Value.of_int(1)),))),
-             Rule((Atom("p", (x,)), Atom("p", (y,))),
-                  (Literal(Atom("q", (x,))), Literal(Atom("q", (y,)))))]
+             Rule((Atom("p", (x,)), Atom("p", (y,))), (Atom("q", (x,)), Atom("q", (y,))))]
     program = ground(rules)
     assert decoded(program)[1] == ((gatom("p", 1),) * 2, (gatom("q", 1),) * 2, ())
     assert stable_models(program, max_nodes=0) == [frozenset({gatom("p", 1), gatom("q", 1)})]
 
 
 def test_many_independent_choices_enumerate_fully():
-    rules = [Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(6)]
+    rules = [Rule((a0(f"x{i}"), a0(f"y{i}"))) for i in range(6)]
     models = stable_models(ground(rules))
     assert len(models) == 64
 
@@ -279,7 +276,7 @@ def test_stable_models_do_not_depend_on_rule_order():
         shuffled = GroundProgram(program.atoms, rng.sample(program.rules, len(rules)))
         assert stable_models(shuffled) == models, rules
         assert stable_models(numbered(rng.sample(rules, len(rules)))) == models, rules
-    program = ground([Rule((a0(f"x{i}"), a0(f"y{i}")), ()) for i in range(1100)])
+    program = ground([Rule((a0(f"x{i}"), a0(f"y{i}"))) for i in range(1100)])
     shuffled = GroundProgram(program.atoms, rng.sample(program.rules, len(program)))
     with pytest.raises(BoundExceededError) as exc:
         stable_models(shuffled, max_nodes=1200)
@@ -304,8 +301,8 @@ def test_grounding_a_query_rule_is_classical_evaluation_randomized():
             continue
         facts = [fact(Atom(name, tuple(Const(v) for v in row.values)))
                  for name in schema.names() for row in instance.rows(name)]
-        body = tuple(Literal(a) for a in query.body) + query.builtins
-        grounded = decoded(ground(facts + [Rule((Atom("ans", query.out),), body)]))
+        query_rule = Rule((Atom("ans", query.out),), query.body, builtins=query.builtins)
+        grounded = decoded(ground(facts + [query_rule]))
         answers = {head[0][1] for head, _, _ in grounded if head[0][0] == "ans"}
         assert answers == expected, (instance, query)
         compared += 1
@@ -332,14 +329,13 @@ def oracle_ground(rules) -> set:
     possible, out = set(), set()
     while True:
         for r in rules:
-            pos = r.pos_atoms()
             for atoms in itertools.product(*([g for g in possible if g[0] == a.pred]
-                                              for a in pos)):
+                                              for a in r.pos)):
                 env: dict = {}
-                if (all(_unify(a, g, env) for a, g in zip(pos, atoms))
-                        and all(_builtin_holds(b, env) for b in r.builtins())):
-                    out.add((_instance(r.head, env), _instance(pos, env),
-                             _instance(r.neg_atoms(), env)))
+                if (all(_unify(a, g, env) for a, g in zip(r.pos, atoms))
+                        and all(_builtin_holds(b, env) for b in r.builtins)):
+                    out.add((_instance(r.head, env), _instance(r.pos, env),
+                             _instance(r.neg, env)))
         heads = {h for head, _, _ in out for h in head}
         if heads <= possible:
             return out
@@ -351,12 +347,10 @@ def _path_rules(edges, doubling: bool) -> list:
     x, y, z = Var("X"), Var("Y"), Var("Z")
     rules = [fact(Atom("edge", (Const(Value.of_int(a)), Const(Value.of_int(b)))))
              for a, b in edges]
-    rules += [Rule((Atom("path", (x, y)),), (Literal(Atom("edge", (x, y))),)),
-              Rule((Atom("path", (x, z)),), (Literal(Atom("path", (x, y))),
-                                             Literal(Atom("edge", (y, z)))))]
+    rules += [Rule((Atom("path", (x, y)),), (Atom("edge", (x, y)),)),
+              Rule((Atom("path", (x, z)),), (Atom("path", (x, y)), Atom("edge", (y, z))))]
     if doubling:
-        rules.append(Rule((Atom("path", (x, z)),), (Literal(Atom("path", (x, y))),
-                                                    Literal(Atom("path", (y, z))))))
+        rules.append(Rule((Atom("path", (x, z)),), (Atom("path", (x, y)), Atom("path", (y, z)))))
     return rules
 
 
