@@ -204,10 +204,10 @@ class Instance:
                 raise SemanticError(f"unknown relation {name}")
         self._table = table
         self._index = index
-        self._canonical = tuple(
+        self._canonical = (schema, tuple(
             (name, tuple(sorted((r.tid, r.values) for r in table[name])))
             for name in schema.names()
-        )
+        ))
 
     @staticmethod
     def from_values(schema: Schema, rows: Mapping[str, Sequence[Sequence[Value]]]) -> "Instance":

@@ -38,14 +38,30 @@ its predicate, so joining on a bound column costs the matching atoms,
 not all of them.  A column is indexed the first time a rule probes it,
 and kept up to date from then on; columns no rule binds cost nothing.
 
-Model search branches on the atoms in number order, so the choices (the
-secrecy program's update atoms) come before the atoms they decide (its
-`ans` atoms), and ground atoms are looked up only for the returned
-models, which are then sorted into a canonical order.  The search is a
-DPLL enumeration over clauses with an explicit stack: each ground rule
-gets a variable equivalent to its body, every rule is a clause, and
-every true atom needs some rule with a true body and the atom in its
-head.
+Almost all of a ground secrecy program is decided before any search:
+its facts, what they derive, and the atoms nothing can derive.  So one
+linear pass settles it first, the standard grounder simplification
+(Faber, Leone & Perri 2012, "The intelligent grounder of DLV"; Gebser,
+Kaminski, König & Schaub 2011, "Advances in gringo series 3").  An atom
+is impossible when no live rule has it in its head, and certain when a
+live rule with it as its only head atom has every positive atom certain
+and every negated atom impossible.  A rule dies when its body is false
+(a positive atom impossible, a negated atom certain) or when a head atom
+is certain, which satisfies it; a live constraint whose body is true
+leaves no model.  Each of these steps keeps the stable models, also with
+disjunction (Brass & Dix 1997, "Characterizations of the disjunctive
+stable semantics by partial evaluation").  The search is then built over
+the live rules only, restricted to the atoms left undecided, and every
+model it finds gets the certain atoms back.
+
+Model search branches on the undecided atoms in number order, so the
+choices (the secrecy program's update atoms) come before the atoms they
+decide (its `ans` atoms), and ground atoms are looked up only for the
+returned models, which are then sorted into a canonical order.  The
+search is a DPLL enumeration over clauses with an explicit stack: each
+ground rule gets a variable equivalent to its body, every rule is a
+clause, and every true atom needs some rule with a true body and the
+atom in its head.
 
 After unit propagation, every search node runs unfounded-set
 propagation.  Let S be the least set of atoms `a` having a rule `r` such
@@ -65,8 +81,10 @@ assignments invalidated.
 When no rule has two head atoms in one component, the program is
 head-cycle-free and S is exactly the least model of the shifted reduct
 (Ben-Eliyahu & Dechter 1994), so every leaf of the search is a stable
-model.  Only programs with head cycles still check each leaf for being a
-minimal model of its reduct, by a satisfiability search over the model.
+model.  Only programs whose live rules still have head cycles check each
+leaf for being a minimal model of its reduct, by a satisfiability search
+over the model; the certain atoms are in every model of that reduct, so
+the check reads the live rules only.
 
 Grounding and model search are pure; the returned models do not depend
 on the order in which the search finds them.
@@ -431,7 +449,9 @@ def _components(rules: list[tuple], head_occ: list) -> list[int]:
 
 
 class _StableSearch(_Enumerator):
-    """Stable-model search over a numbered ground program.
+    """Stable-model search over a numbered ground program, which
+    `stable_models` gives it already settled: the live rules over the
+    undecided atoms.
 
     Atoms are 1..natoms; rule r is a (head, pos, neg) triple of atom
     tuples with body variable natoms + 1 + r.  One index, `head_occ`,
@@ -570,23 +590,114 @@ class _StableSearch(_Enumerator):
         return next(check.enumerate(model), None) is None
 
 
+def _settle(natoms: int, rules: list[tuple]) -> tuple[list[int], list[bool]] | None:
+    """The value of each atom (`_TRUE` certain, `_FALSE` impossible,
+    `_UNDEF` undecided) and whether each rule lives, after one linear
+    fixpoint; None when a live constraint's body is decided true.
+
+    An atom is impossible when no live rule has it in its head; a live
+    rule whose head is that one atom, with all its positive atoms certain
+    and all its negated atoms impossible, makes it certain.  A rule dies
+    when a positive atom is impossible, a negated atom is certain (its
+    body is false), or a head atom is certain (it is satisfied).  A
+    tautology, a rule with a positive atom in its head, is dead from the
+    start.  A rule that repeats an atom counts it once per occurrence.
+    Counters only fall and values are set once, so each atom is
+    propagated once, through each rule it occurs in."""
+    value = [_UNDEF] * (natoms + 1)
+    heads = [0] * (natoms + 1)  # live rules that head the atom
+    head_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
+    pos_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
+    neg_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
+    left = []  # per rule: positive atoms not certain, negated atoms not impossible
+    live = [not any(h in pos for h in head) for head, pos, _ in rules]
+    for r, (head, pos, neg) in enumerate(rules):
+        left.append(len(pos) + len(neg))
+        if not live[r]:
+            continue
+        for h in head:
+            heads[h] += 1
+            head_occ[h].append(r)
+        for p in pos:
+            pos_occ[p].append(r)
+        for n in neg:
+            neg_occ[n].append(r)
+    decided = [a for a in range(1, natoms + 1) if not heads[a]]  # still to propagate
+    for a in decided:
+        value[a] = _FALSE
+
+    def kill(r: int) -> None:
+        live[r] = False
+        for h in rules[r][0]:
+            heads[h] -= 1
+            if not heads[h] and value[h] == _UNDEF:
+                value[h] = _FALSE
+                decided.append(h)
+
+    def fire(r: int) -> bool:
+        """Rule r's body is true: a constraint fails, one head atom is certain."""
+        head = rules[r][0]
+        if head and head.count(head[0]) == len(head) and value[head[0]] == _UNDEF:
+            value[head[0]] = _TRUE
+            decided.append(head[0])
+        return bool(head)
+
+    if not all(fire(r) for r in range(len(rules)) if live[r] and not left[r]):
+        return None
+    while decided:
+        a = decided.pop()
+        body_true, body_false = (pos_occ, neg_occ) if value[a] == _TRUE else (neg_occ, pos_occ)
+        for r in body_false[a]:
+            if live[r]:
+                kill(r)
+        if value[a] == _TRUE:
+            for r in head_occ[a]:
+                if live[r]:
+                    kill(r)
+        for r in body_true[a]:
+            if live[r]:
+                left[r] -= 1
+                if not left[r] and not fire(r):
+                    return None
+    return value, live
+
+
 def stable_models(program: GroundProgram,
                   max_nodes: int = DEFAULT_SEARCH_BOUND) -> list[frozenset]:
     """All stable models of the ground program: models that are minimal
-    models of their own reduct.  The search branches in atom-number order,
-    so neither the models nor a bound's message depend on the order of
-    `program.rules`; the models are sorted by `_gatom_key`, computed only
-    for the atoms some model holds."""
-    atoms, rules = program.atoms, []
-    for head, pos, neg in program.rules:
-        head, pos = set(head), set(pos)  # a repeated literal would hide a unit clause
-        if not head & pos:  # else tautological: a positive body atom is in the head
-            rules.append((tuple(head), tuple(pos), tuple(set(neg))))
-    search = _StableSearch(len(atoms), rules, max_nodes)
-    branch = list(range(1, len(atoms) + 1))
-    models = [[a for a in branch if assign[a] == _TRUE]
+    models of their own reduct.
+
+    `_settle` first decides the certain and impossible atoms, and the
+    search is built over the live rules only, restricted to the atoms
+    left undecided, which keep their relative order.  The search branches
+    in atom-number order, so neither the models nor a bound's message
+    depend on the order of `program.rules`.  Every model is the certain
+    atoms plus its own true undecided ones, and the models are sorted by
+    `_gatom_key` of their atoms."""
+    atoms = program.atoms
+    settled = _settle(len(atoms), program.rules)
+    if settled is None:
+        return []
+    value, live = settled
+    undecided = [a for a in range(1, len(atoms) + 1) if value[a] == _UNDEF]
+    index = [0] * (len(atoms) + 1)  # atom -> its number in the search
+    for i, a in enumerate(undecided, 1):
+        index[a] = i
+    # as sets, because a repeated literal would hide a unit clause
+    residue = [(tuple({index[h] for h in head}),
+                tuple({index[p] for p in pos if value[p] == _UNDEF}),
+                tuple({index[n] for n in neg if value[n] == _UNDEF}))
+               for (head, pos, neg), alive in zip(program.rules, live) if alive]
+    search = _StableSearch(len(undecided), residue, max_nodes)
+    branch = list(range(1, len(undecided) + 1))
+    models = [[a for a, i in zip(undecided, branch) if assign[i] == _TRUE]
               for assign in search.enumerate(branch)]
+    # Stable models are minimal models, so neither of two holds the other,
+    # and of their sorted atom lists the one with the least atom that only
+    # one of them holds comes first.  The certain atoms, held by all, do
+    # not change that, so only the undecided ones are ranked.
     true = sorted({a for m in models for a in m}, key=lambda a: _gatom_key(atoms[a - 1]))
     rank = {a: i for i, a in enumerate(true)}
     models.sort(key=lambda m: sorted(rank[a] for a in m))
-    return [frozenset(atoms[a - 1] for a in m) for m in models]
+    base = frozenset(atoms[a - 1] for a in range(1, len(atoms) + 1) if value[a] == _TRUE)
+    return [base.union(atoms[a - 1] for a in m) for m in models]

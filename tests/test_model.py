@@ -117,3 +117,17 @@ def test_row_order_is_irrelevant_to_equality():
     a = Instance(schema, {"P": [Row(1, row("1 2")), Row(2, row("3 4"))]})
     b = Instance(schema, {"P": [Row(2, row("3 4")), Row(1, row("1 2"))]})
     assert a == b and hash(a) == hash(b)
+
+
+def test_equality_includes_the_schema():
+    """Equal content under different schemas is not the same instance:
+    a column sort differs, or two empty relations differ in arity."""
+    typed = Schema([Relation("P", (("A", "int"),))])
+    untyped = Schema([Relation("P", (("A", "any"),))])
+    a = inst(typed, P=["1"])
+    b = inst(untyped, P=["1"])
+    assert a != b and len({a, b}) == 2
+    assert a == inst(Schema([Relation("P", (("A", "int"),))]), P=["1"])
+    unary = Instance(typed, {})
+    binary = Instance(Schema([Relation("P", (("A", "int"), ("B", "int")))]), {})
+    assert unary != binary and len({unary, binary}) == 2

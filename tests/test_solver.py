@@ -1,11 +1,14 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, NULL,
-                      UnsupportedRuleError, Value, Var)
-from nullveil.asp import compile_program, compile_query_program
+from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, CrossCheckError, NULL,
+                      UnsupportedRuleError, Value, Var, parse_facts, parse_query, parse_schema,
+                      parse_view, solver)
+from nullveil.asp import (cautious_answers, compile_program, compile_query_program,
+                          model_answers)
 from nullveil.solver import GroundProgram, Rule, _builtin_holds, fact, ground, stable_models
 
 from randgen import rand_case, rand_query
@@ -253,14 +256,169 @@ def test_stable_models_named_cases(rules, expected):
     assert stable_models(numbered(rules)) == expected
 
 
-def test_stable_models_match_brute_force_oracle():
+def test_stable_models_match_brute_force_oracle(spied):
     rng = random.Random(61)
     head_cycles = 0
+    settled = dict.fromkeys(SETTLED_KINDS, 0)
     for _ in range(3000):
         rules = _rand_ground_program(rng)
         head_cycles += _has_head_cycle(rules)
+        spied.settled.clear()
+        spied.searches.clear()
         assert stable_models(numbered(rules)) == oracle_stable_models(rules), rules
+        for kind in _settled_kinds(spied):
+            settled[kind] += 1
     assert head_cycles >= 300  # the minimality-checked leaves are covered
+    assert all(settled[kind] >= floor for kind, floor in SETTLED_KINDS.items()), settled
+
+
+# --------------------------------------------------------------------------
+# settling certain and impossible atoms before the search
+
+@pytest.fixture
+def spied(monkeypatch):
+    """What `stable_models` settles and searches: each `_settle` call's
+    rules and result, and each search it builds, which counts the leaves
+    its reduct check rejects."""
+    seen = SimpleNamespace(settled=[], searches=[])
+    settle = solver._settle
+
+    def recording_settle(natoms, rules):
+        result = settle(natoms, rules)
+        seen.settled.append((rules, result))
+        return result
+
+    class RecordingSearch(solver._StableSearch):
+        rejected = 0
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen.searches.append(self)
+
+        def _accept(self):
+            accepted = super()._accept()
+            self.rejected += not accepted
+            return accepted
+
+    monkeypatch.setattr(solver, "_settle", recording_settle)
+    monkeypatch.setattr(solver, "_StableSearch", RecordingSearch)
+    return seen
+
+
+# the least number of the 3,000 random programs that show each kind
+SETTLED_KINDS = {"negated atom dropped": 100, "negated atom kills": 100,
+                 "head atom kills": 75, "constraint fails": 300,
+                 "residue head cycle": 200}
+
+
+def _settled_kinds(spied) -> set:
+    """What the pass decided in the last `stable_models` call."""
+    (rules, result), = spied.settled
+    if result is None:
+        return {"constraint fails"}
+    value, live = result
+    kinds = set()
+    for (head, _, neg), alive in zip(rules, live):
+        negated = {value[n] for n in neg}
+        if alive and solver._FALSE in negated:
+            kinds.add("negated atom dropped")
+        if solver._TRUE in negated:
+            kinds.add("negated atom kills")
+        if {value[h] for h in head} >= {solver._TRUE, solver._FALSE}:
+            kinds.add("head atom kills")  # a disjunction satisfied, another head atom gone
+    (search,) = spied.searches
+    if not search.hcf:
+        kinds.add("residue head cycle")
+    return kinds
+
+
+def _searched_rules(program: GroundProgram, spied) -> list:
+    """The rules of the last search, as (head, pos, neg) triples of atoms."""
+    (_, (value, _)), search = spied.settled[-1], spied.searches[-1]
+    undecided = [atom for atom, v in zip(program.atoms, value[1:]) if v == solver._UNDEF]
+    return [tuple(tuple(undecided[i - 1] for i in part) for part in rule)
+            for rule in search.rules]
+
+
+a, b, c, d, e = ATOMS
+
+
+@pytest.mark.parametrize("rules, searched, expected", [
+    # `not b` with b in no head: b is impossible and drops out of the body
+    ([((a, c), (), (b,))],
+     [((a, c), (), ())],
+     [{a}, {c}]),
+    # `not b` with b certain: the rule's body is false and the rule goes,
+    # so a, which only it heads, is impossible
+    ([((b,), (), ()), ((a, c), (), (b,)), ((c, d), (), ())],
+     [((c, d), (), ())],
+     [{b, c}, {b, d}]),
+    # a certain head atom satisfies `a v b.`, which goes; then nothing
+    # supports b, and c, which needs b, is impossible as well
+    ([((a,), (), ()), ((a, b), (), ()), ((c,), (b,), ()), ((d, e), (), ())],
+     [((d, e), (), ())],
+     [{a, d}, {a, e}]),
+    # the tautology `a :- a.` founds nothing, so a is impossible
+    ([((a,), (a,), ()), ((b, c), (), (a,))],
+     [((b, c), (), ())],
+     [{b}, {c}]),
+    # `b v b :- a, a.` reaches the search as `b :- a.`, so propagation,
+    # not branching, decides b
+    ([((a, c), (), ()), ((b, b), (a, a), ())],
+     [((a, c), (), ()), ((b,), (a,), ())],
+     [{a, b}, {c}]),
+    # with a certain, `b v b :- a.` makes b certain as `b :- a.` would
+    ([((a,), (), ()), ((b, b), (a,), ()), ((c, d), (), ())],
+     [((c, d), (), ())],
+     [{a, b, c}, {a, b, d}]),
+])
+def test_settling_decides_before_the_search(spied, rules, searched, expected):
+    program = numbered(rules)
+    models = [frozenset(m) for m in expected]
+    assert oracle_stable_models(rules) == models
+    assert stable_models(program) == models
+    assert _searched_rules(program, spied) == searched
+
+
+def test_constraint_true_on_certain_atoms_leaves_no_model(spied):
+    """`:- a, b.` with a and b certain: no model, and no search at all, so
+    the cautious answers over the models fail as they do for any program
+    without a stable model."""
+    rules = [((a,), (), ()), ((b,), (a,), ()), ((), (a, b), ()), ((c, d), (), ())]
+    assert oracle_stable_models(rules) == []
+    assert stable_models(numbered(rules)) == []
+    assert spied.searches == []
+    with pytest.raises(CrossCheckError):
+        model_answers(stable_models(numbered(rules)))
+
+
+def test_head_cycle_in_the_residue_is_still_checked(spied):
+    """c is certain, so `a v b :- c.` reaches the search as `a v b.`; with
+    `b :- a.` and `a :- b, not b.` a and b form a head cycle, and the
+    reduct check rejects the leaf {a, b}, of which {b} is a model."""
+    rules = [((c,), (), ()), ((a, b), (c,), ()), ((a,), (b,), (b,)), ((b,), (a,), ())]
+    program = numbered(rules)
+    assert oracle_stable_models(rules) == [frozenset({b, c})]
+    assert stable_models(program) == [frozenset({b, c})]
+    (search,) = spied.searches
+    assert not search.hcf and search.rejected == 1
+    assert _searched_rules(program, spied) == [((a, b), (), ()), ((a,), (b,), (b,)),
+                                               ((b,), (a,), ())]
+
+
+def test_search_is_sized_by_the_residue_not_the_database(spied):
+    """One violating join among 1,600 rows that join nothing: the ground
+    program has about 6,900 atoms, and the search sees a few dozen."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    facts = ["P(1, 100). R(100, 7)."]
+    facts += [f"P({i % 900}, {2000 + i}). R({5000 + i}, {i % 700})." for i in range(800)]
+    instance = parse_facts(" ".join(facts), schema)
+    views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+    answers = cautious_answers(instance, views, parse_query("?(X) :- P(X,Y).", schema))
+    assert answers == {(Value.of_int(i % 900),) for i in range(800)}
+    (_, (value, _)), = spied.settled
+    (search,) = spied.searches
+    assert len(value) - 1 > 6500 and search.natoms <= 40
 
 
 def test_stable_models_do_not_depend_on_rule_order():
