@@ -21,7 +21,7 @@ from .instances import (EnumerationMode, SecrecySolution, candidate_cells,
                         oracle_secrecy_instances, tuple_leq)
 from .lang import (Atom, BuiltinAtom, Const, Query, QueryClass, Term, Var, ViewDef,
                    classify_query, parse_facts, parse_query, parse_schema,
-                   parse_view, parse_views, print_facts, print_schema, view_as_query)
+                   parse_view, parse_views, print_facts, print_schema)
 from .model import (NULL, Cell, ChangeSet, Instance, Relation, Row, Schema, Value,
                     apply_changes, diff_changes, sorted_cells)
 from .semantics import (eval_classical, eval_n, relevant_vars, rewrite_query)

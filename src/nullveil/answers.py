@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instances import DEFAULT_CELL_BOUND, SecrecySolution, enumerate_secrecy_instances
-from .lang import Atom, Query, Var, view_as_query
+from .lang import Atom, Query, Var
 from .model import Instance, Schema
 from .semantics import AnswerSet, eval_n, intersect_answers
 
@@ -89,9 +89,8 @@ def check_no_leakage(instance: Instance, views) -> LeakageReport:
     answer_instance = _answer_instance_over(instance, solutions)
     failures = []
     for view in views:
-        query = view_as_query(view)
-        lhs = _secret_answers_over(solutions, query).answers
-        rhs = eval_n(answer_instance, query)
+        lhs = _secret_answers_over(solutions, view).answers
+        rhs = eval_n(answer_instance, view)
         if lhs != rhs:
             failures.append((view.name, lhs, rhs))
     return LeakageReport(not failures, tuple(failures))

@@ -138,17 +138,17 @@ def _version_rules(low: str, arity: int) -> list[Rule]:
 
 
 def _view_rules(view: ViewDef) -> list[Rule]:
-    low_view = ViewDef(view.name.lower(), view.head,
-                       _with_tids(view.body, view.phi), view.phi)
-    relevant = relevant_vars(low_view)
-    head_set = {v.name for v in low_view.head}
-    body_t = tuple(_annotated(a, Annotation.T) for a in low_view.body)
+    # each tuple-id variable occurs once, so it is never relevant
+    body = _with_tids(view.body, view.builtins)
+    relevant = relevant_vars(view)
+    head_set = {v.name for v in view.out}
+    body_t = tuple(_annotated(a, Annotation.T) for a in body)
     c_guards = tuple(_not_null(v) for v in sorted(relevant))
     cp_a = tuple(_annotated(cp, Annotation.A) for cp in
-                 (nulled_atom(atom, relevant) for atom in low_view.body) if cp)
+                 (nulled_atom(atom, relevant) for atom in body) if cp)
 
     rules: list[Rule] = []
-    guards = low_view.phi + c_guards
+    guards = view.builtins + c_guards
     if head_set & relevant:
         # a relevant head variable: combination-side updates only; its
         # guard in `c_guards` already makes some head value non-null
@@ -156,7 +156,7 @@ def _view_rules(view: ViewDef) -> list[Rule]:
     else:
         # a secrecy-side update must null a value: one rule per head
         # variable of the atom, guarded by that variable being non-null
-        for atom in low_view.body:
+        for atom in body:
             sp = nulled_atom(atom, head_set)
             if sp is None:
                 continue
@@ -235,9 +235,9 @@ def to_denial_constraints(view: ViewDef) -> list[str]:
     var_order = list(dict.fromkeys(
         t.name for a in view.body for t in a.args if isinstance(t, Var)))
     conjuncts = [a.token() for a in view.body]
-    conjuncts += [_pretty_builtin(b) for b in view.phi]
+    conjuncts += [_pretty_builtin(b) for b in view.builtins]
     out = []
-    for name in dict.fromkeys(v.name for v in view.head):
+    for name in dict.fromkeys(v.name for v in view.out):
         parts = conjuncts + [f"{name} ≠ null"]
         out.append(f"¬∃{' '.join(var_order)} ({' ∧ '.join(parts)})")
     return out
@@ -272,11 +272,10 @@ def export_rule(rule: Rule, dialect: str) -> str:
     return f"{head} :- {body}."
 
 
-def export_program(program: AnnotatedProgram | tuple, dialect: str) -> str:
-    """Solver-ready program text; dialect is `dlv` or `clingo`."""
+def export_program(rules, dialect: str) -> str:
+    """Solver-ready text of the rules; dialect is `dlv` or `clingo`."""
     if dialect not in DIALECTS:
         raise DialectError(f"unsupported dialect {dialect!r}")
-    rules = program.rules if isinstance(program, AnnotatedProgram) else tuple(program)
     return "\n".join(export_rule(r, dialect) for r in rules) + "\n"
 
 

@@ -168,7 +168,7 @@ def cmd_answer(args) -> int:
 def cmd_compile(args) -> int:
     _, instance, views, _ = _load(args, need_views=True)
     program = asp.compile_program(instance, views)
-    text = asp.export_program(program, args.dialect)
+    text = asp.export_program(program.rules, args.dialect)
     payload = {"program": text}
     if args.dcs:
         constraints = [dc for view in views

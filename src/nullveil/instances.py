@@ -111,12 +111,12 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
     targets, matches = set(), []  # matches: (destroying cells, head option)
     for view in views:
         relevant = relevant_vars(view)
-        head = {v.name for v in view.head}
+        head = {v.name for v in view.out}
         head_relevant = bool(head & relevant)
         for env, rows in iter_matches(scan(instance), view.body):
             if any(env[name].is_null for name in relevant):
                 continue
-            if not all(builtin_classical(b, env) for b in view.phi):
+            if not all(builtin_classical(b, env) for b in view.builtins):
                 continue
             destroying, heads = set(), set()
             for atom, row in zip(view.body, rows):

@@ -12,8 +12,9 @@ respective sorts.  Comments run from `%` to end of line.
     query:        ?(VARS) :- ATOM, ..., BUILTIN, ... .
 
 Built-ins are `=`, `!=` (also spelled `<>`), `<`, `>`, `<=`, `>=`,
-`isnull(T)`, `isnotnull(T)`.  The parser is reentrant and keeps no
-global state.
+`isnull(T)`, `isnotnull(T)`.  A secrecy view is a query with a name:
+`ViewDef` adds only `name` to `Query`, and both pass one safety check.
+The parser is reentrant and keeps no global state.
 """
 
 from __future__ import annotations
@@ -73,20 +74,6 @@ class BuiltinAtom:
 
 
 @dataclass(frozen=True, slots=True)
-class ViewDef:
-    """A secrecy view: head variables, body atoms, built-in conjunction."""
-
-    name: str
-    head: tuple[Var, ...]
-    body: tuple[Atom, ...]
-    phi: tuple[BuiltinAtom, ...]
-
-    def token(self) -> str:
-        head = f"{self.name}({', '.join(v.name for v in self.head)})"
-        return _rule_token(head, self.body, self.phi)
-
-
-@dataclass(frozen=True, slots=True)
 class Query:
     """A conjunctive query; body variables outside the projection list are
     implicitly existential.  The projection list may repeat variables."""
@@ -96,13 +83,23 @@ class Query:
     builtins: tuple[BuiltinAtom, ...]
 
     def token(self) -> str:
-        return _rule_token(f"?({', '.join(v.name for v in self.out)})",
-                           self.body, self.builtins)
+        return self._rule_token("?")
+
+    def _rule_token(self, head_name: str) -> str:
+        head = f"{head_name}({', '.join(v.name for v in self.out)})"
+        items = [a.token() for a in self.body] + [b.token() for b in self.builtins]
+        return f"{head} :- {', '.join(items)}."
 
 
-def _rule_token(head: str, body, builtins) -> str:
-    items = [a.token() for a in body] + [b.token() for b in builtins]
-    return f"{head} :- {', '.join(items)}."
+@dataclass(frozen=True, slots=True)
+class ViewDef(Query):
+    """A secrecy view: a conjunctive query with a name.  Its extension is
+    the query's answer set; it never equals the unnamed query."""
+
+    name: str
+
+    def token(self) -> str:
+        return self._rule_token(self.name)
 
 
 class QueryClass(enum.Enum):
@@ -410,8 +407,10 @@ def print_facts(instance: Instance) -> str:
 # --------------------------------------------------------------------------
 # views and queries
 
-def _check_rule(body: tuple[Atom, ...], builtins: tuple[BuiltinAtom, ...],
-                schema: Schema, allow_null: bool) -> None:
+def _check_rule(rule: Query, schema: Schema, allow_null: bool) -> None:
+    """Safety and sorts of a view or query: every head and built-in
+    variable occurs in a body atom, and constants fit their columns."""
+    body, builtins = rule.body, rule.builtins
     if not body:
         raise SemanticError("rule body must contain at least one database atom")
     var_sorts: dict[str, set[str]] = {}
@@ -433,6 +432,10 @@ def _check_rule(body: tuple[Atom, ...], builtins: tuple[BuiltinAtom, ...],
             else:
                 var_sorts.setdefault(term.name, set()).add(sort)
     body_vars = set(var_sorts)
+    for var in rule.out:
+        if var.name not in body_vars:
+            raise SemanticError(
+                f"head variable {var.name} does not occur in the body of {rule.token()}")
     for b in builtins:
         for term in b.args:
             if isinstance(term, Var) and term.name not in body_vars:
@@ -474,21 +477,16 @@ def parse_views(text: str, schema: Schema) -> list[ViewDef]:
         name_tok = parser.expect_name("view name")
         head = parser.parse_var_list()
         parser.expect(":-")
-        body, phi = parser.parse_body()
+        body, builtins = parser.parse_body()
         parser.expect(".")
-        _check_rule(body, phi, schema, allow_null=False)
-        body_vars = {t.name for a in body for t in a.args if isinstance(t, Var)}
-        for var in head:
-            if var.name not in body_vars:
-                raise SemanticError(
-                    f"head variable {var.name} of view {name_tok.text} "
-                    "does not occur in the body")
+        view = ViewDef(head, body, builtins, name_tok.text)
+        _check_rule(view, schema, allow_null=False)
         if schema.has_relation(name_tok.text):
             raise SemanticError(f"view name {name_tok.text} clashes with a relation")
         if name_tok.text in names:
             raise SemanticError(f"duplicate view name {name_tok.text}")
         names.add(name_tok.text)
-        views.append(ViewDef(name_tok.text, head, body, phi))
+        views.append(view)
     return views
 
 
@@ -503,17 +501,9 @@ def parse_query(text: str, schema: Schema) -> Query:
     if not parser.at_eof():
         tok = parser.peek()
         raise ParseError(f"unexpected input after query: {tok.text!r}", tok.line, tok.col)
-    _check_rule(body, builtins, schema, allow_null=True)
-    body_vars = {t.name for a in body for t in a.args if isinstance(t, Var)}
-    for var in out:
-        if var.name not in body_vars:
-            raise SemanticError(f"free variable {var.name} does not occur in the body")
-    return Query(out, body, builtins)
-
-
-def view_as_query(view: ViewDef) -> Query:
-    """The conjunctive query computing the view's extension."""
-    return Query(view.head, view.body, view.phi)
+    query = Query(out, body, builtins)
+    _check_rule(query, schema, allow_null=True)
+    return query
 
 
 def classify_query(query: Query) -> QueryClass:

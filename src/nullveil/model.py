@@ -170,17 +170,17 @@ class Instance:
     """A finite set of rows per relation, conforming to a schema.
 
     Rows keep their file order; all semantics downstream are insensitive
-    to row order.  Instances hash and compare by schema plus per-relation
-    {tid: values} content.
+    to row order.  An instance keeps its schema and its validated rows and
+    nothing else: it hashes and compares by schema plus per-relation
+    {tid: values} content, computed when asked, and `row` scans.
     """
 
     def __init__(self, schema: Schema, rows: Mapping[str, Sequence[Row]]):
         self.schema = schema
         table: dict[str, tuple[Row, ...]] = {}
-        index: dict[str, dict[int, Row]] = {}
         for rel in schema.relations:
             rel_rows = tuple(rows.get(rel.name, ()))
-            seen: dict[int, Row] = {}
+            seen: set[int] = set()
             for row in rel_rows:
                 if len(row.values) != rel.arity:
                     raise SemanticError(
@@ -196,18 +196,12 @@ class Instance:
                     raise SemanticError(f"tuple id must be positive, got {row.tid}")
                 if row.tid in seen:
                     raise SemanticError(f"duplicate tuple id {rel.name}#{row.tid}")
-                seen[row.tid] = row
+                seen.add(row.tid)
             table[rel.name] = rel_rows
-            index[rel.name] = seen
         for name in rows:
             if not schema.has_relation(name):
                 raise SemanticError(f"unknown relation {name}")
         self._table = table
-        self._index = index
-        self._canonical = (schema, tuple(
-            (name, tuple(sorted((r.tid, r.values) for r in table[name])))
-            for name in schema.names()
-        ))
 
     @staticmethod
     def from_values(schema: Schema, rows: Mapping[str, Sequence[Sequence[Value]]]) -> "Instance":
@@ -225,19 +219,12 @@ class Instance:
             raise SemanticError(f"unknown relation {relation}") from None
 
     def row(self, relation: str, tid: int) -> Row:
-        rel_index = self._index.get(relation)
-        if rel_index is None:
+        if relation not in self._table:
             raise AddressError(f"unknown relation {relation}")
-        row = rel_index.get(tid)
-        if row is None:
-            raise AddressError(f"no tuple {relation}#{tid}")
-        return row
-
-    def value_at(self, cell: Cell) -> Value:
-        row = self.row(cell.relation, cell.tid)
-        if not 1 <= cell.pos <= len(row.values):
-            raise AddressError(f"position {cell.pos} out of range for {cell.relation}")
-        return row.values[cell.pos - 1]
+        for row in self._table[relation]:
+            if row.tid == tid:
+                return row
+        raise AddressError(f"no tuple {relation}#{tid}")
 
     def cells(self):
         """The coordinates of every non-null cell."""
@@ -250,11 +237,17 @@ class Instance:
     def total_rows(self) -> int:
         return sum(len(rows) for rows in self._table.values())
 
+    def _key(self) -> tuple:
+        # tids are unique per relation, so sorting never compares values
+        return (self.schema, tuple(
+            (name, tuple(sorted((r.tid, r.values) for r in self._table[name])))
+            for name in self.schema.names()))
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Instance) and self._canonical == other._canonical
+        return isinstance(other, Instance) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._canonical)
+        return hash(self._key())
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = []
@@ -268,29 +261,34 @@ class Instance:
 def apply_changes(base: Instance, changes: Iterable[Cell]) -> Instance:
     """Return the instance obtained from `base` by nulling every cell in
     `changes`.  Every addressed cell must exist and hold a non-null value;
-    ids, relation membership and tuple counts are preserved.
+    ids, relation membership and tuple counts are preserved.  The cells
+    are checked in the one pass over the rows that builds the result.
     """
-    cells = frozenset(changes)
     by_row: dict[tuple[str, int], set[int]] = {}
-    for cell in cells:
-        current = base.value_at(cell)
-        if current.is_null:
-            raise InvalidChangeError(f"cell {cell.token()} is already null")
+    for cell in changes:
         by_row.setdefault((cell.relation, cell.tid), set()).add(cell.pos)
     new_rows: dict[str, list[Row]] = {}
     for name in base.schema.names():
         rel_rows = []
         for row in base.rows(name):
-            positions = by_row.get((name, row.tid))
-            if positions:
-                values = tuple(
-                    NULL if pos in positions else v
-                    for pos, v in enumerate(row.values, 1)
-                )
-                rel_rows.append(Row(row.tid, values))
-            else:
+            positions = by_row.pop((name, row.tid), None)
+            if positions is None:
                 rel_rows.append(row)
+                continue
+            for pos in sorted(positions):
+                if not 1 <= pos <= len(row.values):
+                    raise AddressError(f"position {pos} out of range for {name}")
+                if row.values[pos - 1].is_null:
+                    raise InvalidChangeError(
+                        f"cell {Cell(name, row.tid, pos).token()} is already null")
+            rel_rows.append(Row(row.tid, tuple(
+                NULL if pos in positions else v for pos, v in enumerate(row.values, 1))))
         new_rows[name] = rel_rows
+    if by_row:  # cells of no row of base
+        name, tid = min(by_row)
+        if not base.schema.has_relation(name):
+            raise AddressError(f"unknown relation {name}")
+        raise AddressError(f"no tuple {name}#{tid}")
     return Instance(base.schema, new_rows)
 
 
@@ -300,8 +298,8 @@ def diff_changes(base: Instance, other: Instance) -> ChangeSet:
     `other` must be base-correlated (same relations and ids) and must
     differ from `base` only by non-null values replaced with null.
     """
-    if base.schema.names() != other.schema.names():
-        raise CorrelationError("instances are over different relations")
+    if base.schema != other.schema:
+        raise CorrelationError("instances are over different schemas")
     cells: set[Cell] = set()
     for name in base.schema.names():
         base_rows = {r.tid: r for r in base.rows(name)}

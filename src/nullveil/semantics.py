@@ -32,8 +32,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from .errors import CrossCheckError, SemanticError
-from .lang import (Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var,
-                   ViewDef, view_as_query)
+from .lang import Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var
 from .model import Instance, NULL, Row, Value
 
 AnswerSet = frozenset  # of tuple[Value, ...]
@@ -41,15 +40,13 @@ AnswerSet = frozenset  # of tuple[Value, ...]
 Assignment = dict  # var name -> Value
 
 
-def relevant_vars(query: Query | ViewDef) -> frozenset:
+def relevant_vars(query: Query) -> frozenset:
     """Variables occurring at least twice in the quantifier-free matrix.
 
     Occurrences inside `isnull(v)`, `isnotnull(v)` and comparisons with
     an explicit null operand do not count; projection (head) occurrences
     do not count either.
     """
-    if isinstance(query, ViewDef):
-        query = view_as_query(query)
     counts: dict[str, int] = {}
     for atom in query.body:
         for term in atom.args:

@@ -10,8 +10,11 @@ derivable), evaluating built-ins away: a false built-in deletes the
 instance, a true one is dropped.  Positive bodies are matched against
 the possible atoms by `semantics.iter_matches`, the same engine that
 evaluates queries over instances, so grounding a rule is evaluating its
-body as a conjunctive query.  Null is an ordinary constant here; order
-comparisons that involve null or unordered values simply fail.
+body as a conjunctive query.  Null is an ordinary constant here, and an
+order comparison with a null operand is false, as in `semantics`.  An
+order comparison over unordered values (symbols, strings) is false here
+too, whereas the evaluators in `semantics` raise `SemanticError` on it:
+on such a comparison the program route and the direct route disagree.
 
 Grounding is semi-naive (Bancilhon & Ramakrishnan 1986).  It runs in
 rounds, and each round reads a snapshot: the possible atoms as they

@@ -1,12 +1,14 @@
 """Static analysis of secrecy views and the admissibility checks.
 
-A secrecy view is *null* on an instance when its SQL-like extension is
-empty or consists of the single all-null row; an instance is *admissible*
-for a view set when every view is null on it.  Admissibility is decided
-twice: directly, by evaluating each view under the SQL-like semantics,
-and classically, through a universally quantified sentence saying that
-every body match either binds some combination variable to null, binds
-every head variable to null, or falsifies the comparison conjunction.
+A secrecy view is a named conjunctive query (`lang.ViewDef` is a
+`Query`), so its extension is `eval_n` of the view itself.  It is
+*null* on an instance when that extension is empty or consists of the
+single all-null row; an instance is *admissible* for a view set when
+every view is null on it.  Admissibility is decided twice: directly,
+by evaluating each view under the SQL-like semantics, and classically,
+through a universally quantified sentence saying that every body match
+either binds some combination variable to null, binds every head
+variable to null, or falsifies the comparison conjunction.
 The two routes must agree; a disagreement is an internal fault and is
 reported as such rather than silently picking one side.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossCheckError
-from .lang import Atom, Const, Var, ViewDef, view_as_query
+from .lang import Atom, Const, Var, ViewDef
 from .model import Instance, NULL
 from .semantics import (builtin_classical, eval_n, iter_matches, negate_builtin,
                         relevant_vars, scan)
@@ -44,7 +46,7 @@ def attr_sets(view: ViewDef) -> AttrSets:
     updates is therefore decided by the variables (a relevant head
     variable forbids them), never by overlapping positions."""
     relevant = relevant_vars(view)
-    head = {v.name for v in view.head}
+    head = {v.name for v in view.out}
     combination = set()
     secrecy = set()
     for atom in view.body:
@@ -71,8 +73,8 @@ def nulled_atom(atom: Atom, names: set) -> Atom | None:
 
 def is_null_view(instance: Instance, view: ViewDef) -> bool:
     """True iff the view's SQL-like extension is empty or all-null."""
-    answers = eval_n(instance, view_as_query(view))
-    all_null_row = (NULL,) * len(view.head)
+    answers = eval_n(instance, view)
+    all_null_row = (NULL,) * len(view.out)
     return answers <= {all_null_row}
 
 
@@ -82,8 +84,8 @@ def null_view_sentence_holds(instance: Instance, view: ViewDef) -> bool:
     comparison conjunct fails (negated member-wise, null treated as an
     ordinary constant)."""
     relevant = relevant_vars(view)
-    head = tuple(v.name for v in view.head)
-    negated = [negate_builtin(b) for b in view.phi]
+    head = tuple(v.name for v in view.out)
+    negated = [negate_builtin(b) for b in view.builtins]
     for env, _ in iter_matches(scan(instance), view.body):
         if any(env[name].is_null for name in relevant):
             continue

@@ -109,7 +109,7 @@ def _lp_safe_shape(view: ViewDef) -> bool:
     from nullveil import relevant_vars
 
     relevant = relevant_vars(view)
-    head = {v.name for v in view.head}
+    head = {v.name for v in view.out}
     for atom in view.body:
         names = [t.name for t in atom.args if isinstance(t, Var)]
         if sum(1 for n in names if n in relevant) > 1 or \
@@ -174,8 +174,8 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
             break
     if not head:
         return None
-    view = ViewDef(f"v{rng.randint(0, 999)}", tuple(Var(n) for n in head),
-                   tuple(atoms), tuple(phi))
+    view = ViewDef(tuple(Var(n) for n in head), tuple(atoms), tuple(phi),
+                   f"v{rng.randint(0, 999)}")
     if lp_safe and not _lp_safe_shape(view):
         return None
     return view
@@ -196,7 +196,7 @@ def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
                              body_const_prob=body_const_prob,
                              self_joins=self_joins)
             if view is not None:
-                views.append(ViewDef(f"v{len(views)}", view.head,
-                                     view.body, view.phi))
+                views.append(ViewDef(view.out, view.body, view.builtins,
+                                     f"v{len(views)}"))
         if views:
             return schema, instance, views

@@ -252,7 +252,7 @@ def test_criterion_9_export_validity_with_external_solver(tmp_path):
         two = two_tuple_example()
         program = compile_program(two.instance, two.views)
         dialect = "clingo" if "clingo" in solver else "dlv"
-        text = export_program(program, dialect)
+        text = export_program(program.rules, dialect)
         path = tmp_path / "program.lp"
         path.write_text(text, encoding="utf-8")
         cmd = [solver, "--models=0", path] if dialect == "clingo" else [solver, path]

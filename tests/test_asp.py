@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from nullveil import (Atom, BuiltinAtom, Const, DialectError, NULL, ParseError, Rule,
-                      UnsupportedRuleError, Value, Var, parse_facts, parse_query,
-                      parse_schema, parse_view)
+                      SemanticError, UnsupportedRuleError, Value, Var, parse_facts,
+                      parse_query, parse_schema, parse_view)
 from nullveil.answers import secret_answers
 from nullveil.asp import (cautious_answers, compile_program,
                           compile_query_program, export_program, export_rule,
@@ -22,7 +22,7 @@ from randgen import rand_case, rand_query
 
 
 def dlv_lines(program) -> list:
-    return export_program(program, "dlv").strip().splitlines()
+    return export_program(program.rules, "dlv").strip().splitlines()
 
 
 def test_compiled_program_matches_worked_listing():
@@ -175,20 +175,20 @@ def test_denial_constraint_counts_follow_head_arity():
 def test_export_dialects_differ_only_in_disjunction():
     case = two_tuple_example()
     program = compile_program(case.instance, case.views)
-    dlv = export_program(program, "dlv")
-    clingo = export_program(program, "clingo")
+    dlv = export_program(program.rules, "dlv")
+    clingo = export_program(program.rules, "clingo")
     assert " v " in dlv and " | " not in dlv
     assert " | " in clingo and " v " not in clingo
     assert dlv.replace(" v ", " | ") == clingo
     with pytest.raises(DialectError):
-        export_program(program, "smodels")
+        export_program(program.rules, "smodels")
 
 
 def test_exported_text_round_trips():
     case = two_tuple_example()
     program = compile_program(case.instance, case.views)
     for dialect in ("dlv", "clingo"):
-        parsed = parse_program_text(export_program(program, dialect))
+        parsed = parse_program_text(export_program(program.rules, dialect))
         assert tuple(parsed) == program.rules
 
 
@@ -437,6 +437,26 @@ def test_routes_agree_when_two_updates_of_one_tuple_overwrite_each_other():
     assert cautious_answers(d, views, query) == \
         secret_answers(d, views, query).answers == {(Value.of_int(1),)}
 
+
+def _answers_or_error(route):
+    try:
+        return route()
+    except SemanticError as error:
+        return type(error)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the direct route raises on `foo < 9`, while the grounder "
+                          "reads an order comparison over unordered values as false "
+                          "and the program route answers (2)")
+def test_routes_agree_on_order_comparisons_over_unordered_values():
+    schema = parse_schema("relation P(A:any, B:any).")
+    d = parse_facts("P(1, foo). P(2, 3).", schema)
+    views = [parse_view("V(X) :- P(X, Y), P(Y, Z), Y < 5.", schema)]
+    query = parse_query("?(X) :- P(X, Y), Y < 9.", schema)
+    direct = _answers_or_error(lambda: secret_answers(d, views, query).answers)
+    program = _answers_or_error(lambda: cautious_answers(d, views, query))
+    assert program == direct
 
 def test_readback_of_1100_rows_returns_the_instance():
     # more base rows than the interpreter's default recursion limit (1,000)

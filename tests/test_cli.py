@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +359,39 @@ def test_json_output_is_stable(files, capsys):
                  "--query", "?(X,Y) :- P(X,Y).", "--format", "json")
     assert first == second
     assert json.loads(first[1])["n_answers"] == [["1", "2"], ["3", "4"]]
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def readme_block(section: str, lang: str) -> str:
+    """The first fenced `lang` block under the README heading `section`."""
+    match = re.search(rf"^## {section}\n.*?^```{lang}\n(.*?)^```", README, re.M | re.S)
+    assert match, f"README has no {lang} block under {section!r}"
+    return match.group(1)
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    code = readme_block("Library example", "python")
+    exec(compile(code, "README.md", "exec"), {})
+    expected = re.findall(r"^# (\[.*\])  - ", code, re.M)
+    assert expected[0] == "[['3', '4']]"
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_commands_run_on_its_input_files(capsys, tmp_path, monkeypatch):
+    """Every command of the README's CLI section exits 0 on the README's
+    three input files."""
+    inputs = readme_block("Input files", "text")
+    for name, text in re.findall(r"^% (\w+\.nv).*?\n(.*?)(?=^% |\Z)", inputs, re.M | re.S):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.nv", "schema.nv", "views.nv"]
+    monkeypatch.chdir(tmp_path)
+    script = readme_block("CLI", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in script.splitlines()
+                if line.startswith("nullveil ")]
+    assert commands[0][0] == "eval"
+    assert any(argv[0] == "answer" and argv[-2:] == ["--via", "both"] for argv in commands)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from nullveil import (ParseError, QueryClass, SemanticError, classify_query,
-                      parse_facts, parse_query, parse_schema, parse_view,
-                      parse_views, print_facts, print_schema, rewrite_query)
+from nullveil import (ParseError, Query, QueryClass, SemanticError, ViewDef,
+                      classify_query, eval_n, parse_facts, parse_query, parse_schema,
+                      parse_view, parse_views, print_facts, print_schema, rewrite_query)
 
 from corpus import row
 from randgen import rand_instance, rand_query, rand_schema, rand_view
@@ -72,16 +72,35 @@ def test_digits_int_cannot_read_are_parse_errors():
 def test_parse_view_golden():
     schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
     view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.", schema)
-    assert [v.name for v in view.head] == ["X", "Z"]
+    assert [v.name for v in view.out] == ["X", "Z"]
     assert [a.pred for a in view.body] == ["P", "R"]
-    assert view.phi[0].op == "<"
+    assert view.builtins[0].op == "<"
+
+
+def test_a_view_is_a_named_query():
+    """A view evaluates as the query it extends, but never equals it."""
+    schema = parse_schema("relation P(A:int, B:int).")
+    view = parse_view("Vs(X) :- P(X,Y), Y < 3.", schema)
+    query = parse_query("?(X) :- P(X,Y), Y < 3.", schema)
+    assert isinstance(view, Query) and view.name == "Vs"
+    assert (view.out, view.body, view.builtins) == (query.out, query.body, query.builtins)
+    assert view != query and query != view and len({view, query}) == 2
+    assert view == ViewDef(query.out, query.body, query.builtins, "Vs")
+    d = parse_facts("P(1,2). P(3,4).", schema)
+    assert eval_n(d, view) == eval_n(d, query) == {row("1")}
+    assert view.token() == "Vs(X) :- P(X, Y), Y < 3."
+    assert query.token() == "?(X) :- P(X, Y), Y < 3."
+    with pytest.raises(SemanticError, match="head variable W"):
+        parse_view("Vs(W) :- P(X,Y).", schema)
+    with pytest.raises(SemanticError, match="head variable W"):
+        parse_query("?(W) :- P(X,Y).", schema)
 
 
 def test_parse_view_intro_marks():
     schema = parse_schema(
         "relation Marks(studentID:sym, courseID:sym, mark:int).")
     view = parse_view("Vs(S,C,M) :- Marks(S,C,M), M < 60.", schema)
-    assert len(view.head) == 3 and view.phi[0].token() == "M < 60"
+    assert len(view.out) == 3 and view.builtins[0].token() == "M < 60"
 
 
 def test_parse_view_errors():

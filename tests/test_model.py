@@ -4,7 +4,8 @@ import pytest
 
 from nullveil import (AddressError, Cell, CorrelationError, Instance,
                       InvalidChangeError, NULL, Relation, Row, Schema,
-                      SemanticError, Value, apply_changes, diff_changes)
+                      SemanticError, Value, apply_changes, diff_changes,
+                      parse_facts, parse_schema)
 
 from corpus import row
 
@@ -76,6 +77,31 @@ def test_apply_changes_errors():
         apply_changes(d, {Cell("P", 1, 2)})
 
 
+@pytest.mark.parametrize("bad, error", [
+    (Cell("Q", 1, 1), AddressError),         # unknown relation
+    (Cell("P", 9, 1), AddressError),         # missing tuple
+    (Cell("P", 2, 3), AddressError),         # position out of range
+    (Cell("P", 2, 0), AddressError),         # position out of range
+    (Cell("P", 2, 2), InvalidChangeError),   # already null
+])
+def test_apply_changes_rejects_one_bad_cell_among_valid_ones(bad, error):
+    d = inst(schema_pr(), P=["1 2", "3 null", "5 6"], R=["2 1", "7 8"])
+    valid = {Cell("P", 1, 1), Cell("P", 2, 1), Cell("P", 3, 2), Cell("R", 2, 1)}
+    assert apply_changes(d, valid) == \
+        inst(schema_pr(), P=["null 2", "null null", "5 null"], R=["2 1", "null 8"])
+    with pytest.raises(error, match=bad.relation):
+        apply_changes(d, valid | {bad})
+
+
+def test_row_addresses_one_tuple():
+    d = inst(schema_pr(), P=["1 2", "3 4"])
+    assert d.row("P", 2).values == row("3 4")
+    with pytest.raises(AddressError, match="unknown relation Q"):
+        d.row("Q", 1)
+    with pytest.raises(AddressError, match="no tuple P#3"):
+        d.row("P", 3)
+
+
 def test_diff_changes_golden():
     base = inst(schema_pr(), P=["1 2"], R=["2 1"])
     other = inst(schema_pr(), P=["null 2"], R=["2 null"])
@@ -93,6 +119,21 @@ def test_diff_changes_rejects_non_degradations():
         diff_changes(inst(schema_pr(), P=["1 null"]), inst(schema_pr(), P=["1 2"]))
     with pytest.raises(CorrelationError):
         diff_changes(base, inst(schema_pr(), P=["1 2", "3 4"]))
+
+
+def test_diff_changes_rejects_instances_over_other_schemas():
+    """Relation names alone do not make two instances comparable: the
+    arity or a column sort may differ."""
+    two = parse_facts("P(1, 2).", parse_schema("relation P(A:int, B:int)."))
+    three = parse_facts("P(1, null, 5).",
+                        parse_schema("relation P(A:int, B:int, C:int)."))
+    with pytest.raises(CorrelationError):
+        diff_changes(two, three)
+    untyped = parse_facts("P(1, null).", parse_schema("relation P(A:int, B:any)."))
+    with pytest.raises(CorrelationError):
+        diff_changes(two, untyped)
+    same = parse_facts("P(1, null).", parse_schema("relation P(A:int, B:int)."))
+    assert diff_changes(two, same) == {Cell("P", 1, 2)}
 
 
 def test_apply_diff_round_trip_randomized():
