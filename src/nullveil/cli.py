@@ -15,12 +15,14 @@ One subcommand per operation family:
 file path.  Output is plain text or, with `--format json`, stable JSON
 with rows sorted.  `--max-cells` (default 24) bounds the candidate cells
 of the secrecy-instance search.  `--max-nodes` (old name `--max-models`)
-bounds the internal engine's stable-model search; an external solver gets
-`SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse or usage
-error (a negative bound is one), 3 semantic error or failed external
-solver, 4 cross-check failure (no secrecy instance or stable model counts
-as one), 5 bound exceeded (running out of recursion depth or memory, or
-the external solver's time limit, counts as one).
+bounds the internal engine's stable-model search: its search nodes plus
+the models it assembles from independent components count against it.
+An external solver gets `SOLVER_TIMEOUT_S` seconds.  Exit codes: 0
+success, 2 parse or usage error (a negative bound is one), 3 semantic
+error or failed external solver, 4 cross-check failure (no secrecy
+instance or stable model counts as one), 5 bound exceeded (running out
+of recursion depth or memory, or the external solver's time limit,
+counts as one).
 """
 
 from __future__ import annotations
@@ -254,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     def node_bound(p):
         p.add_argument("--max-nodes", "--max-models", dest="max_nodes", type=int,
                        default=DEFAULT_SEARCH_BOUND,
-                       help="bound on stable-model search nodes "
-                            "(--max-models is the old name)")
+                       help="bound on stable-model search nodes plus assembled "
+                            "models (--max-models is the old name)")
 
     p = sub.add_parser("eval", help="evaluate a query under both semantics")
     common(p, query=True)

@@ -10,10 +10,10 @@ bind null at all.  Under both, order comparisons with a null operand are
 false.
 
 `rewrite_query` turns a query into one whose classical evaluation agrees
-with the SQL-like one, by guarding every relevant variable with
-`v != null` and lowering the unary null checks to (in)equalities.  The
-equivalence holds for SQL-like queries, i.e. those that do not already
-compare terms against the null constant with `=` or `!=`.
+with the SQL-like one, on every query: a comparison with the null
+constant by `=` or `!=` becomes one that never holds, as it never holds
+under `eval_n`; then the unary null checks are lowered to (in)equalities
+and every relevant variable is guarded with `v != null`.
 
 `iter_matches` is the package's one body-matching engine: both
 evaluations, the admissibility sentence, the candidate-cell search and
@@ -218,16 +218,25 @@ def eval_n(instance: Instance, query: Query) -> AnswerSet:
     return frozenset(answers)
 
 
+_NEVER = BuiltinAtom("!=", (Const(NULL), Const(NULL)))  # false classically
+
+
 def rewrite_query(query: Query) -> Query:
     """Classical equivalent of a query under the SQL-like semantics.
 
-    Lowers isnull/isnotnull to (in)equality against null and appends one
-    `v != null` guard per relevant variable.
+    A user's `=` or `!=` with a null operand never holds under `eval_n`,
+    so it becomes `null != null`, which never holds classically either.
+    Only then are isnull/isnotnull lowered to (in)equality against null,
+    which keeps its classical meaning, and one `v != null` guard is
+    appended per relevant variable.
     """
     relevant = relevant_vars(query)
     builtins = []
     for b in query.builtins:
-        if b.op == "isnull":
+        if b.op in ("=", "!=") and any(isinstance(t, Const) and t.value.is_null
+                                       for t in b.args):
+            builtins.append(_NEVER)
+        elif b.op == "isnull":
             builtins.append(BuiltinAtom("=", (b.args[0], Const(NULL))))
         elif b.op == "isnotnull":
             builtins.append(BuiltinAtom("!=", (b.args[0], Const(NULL))))

@@ -53,18 +53,35 @@ and every negated atom impossible.  A rule dies when its body is false
 is certain, which satisfies it; a live constraint whose body is true
 leaves no model.  Each of these steps keeps the stable models, also with
 disjunction (Brass & Dix 1997, "Characterizations of the disjunctive
-stable semantics by partial evaluation").  The search is then built over
-the live rules only, restricted to the atoms left undecided, and every
-model it finds gets the certain atoms back.
+stable semantics by partial evaluation").  Search then sees only the
+live rules, restricted to the atoms left undecided, and every model gets
+the certain atoms back.
 
-Model search branches on the undecided atoms in number order, so the
+What is left splits below the query.  The output layer is the live
+rules with one head atom that no live rule's body reads and no
+disjunction holds: the secrecy program's `ans` rules.  Every other live
+rule goes into one connected component of the rest, where two rules are
+connected when they share an atom.  The atoms of the other rules form a
+splitting set (Lifschitz & Turner 1994, "Splitting a logic program"):
+no rule that heads one of them mentions an output atom.  So the stable
+models are exactly the unions of a stable model of the rest with the
+output atoms whose rules' bodies it makes true, and, as the components
+share no atom, the stable models of the rest are exactly the unions of
+one stable model of each component.  Without setting the output layer
+aside, a secrecy program with k independent violations is one
+component, as every violation can derive the same `ans` atom; with it
+set aside, it is k components of about 8 search nodes each, and only the
+3^k models are assembled, not searched.  Each component is searched on
+its own, the components in the order of their least atoms.
+
+Model search branches on a component's atoms in number order, so the
 choices (the secrecy program's update atoms) come before the atoms they
-decide (its `ans` atoms), and ground atoms are looked up only for the
-returned models, which are then sorted into a canonical order.  The
-search is a DPLL enumeration over clauses with an explicit stack: each
-ground rule gets a variable equivalent to its body, every rule is a
-clause, and every true atom needs some rule with a true body and the
-atom in its head.
+decide (its `_t`, `_u` and `_s` atoms), and ground atoms are looked up
+only for the returned models, which are then sorted into a canonical
+order.  The search is a DPLL enumeration over clauses with an explicit
+stack: each ground rule gets a variable equivalent to its body, every
+rule is a clause, and every true atom needs some rule with a true body
+and the atom in its head.
 
 After unit propagation, every search node runs unfounded-set
 propagation.  Let S be the least set of atoms `a` having a rule `r` such
@@ -74,20 +91,21 @@ strongly connected component of the positive dependency graph is true.
 Atoms outside S are set false, a true one is a conflict, and the two
 propagations alternate until neither assigns anything.  This is sound
 for every disjunctive program: if a stable model M extending the
-assignment met M - S, take a component C that meets M - S while no
-component below it does; dropping the atoms of M - S in C from M
+assignment met M - S, take a strongly connected component C that meets
+M - S while no component below it does; dropping the atoms of M - S in C from M
 leaves a model of the reduct, so M was not minimal.  S is kept
 incrementally: each atom that is not false keeps a source rule that
 founds it, and a node re-founds only the atoms whose sources its
 assignments invalidated.
 
-When no rule has two head atoms in one component, the program is
-head-cycle-free and S is exactly the least model of the shifted reduct
-(Ben-Eliyahu & Dechter 1994), so every leaf of the search is a stable
-model.  Only programs whose live rules still have head cycles check each
-leaf for being a minimal model of its reduct, by a satisfiability search
-over the model; the certain atoms are in every model of that reduct, so
-the check reads the live rules only.
+When no rule has two head atoms in one strongly connected component,
+the program is head-cycle-free and S is exactly the least model of the
+shifted reduct (Ben-Eliyahu & Dechter 1994), so every leaf of the search
+is a stable model.  Only components whose rules have head cycles check
+each leaf for being a minimal model of its reduct, by a satisfiability
+search over the model; the certain atoms are in every model of that
+reduct, and the other components share no atom with it, so the check
+reads the component's rules only.
 
 Grounding and model search are pure; the returned models do not depend
 on the order in which the search finds them.
@@ -96,6 +114,8 @@ on the order in which the search finds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, SemanticError, UnsupportedRuleError
@@ -293,6 +313,7 @@ class _Enumerator:
     """
 
     stage = "reduct-minimality check"
+    found_what = "models"
 
     def __init__(self, nvars: int, clauses: list, max_nodes: int):
         self.nvars = nvars
@@ -398,8 +419,8 @@ class _Enumerator:
             if self.nodes > self.max_nodes:
                 raise BoundExceededError(
                     f"{self.stage} exceeded its bound of {self.max_nodes} nodes "
-                    f"({self.max_nodes} nodes visited, {self.found} models "
-                    f"found so far)")
+                    f"({self.max_nodes} nodes visited, {self.found} "
+                    f"{self.found_what} found so far)")
             self.pending.clear()
             ok = self._set(branch_vars[i], value) and self._propagate()
 
@@ -452,23 +473,29 @@ def _components(rules: list[tuple], head_occ: list) -> list[int]:
 
 
 class _StableSearch(_Enumerator):
-    """Stable-model search over a numbered ground program, which
-    `stable_models` gives it already settled: the live rules over the
-    undecided atoms.
+    """Stable-model search over one component of a settled ground
+    program: its undecided atoms `atoms` and its live `rules`, both in
+    the program's numbering, as `_split` gives them.
 
-    Atoms are 1..natoms; rule r is a (head, pos, neg) triple of atom
-    tuples with body variable natoms + 1 + r.  One index, `head_occ`,
-    lists per atom the rules whose head holds it; the atom's support
-    clause, the strongly connected components and re-founding a lost
-    atom all read it.  Every atom that is not false keeps a source: a
+    The search numbers `atoms[i - 1]` as i, so its atoms are 1..natoms
+    in program order; rule r of `self.rules` is a (head, pos, neg) triple
+    of such numbers with body variable natoms + 1 + r.  One index,
+    `head_occ`, lists per atom the rules whose head holds it; the atom's
+    support clause, the strongly connected components and re-founding a
+    lost atom all read it.  Every atom that is not false keeps a source: a
     rule that founds it, where the sources form an acyclic derivation.
     Assignments only invalidate sources, so sources stay valid when the
     search backtracks and are never restored.
     """
 
     stage = "stable-model search"
+    found_what = "component models"
 
-    def __init__(self, natoms: int, rules: list[tuple], max_nodes: int):
+    def __init__(self, atoms: list[int], rules: list[tuple], max_nodes: int,
+                 nodes: int = 0, found: int = 0):
+        natoms = len(atoms)
+        index = {a: i for i, a in enumerate(atoms, 1)}
+        rules = [tuple(tuple(index[a] for a in part) for part in rule) for rule in rules]
         clauses: list[tuple[int, ...]] = []
         head_occ: list[list[int]] = [[] for _ in range(natoms + 1)]  # atom -> rules it heads
         # negative literals, one int object each, shared by all the clauses
@@ -485,6 +512,9 @@ class _StableSearch(_Enumerator):
         clauses += ((minus[a], *(natoms + 1 + r for r in head_occ[a]))
                     for a in range(1, natoms + 1))
         super().__init__(natoms + len(rules), clauses, max_nodes)
+        # counted on from the searches of the other components, which share the bound
+        self.nodes, self.found = nodes, found
+        self.atoms = atoms
         self.natoms = natoms
         self.rules = rules
         component = _components(rules, head_occ)
@@ -508,6 +538,12 @@ class _StableSearch(_Enumerator):
         self.source = [-1] * (natoms + 1)
         self.stale = list(range(1, natoms + 1))  # nothing is founded yet
         self.checked = 0  # trail prefix already reflected in the sources
+
+    def models(self) -> list[list[int]]:
+        """Every stable model, as its true atoms in the program's numbering."""
+        branch = list(range(1, self.natoms + 1))
+        return [[a for a, i in zip(self.atoms, branch) if assign[i] == _TRUE]
+                for assign in self.enumerate(branch)]
 
     def _undo_to(self, mark: int) -> None:
         super()._undo_to(mark)
@@ -665,36 +701,91 @@ def _settle(natoms: int, rules: list[tuple]) -> tuple[list[int], list[bool]] | N
     return value, live
 
 
+def _split(value: list[int], residue: list[tuple]) -> tuple[list, list]:
+    """The output rules of the residue, and its other rules in connected
+    components, as (atoms, rules) pairs in the order of their least atoms.
+
+    An output rule has one head atom, which no rule's body reads and no
+    disjunction holds; two rules are connected when they share an atom.
+    An undecided atom heads some live rule, so one that is not an output
+    atom occurs in a rule of `rest` and its component has rules."""
+    read = {a for _, pos, neg in residue for a in pos + neg}
+    shared = {h for head, _, _ in residue if len(head) > 1 for h in head}
+    output, rest = [], []
+    for rule in residue:
+        head = rule[0]
+        alone = len(head) == 1 and head[0] not in read and head[0] not in shared
+        (output if alone else rest).append(rule)
+    parent = list(range(len(value)))  # union-find over the atoms of `rest`
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for head, pos, neg in rest:
+        first, *others = head + pos + neg
+        for a in others:
+            parent[root(a)] = root(first)
+    output_atoms = {head[0] for head, _, _ in output}
+    members: dict[int, list[int]] = {}  # root -> its atoms, by least atom
+    for a in range(1, len(value)):
+        if value[a] == _UNDEF and a not in output_atoms:
+            members.setdefault(root(a), []).append(a)
+    rules: dict[int, list[tuple]] = {r: [] for r in members}
+    for rule in rest:
+        rules[root((rule[0] + rule[1] + rule[2])[0])].append(rule)
+    return output, [(members[r], rules[r]) for r in members]
+
+
 def stable_models(program: GroundProgram,
                   max_nodes: int = DEFAULT_SEARCH_BOUND) -> list[frozenset]:
     """All stable models of the ground program: models that are minimal
     models of their own reduct.
 
-    `_settle` first decides the certain and impossible atoms, and the
-    search is built over the live rules only, restricted to the atoms
-    left undecided, which keep their relative order.  The search branches
-    in atom-number order, so neither the models nor a bound's message
-    depend on the order of `program.rules`.  Every model is the certain
-    atoms plus its own true undecided ones, and the models are sorted by
-    `_gatom_key` of their atoms."""
+    `_settle` first decides the certain and impossible atoms, and `_split`
+    sets the output rules aside and splits the other live rules into
+    components, restricted to the undecided atoms.  The components are
+    searched in the order of their least atoms, each branching in
+    atom-number order, so neither the models nor a bound's message depend
+    on the order of `program.rules`.  Every model is the certain atoms,
+    one model of each component, and the output atoms whose rules' bodies
+    that choice makes true; the models are sorted by `_gatom_key` of
+    their atoms.  The searches share the `max_nodes` bound, and each
+    model assembled from two or more components counts as one more node
+    against it, checked before the first is built."""
     atoms = program.atoms
     settled = _settle(len(atoms), program.rules)
     if settled is None:
         return []
     value, live = settled
-    undecided = [a for a in range(1, len(atoms) + 1) if value[a] == _UNDEF]
-    index = [0] * (len(atoms) + 1)  # atom -> its number in the search
-    for i, a in enumerate(undecided, 1):
-        index[a] = i
     # as sets, because a repeated literal would hide a unit clause
-    residue = [(tuple({index[h] for h in head}),
-                tuple({index[p] for p in pos if value[p] == _UNDEF}),
-                tuple({index[n] for n in neg if value[n] == _UNDEF}))
+    residue = [(tuple(set(head)),
+                tuple({p for p in pos if value[p] == _UNDEF}),
+                tuple({n for n in neg if value[n] == _UNDEF}))
                for (head, pos, neg), alive in zip(program.rules, live) if alive]
-    search = _StableSearch(len(undecided), residue, max_nodes)
-    branch = list(range(1, len(undecided) + 1))
-    models = [[a for a, i in zip(undecided, branch) if assign[i] == _TRUE]
-              for assign in search.enumerate(branch)]
+    output, components = _split(value, residue)
+    parts = []  # per component: its models
+    nodes = found = 0
+    for component_atoms, rules in components:
+        search = _StableSearch(component_atoms, rules, max_nodes, nodes, found)
+        parts.append(search.models())
+        nodes, found = search.nodes, search.found
+        if not parts[-1]:
+            return []
+    if len(parts) > 1:
+        assembled = prod(map(len, parts))
+        if nodes + assembled > max_nodes:
+            raise BoundExceededError(
+                f"{_StableSearch.stage} exceeded its bound of {max_nodes} nodes "
+                f"({nodes} nodes visited, {found} component models found, "
+                f"{assembled} models to assemble)")
+    models = []
+    for choice in product(*parts):
+        model = set().union(*choice)
+        model.update([head[0] for head, pos, neg in output
+                      if model.issuperset(pos) and model.isdisjoint(neg)])
+        models.append(model)
     # Stable models are minimal models, so neither of two holds the other,
     # and of their sorted atom lists the one with the least atom that only
     # one of them holds comes first.  The certain atoms, held by all, do

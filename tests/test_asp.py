@@ -438,6 +438,19 @@ def test_routes_agree_when_two_updates_of_one_tuple_overwrite_each_other():
         secret_answers(d, views, query).answers == {(Value.of_int(1),)}
 
 
+@pytest.mark.parametrize("comparison", ["Y = null", "Y != null"])
+def test_routes_agree_on_comparisons_with_the_null_constant(comparison):
+    """Under the SQL-like semantics `=` and `!=` never hold with a null
+    operand, so neither route answers, though classically P(3, null)
+    satisfies `Y = null` and P(1, 2) satisfies `Y != null`."""
+    schema = parse_schema("relation P(A:int, B:int).")
+    d = parse_facts("P(1, 2). P(3, null).", schema)
+    views = [parse_view("V(X) :- P(X, Y), P(Y, Z).", schema)]
+    query = parse_query(f"?(X) :- P(X, Y), {comparison}.", schema)
+    assert secret_answers(d, views, query).answers == frozenset()
+    assert cautious_answers(d, views, query) == frozenset()
+
+
 def _answers_or_error(route):
     try:
         return route()

@@ -127,6 +127,18 @@ def test_cmd_answer_via_direct_asp_and_both(files, capsys):
         assert json.loads(out)["answers"] == [["3", "4"]]
 
 
+def test_cmd_answer_routes_agree_on_a_comparison_with_null(files, capsys):
+    schema = files("s.nv", "relation P(A:int, B:int).")
+    facts = files("f.nv", "P(1, 2). P(3, null).")
+    views = files("v.nv", "V(X) :- P(X, Y), P(Y, Z).")
+    for via in ("direct", "asp", "both"):
+        code, out, _ = run(capsys, "answer", "--schema", schema, "--facts", facts,
+                           "--views", views, "--query", "?(X) :- P(X, Y), Y = null.",
+                           "--via", via, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["answers"] == []
+
+
 def test_cmd_answer_view_query_is_empty(files, capsys):
     schema = files("s.nv", SCHEMA_PR)
     facts = files("f.nv", "P(1,2). R(2,1).")

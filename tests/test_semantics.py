@@ -76,6 +76,15 @@ def test_sql_null_behaviour_table():
         assert eval_n(case.instance, case.queries[name]) == want, name
 
 
+def test_rewriting_is_exact_on_the_null_table():
+    """Also on `Y = null` and `Y != null`, which never hold under the
+    SQL-like semantics but would classically."""
+    case = sql_null_example()
+    for name, query in case.queries.items():
+        assert eval_classical(case.instance, rewrite_query(query)) == \
+            eval_n(case.instance, query), name
+
+
 def test_isnull_on_view_query_form():
     schema = parse_schema("relation R(A:sym, B:sym).")
     d = parse_facts("R(d, null).", schema)
