@@ -409,7 +409,10 @@ def print_facts(instance: Instance) -> str:
 
 def _check_rule(rule: Query, schema: Schema, allow_null: bool) -> None:
     """Safety and sorts of a view or query: every head and built-in
-    variable occurs in a body atom, and constants fit their columns."""
+    variable occurs in a body atom, constants fit their columns, and an
+    order comparison compares only integers or null: each of its
+    variables occurs at some `int` column, where a join binds only
+    integers and null, and each of its constants is one of those."""
     body, builtins = rule.body, rule.builtins
     if not body:
         raise SemanticError("rule body must contain at least one database atom")
@@ -452,10 +455,10 @@ def _check_rule(rule: Query, schema: Schema, allow_null: bool) -> None:
         if b.op in ORDER_OPS:
             for term in b.args:
                 if isinstance(term, Var):
-                    sorts = var_sorts[term.name]
-                    if sorts and "any" not in sorts and "int" not in sorts:
+                    if "int" not in var_sorts[term.name]:
                         raise SemanticError(
-                            f"order comparison on non-int variable {term.name}")
+                            f"order comparison on variable {term.name}, "
+                            "which occurs at no int column")
                 elif not term.value.is_null and term.value.kind != "int":
                     raise SemanticError(
                         f"order comparison on non-int constant {term.token()}")

@@ -12,9 +12,10 @@ the possible atoms by `semantics.iter_matches`, the same engine that
 evaluates queries over instances, so grounding a rule is evaluating its
 body as a conjunctive query.  Null is an ordinary constant here, and an
 order comparison with a null operand is false, as in `semantics`.  An
-order comparison over unordered values (symbols, strings) is false here
-too, whereas the evaluators in `semantics` raise `SemanticError` on it:
-on such a comparison the program route and the direct route disagree.
+order comparison over unordered values (symbols, strings) raises
+`SemanticError`, as in `semantics`; no parsed view or query brings one,
+because `lang` only accepts an order comparison whose variables occur at
+`int` columns, so both routes see the same comparisons.
 
 Grounding is semi-naive (Bancilhon & Ramakrishnan 1986).  It runs in
 rounds, and each round reads a snapshot: the possible atoms as they
@@ -93,10 +94,13 @@ propagations alternate until neither assigns anything.  This is sound
 for every disjunctive program: if a stable model M extending the
 assignment met M - S, take a strongly connected component C that meets
 M - S while no component below it does; dropping the atoms of M - S in C from M
-leaves a model of the reduct, so M was not minimal.  S is kept
-incrementally: each atom that is not false keeps a source rule that
-founds it, and a node re-founds only the atoms whose sources its
-assignments invalidated.
+leaves a model of the reduct, so M was not minimal.  This is the
+unfounded-set fixpoint of Leone, Rullo & Scarcello 1997 ("Disjunctive
+stable models: unfounded sets, fixpoint semantics, and computation").
+S is computed from scratch at each round, over the component: one pass
+over its rules, so each round costs time linear in the component's size.
+The split above keeps components small; one that does not split pays
+that cost at every round of every node.
 
 When no rule has two head atoms in one strongly connected component,
 the program is head-cycle-free and S is exactly the least model of the
@@ -118,7 +122,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
-from .errors import BoundExceededError, SemanticError, UnsupportedRuleError
+from .errors import BoundExceededError, UnsupportedRuleError
 from .lang import Atom, BuiltinAtom, Var
 from .model import Row, Value
 from .semantics import builtin_classical, iter_matches
@@ -176,13 +180,6 @@ def _check_safety(r: Rule) -> None:
 def _ground_atom(atom: Atom, env: dict) -> GAtom:
     return (atom.pred, tuple(
         env[t.name] if isinstance(t, Var) else t.value for t in atom.args))
-
-
-def _builtin_holds(b: BuiltinAtom, env: dict) -> bool:
-    try:
-        return builtin_classical(b, env)
-    except SemanticError:
-        return False  # unordered operands never satisfy an order comparison
 
 
 def _gatom_key(gatom: GAtom) -> tuple:
@@ -264,7 +261,7 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
     def instantiate(r: Rule, k: int, matches) -> None:
         """Ground rules of the matches of `r.pos` with atom k matched first."""
         for env, matched in matches:
-            if not all(_builtin_holds(b, env) for b in r.builtins):
+            if not all(builtin_classical(b, env) for b in r.builtins):
                 continue
             rows = matched[1:k + 1] + matched[:1] + matched[k + 1:]
             heads = tuple(_ground_atom(a, env) for a in r.head)
@@ -479,13 +476,10 @@ class _StableSearch(_Enumerator):
 
     The search numbers `atoms[i - 1]` as i, so its atoms are 1..natoms
     in program order; rule r of `self.rules` is a (head, pos, neg) triple
-    of such numbers with body variable natoms + 1 + r.  One index,
-    `head_occ`, lists per atom the rules whose head holds it; the atom's
-    support clause, the strongly connected components and re-founding a
-    lost atom all read it.  Every atom that is not false keeps a source: a
-    rule that founds it, where the sources form an acyclic derivation.
-    Assignments only invalidate sources, so sources stay valid when the
-    search backtracks and are never restored.
+    of such numbers with body variable natoms + 1 + r.  The support
+    clauses and the strongly connected components read which rules head
+    each atom; the founded set, computed afresh at each propagation
+    round, reads which rules each atom feeds (`pos_occ`).
     """
 
     stage = "stable-model search"
@@ -498,6 +492,7 @@ class _StableSearch(_Enumerator):
         rules = [tuple(tuple(index[a] for a in part) for part in rule) for rule in rules]
         clauses: list[tuple[int, ...]] = []
         head_occ: list[list[int]] = [[] for _ in range(natoms + 1)]  # atom -> rules it heads
+        pos_occ: list[list[int]] = [[] for _ in range(natoms + 1)]  # atom -> rules it feeds
         # negative literals, one int object each, shared by all the clauses
         minus = [-v for v in range(natoms + len(rules) + 1)]
         for r, (head, pos, neg) in enumerate(rules):
@@ -508,6 +503,8 @@ class _StableSearch(_Enumerator):
             clauses.append((minus[body], *head))
             for h in head:
                 head_occ[h].append(r)
+            for p in pos:
+                pos_occ[p].append(r)
         # true atoms need support
         clauses += ((minus[a], *(natoms + 1 + r for r in head_occ[a]))
                     for a in range(1, natoms + 1))
@@ -524,20 +521,9 @@ class _StableSearch(_Enumerator):
         self.blockers = [
             tuple(tuple(b for b in head if component[b] != component[a]) for a in head)
             for head, _, _ in rules]
-        self.head_occ = head_occ
-        self.pos_occ: list[list[int]] = [[] for _ in range(natoms + 1)]
-        self.blocked_by: list[list[tuple]] = [[] for _ in range(natoms + 1)]
-        for r, (head, pos, _) in enumerate(rules):
-            for a, blockers in zip(head, self.blockers[r]):
-                for b in blockers:
-                    self.blocked_by[b].append((r, a))
-            for p in pos:
-                self.pos_occ[p].append(r)
-        for occ in (self.head_occ, self.pos_occ, self.blocked_by):
-            occ[:] = map(tuple, occ)  # read-only from here on; tuples are smaller
-        self.source = [-1] * (natoms + 1)
-        self.stale = list(range(1, natoms + 1))  # nothing is founded yet
-        self.checked = 0  # trail prefix already reflected in the sources
+        self.pos_occ = list(map(tuple, pos_occ))  # read-only; tuples are smaller
+        self.npos = [len(pos) for _, pos, _ in rules]
+        self.unconditional = [r for r, n in enumerate(self.npos) if not n]
 
     def models(self) -> list[list[int]]:
         """Every stable model, as its true atoms in the program's numbering."""
@@ -545,15 +531,11 @@ class _StableSearch(_Enumerator):
         return [[a for a, i in zip(self.atoms, branch) if assign[i] == _TRUE]
                 for assign in self.enumerate(branch)]
 
-    def _undo_to(self, mark: int) -> None:
-        super()._undo_to(mark)
-        self.checked = min(self.checked, mark)
-
     def _propagate(self) -> bool:
         """Unit propagation alternating with unfounded-set propagation
         until neither assigns anything."""
         while self._drain():
-            unfounded = self._refound(self._lost())
+            unfounded = self._unfounded()
             if not unfounded:
                 return True
             for a in unfounded:
@@ -561,55 +543,29 @@ class _StableSearch(_Enumerator):
                     return False
         return False
 
-    def _lost(self) -> set[int]:
-        """Atoms not false whose source the assignments since the last
-        check invalidated, closed under dependence through sources."""
-        assign, source, natoms = self.assign, self.source, self.natoms
-        todo, self.stale = self.stale, []
-        for var in self.trail[self.checked:]:
-            if var > natoms:
-                if assign[var] == _FALSE:
-                    r = var - natoms - 1
-                    todo += (a for a in self.rules[r][0] if source[a] == r)
-            elif assign[var] == _TRUE:
-                todo += (a for r, a in self.blocked_by[var] if source[a] == r)
-        self.checked = len(self.trail)
-        lost: set[int] = set()
-        while todo:
-            a = todo.pop()
-            if a in lost or assign[a] == _FALSE:
-                continue
-            lost.add(a)
-            for r in self.pos_occ[a]:
-                todo += (h for h in self.rules[r][0] if source[h] == r)
-        return lost
-
-    def _refound(self, lost: set[int]) -> set[int]:
-        """Give lost atoms new sources where possible and return the rest,
-        which are unfounded.  Rule r founds head atom a when r's body is
-        not false, every positive body atom of r is founded, and no head
-        atom of r outside a's component is true."""
-        assign, rules = self.assign, self.rules
-        missing: dict[int, int] = {}  # rule -> its positive atoms still lost
-        ready: list[int] = []
-        for a in lost:
-            for r in self.head_occ[a]:
-                if r not in missing and assign[self.natoms + 1 + r] != _FALSE:
-                    missing[r] = sum(p in lost for p in rules[r][1])
-                    if not missing[r]:
-                        ready.append(r)
+    def _unfounded(self) -> list[int]:
+        """The atoms neither founded nor false.  Rule r founds head atom a
+        when r's body is not false, every positive body atom of r is
+        founded, and no head atom of r outside a's component is true; the
+        founded atoms are the least set closed under this."""
+        assign, rules, blockers, pos_occ = self.assign, self.rules, self.blockers, self.pos_occ
+        body = self.natoms + 1  # the body variable of rule 0
+        missing = self.npos[:]  # per rule: its positive atoms not yet founded
+        ready = [r for r in self.unconditional if assign[body + r] != _FALSE]
+        founded = bytearray(self.natoms + 1)
+        value = assign.__getitem__
         while ready:
             r = ready.pop()
-            for a, blockers in zip(rules[r][0], self.blockers[r]):
-                if a in lost and all(assign[b] != _TRUE for b in blockers):
-                    lost.discard(a)
-                    self.source[a] = r
-                    for q in self.pos_occ[a]:
-                        if q in missing:
-                            missing[q] -= 1
-                            if not missing[q]:
-                                ready.append(q)
-        return lost
+            for a, blocked in zip(rules[r][0], blockers[r]):
+                if founded[a] or blocked and _TRUE in map(value, blocked):
+                    continue
+                founded[a] = 1
+                for q in pos_occ[a]:
+                    missing[q] -= 1
+                    if not missing[q] and assign[body + q] != _FALSE:
+                        ready.append(q)
+        return [a for a in range(1, self.natoms + 1)
+                if not founded[a] and assign[a] != _FALSE]
 
     def _accept(self) -> bool:
         """On a head-cycle-free program every leaf is stable; otherwise

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from nullveil import (SemanticError, eval_classical, eval_n,
+from nullveil import (Atom, BuiltinAtom, Const, Query, SemanticError, Value, Var,
+                      eval_classical, eval_n,
                       parse_query, parse_schema, parse_facts, relevant_vars,
                       rewrite_query)
 
@@ -127,10 +128,15 @@ def test_order_comparisons_with_null_are_false_in_both():
 
 
 def test_order_comparison_on_symbols_is_rejected():
+    """The parser rejects an order comparison whose variable occurs at no
+    `int` column; the evaluator still raises on a symbol it is handed."""
     schema = parse_schema("relation P(A:any).")
     d = parse_facts("P(a).", schema)
-    q = parse_query("?(X) :- P(X), X > 1.", schema)
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match="occurs at no int column"):
+        parse_query("?(X) :- P(X), X > 1.", schema)
+    x = Var("X")
+    q = Query((x,), (Atom("P", (x,)),), (BuiltinAtom(">", (x, Const(Value.of_int(1)))),))
+    with pytest.raises(SemanticError, match="unordered values"):
         eval_classical(d, q)
 
 

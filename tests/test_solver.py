@@ -9,7 +9,8 @@ from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, CrossCheckEr
                       parse_view, solver)
 from nullveil.asp import (cautious_answers, compile_program, compile_query_program,
                           model_answers)
-from nullveil.solver import GroundProgram, Rule, _builtin_holds, fact, ground, stable_models
+from nullveil.semantics import builtin_classical
+from nullveil.solver import GroundProgram, Rule, fact, ground, stable_models
 
 from randgen import rand_case, rand_query
 
@@ -274,7 +275,7 @@ def test_stable_models_named_cases(rules, expected):
 
 def test_stable_models_match_brute_force_oracle(spied):
     rng = random.Random(61)
-    head_cycles = 0
+    head_cycles = nodes = 0
     settled = dict.fromkeys(SETTLED_KINDS, 0)
     for _ in range(3000):
         rules = _rand_ground_program(rng)
@@ -284,8 +285,12 @@ def test_stable_models_match_brute_force_oracle(spied):
         assert stable_models(numbered(rules)) == oracle_stable_models(rules), rules
         for kind in _settled_kinds(spied):
             settled[kind] += 1
+        nodes += spied.searches[-1].nodes if spied.searches else 0  # each counts on
     assert head_cycles >= 300  # the minimality-checked leaves are covered
     assert all(settled[kind] >= floor for kind, floor in SETTLED_KINDS.items()), settled
+    # the search tree is pinned: a weaker propagation visits more nodes,
+    # and one that prunes more than the founded set allows visits fewer
+    assert nodes == 1988
 
 
 def test_disjoint_programs_have_the_product_of_their_models(spied):
@@ -489,6 +494,22 @@ def test_search_nodes_grow_linearly_in_independent_violations(spied):
         assert nodes[k] <= k * nodes[1], nodes
 
 
+@pytest.mark.parametrize("m, natoms, nodes", [(4, 49, 36), (6, 67, 132), (8, 85, 516)])
+def test_one_large_component_is_searched_as_one(spied, m, natoms, nodes):
+    """One P row joins m R rows: every violation shares the P tuple, so
+    the residue does not split, and one component is searched.  Its nodes
+    grow about 4x per 2 more rows, and each node computes the founded set
+    over the whole component.  The program has 2^m + 1 stable models."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    facts = "P(1, 100). " + " ".join(f"R(100, {200 + i})." for i in range(1, m + 1))
+    views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+    query = compile_query_program(parse_query("?(X) :- P(X, Y).", schema))
+    program = compile_program(parse_facts(facts, schema), views)
+    assert len(stable_models(ground(program.rules + (query,)))) == 2 ** m + 1
+    (search,) = spied.searches
+    assert (search.natoms, search.nodes) == (natoms, nodes)
+
+
 def test_stable_models_do_not_depend_on_rule_order():
     """The search branches on the atoms in number order, so under a fixed
     numbering neither the models nor a bound's message depend on the
@@ -559,7 +580,7 @@ def oracle_ground(rules) -> set:
                                               for a in r.pos)):
                 env: dict = {}
                 if (all(_unify(a, g, env) for a, g in zip(r.pos, atoms))
-                        and all(_builtin_holds(b, env) for b in r.builtins)):
+                        and all(builtin_classical(b, env) for b in r.builtins)):
                     out.add((_instance(r.head, env), _instance(r.pos, env),
                              _instance(r.neg, env)))
         heads = {h for head, _, _ in out for h in head}
