@@ -16,10 +16,20 @@ head cells.  The secrecy instances are exactly the inclusion-minimal
 cell sets resolving every match: the minimal covers of a hypergraph, the
 monotone dualization setting of Eiter & Gottlob (1995).  A search that
 branches on the first unresolved match reaches every minimal cover, and
-the leaves that are not minimal are dropped.  Each kept change set is
-then applied once; that instance is re-verified with real admissibility
-checks (admissible, no one-cell-smaller set admissible, kept sets
-pairwise incomparable) and returned.
+the leaves that are not minimal are dropped.
+
+Each kept change set C is then applied once, and that instance D_C is
+re-verified as a self-check of the search, which reads none of the
+search's matches: D_C must pass one full admissibility check, restoring
+any one nulled cell c must bring a violation back, and the kept sets
+must be pairwise incomparable.  Minimality needs no second full check.
+D_{C-c} differs from D_C only in the row of c, so a violating match of
+D_{C-c} that avoided the restored row would be a match of D_C, which is
+admissible.  Every violation restoring c can cause therefore runs
+through the restored row, and a join seeded with that row at each body
+atom over its relation, the other atoms scanning D_C with the row in
+place, finds one if there is one: the delta rule of Gupta, Mumick &
+Subrahmanian (1993), applied to one inserted row.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -45,7 +55,7 @@ from .errors import BoundExceededError, CrossCheckError
 from .lang import Const
 from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
 from .semantics import builtin_classical, iter_matches, relevant_vars, scan
-from .views import is_admissible
+from .views import is_admissible, violates
 
 DEFAULT_ORACLE_CELL_BOUND = 16
 DEFAULT_CELL_BOUND = 24
@@ -102,7 +112,8 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
     def bounded(pool: frozenset) -> frozenset:
         if max_cells is not None and len(pool) > max_cells:
             raise BoundExceededError(
-                f"{len(pool)} candidate cells exceed the bound {max_cells}")
+                f"secrecy-instance enumeration exceeded its bound of {max_cells} "
+                f"candidate cells ({len(pool)} cells in the pool)")
         return pool
 
     pool = None
@@ -214,17 +225,17 @@ def enumerate_secrecy_instances(instance: Instance, views,
 def _verified_solutions(instance: Instance, views,
                         kept: list[frozenset]) -> list[SecrecySolution]:
     """The kept change sets with their instances, each built once and
-    re-verified: admissible, strictly minimal (no one-cell-removed subset
-    admissible) and pairwise incomparable; a failure here would mean the
-    search itself is broken."""
+    re-verified: admissible, strictly minimal (restoring any one nulled
+    cell brings a violation back) and pairwise incomparable; a failure
+    here would mean the search itself is broken."""
+    checks = [(view, relevant_vars(view)) for view in views]
     solutions = []
     for changes in kept:
         degraded = apply_changes(instance, changes)
         if not is_admissible(degraded, views, cross_check=False):
             raise CrossCheckError(f"kept change set is not admissible: {set(changes)}")
         for cell in changes:
-            smaller = changes - {cell}
-            if is_admissible(apply_changes(instance, smaller), views, cross_check=False):
+            if not _restoring_violates(instance, degraded, checks, cell):
                 raise CrossCheckError(
                     f"kept change set is not minimal: {set(changes)} minus {cell.token()}")
         solutions.append(SecrecySolution(changes, degraded))
@@ -236,6 +247,35 @@ def _verified_solutions(instance: Instance, views,
     return solutions
 
 
+def _restoring_violates(base: Instance, degraded: Instance, checks, cell: Cell) -> bool:
+    """Whether giving `cell` back its value in `base` makes `degraded`,
+    an admissible degradation of `base`, violate one of the `checks`
+    (pairs of a view and its relevant variables).  Only matches through
+    the restored row can be new, so each body atom over the cell's
+    relation is seeded with that row, and the other atoms scan
+    `degraded` with the row in place, where self-joins see it."""
+    value = base.row(cell.relation, cell.tid).values[cell.pos - 1]
+    rows = []
+    for row in degraded.rows(cell.relation):
+        if row.tid == cell.tid:
+            row = restored = Row(row.tid, row.values[:cell.pos - 1] + (value,)
+                                 + row.values[cell.pos:])
+        rows.append(row)
+
+    def rows_of(atom, env):
+        return rows if atom.pred == cell.relation else degraded.rows(atom.pred)
+
+    for view, relevant in checks:
+        for i, atom in enumerate(view.body):
+            if atom.pred != cell.relation:
+                continue
+            order = (atom,) + view.body[:i] + view.body[i + 1:]
+            if any(violates(view, relevant, env)
+                   for env, _ in iter_matches(rows_of, order, first=(restored,))):
+                return True
+    return False
+
+
 def oracle_secrecy_instances(instance: Instance, views,
                              max_cells: int = DEFAULT_ORACLE_CELL_BOUND) -> list[SecrecySolution]:
     """Ground-truth enumeration: scan the powerset of all non-null cells,
@@ -245,7 +285,8 @@ def oracle_secrecy_instances(instance: Instance, views,
     cells = sorted_cells(instance.cells())
     if len(cells) > max_cells:
         raise BoundExceededError(
-            f"{len(cells)} non-null cells exceed the oracle bound {max_cells}")
+            f"secrecy-instance oracle exceeded its bound of {max_cells} "
+            f"non-null cells ({len(cells)} cells in the instance)")
     minimal = _minimal_sweep(instance, views, cells, cross_check=True)
     solutions = [SecrecySolution(c, apply_changes(instance, c)) for c in minimal]
     solutions.sort(key=SecrecySolution.sort_key)

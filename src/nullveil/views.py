@@ -10,7 +10,9 @@ through a universally quantified sentence saying that every body match
 either binds some combination variable to null, binds every head
 variable to null, or falsifies the comparison conjunction.
 The two routes must agree; a disagreement is an internal fault and is
-reported as such rather than silently picking one side.
+reported as such rather than silently picking one side.  `violates`
+tests a single body match, for checks that join only part of an
+instance.
 
 Attribute sets are the paper's description of where an update may
 touch: *combination* attributes are the positions of relevant
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 from .errors import CrossCheckError
 from .lang import Atom, Const, Var, ViewDef
 from .model import Instance, NULL
-from .semantics import (builtin_classical, eval_n, iter_matches, negate_builtin,
-                        relevant_vars, scan)
+from .semantics import (Assignment, builtin_classical, builtin_n, eval_n, iter_matches,
+                        negate_builtin, relevant_vars, scan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +78,18 @@ def is_null_view(instance: Instance, view: ViewDef) -> bool:
     answers = eval_n(instance, view)
     all_null_row = (NULL,) * len(view.out)
     return answers <= {all_null_row}
+
+
+def violates(view: ViewDef, relevant: frozenset, env: Assignment) -> bool:
+    """True iff the body match `env` adds a row other than the all-null
+    one to the view's SQL-like extension: every relevant variable (the
+    caller passes `relevant_vars(view)`) is non-null, every comparison
+    holds under `builtin_n`, and some head value is non-null.  The view
+    is null on an instance exactly when none of its body matches there
+    violates it, which `is_null_view` decides for the whole extension."""
+    return (not any(env[name].is_null for name in relevant)
+            and all(builtin_n(b, env) for b in view.builtins)
+            and any(not env[v.name].is_null for v in view.out))
 
 
 def null_view_sentence_holds(instance: Instance, view: ViewDef) -> bool:

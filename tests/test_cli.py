@@ -211,7 +211,7 @@ def test_cell_bound_flag_only_on_instance_search_commands(files, capsys):
     for command in (["instances"], ["answer", "--query", query]):
         code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
                            "--views", views, "--max-cells", "1")
-        assert code == 5 and "candidate cells exceed the bound 1" in err
+        assert code == 5 and "enumeration exceeded its bound of 1 candidate cells" in err
 
 
 def test_unreadable_input_text_exits_2(files, capsys, tmp_path):

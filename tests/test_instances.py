@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from nullveil import (BoundExceededError, Cell, Const, Instance, apply_changes,
-                      parse_facts, parse_schema, parse_view)
+from nullveil import (BoundExceededError, Cell, Const, CrossCheckError, Instance,
+                      apply_changes, parse_facts, parse_schema, parse_view, relevant_vars)
 import nullveil.instances as instances_module
-from nullveil.instances import (EnumerationMode, _minimal_sweep, candidate_cells,
+from nullveil.instances import (EnumerationMode, _minimal_sweep, _restoring_violates,
+                                _verified_solutions, candidate_cells,
                                 enumerate_secrecy_instances, instance_leq_D,
                                 oracle_secrecy_instances, tuple_leq)
 from nullveil.model import sorted_cells
+from nullveil.views import is_admissible
 
 from corpus import row, two_tuple_example, four_tuple_example, nonmono_example
 from randgen import rand_case
@@ -132,15 +134,17 @@ def test_constant_body_views_diverge_only_in_exhaustive_mode():
 
 def test_bounds_are_enforced():
     case = four_tuple_example()
-    with pytest.raises(BoundExceededError):
+    with pytest.raises(BoundExceededError, match=(
+            r"^secrecy-instance enumeration exceeded its bound of 2 candidate cells "
+            r"\(4 cells in the pool\)$")):
         enumerate_secrecy_instances(case.instance, case.views, max_cells=2)
-    with pytest.raises(BoundExceededError):
+    with pytest.raises(BoundExceededError, match=(
+            r"^secrecy-instance oracle exceeded its bound of 3 non-null cells "
+            r"\(8 cells in the instance\)$")):
         oracle_secrecy_instances(case.instance, case.views, max_cells=3)
 
 
 def test_solution_invariants_randomized():
-    from nullveil.views import is_admissible
-
     rng = random.Random(41)
     for _ in range(120):
         schema, instance, views = rand_case(rng, max_tuples=3)
@@ -209,30 +213,32 @@ def _counting(monkeypatch, name: str) -> list:
     original = getattr(instances_module, name)
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(instances_module, name, counting)
     return calls
 
 
-def test_stream_instance_with_two_violations_makes_33_admissibility_checks(monkeypatch):
+def test_stream_instance_with_two_violations_makes_one_admissibility_check_per_instance(
+        monkeypatch):
     """Two independent violating joins: 9 secrecy instances, verified by
-    one admissibility check each plus one per nulled cell (24 cells in
-    all); the search itself checks nothing."""
+    one full admissibility check each; the minimality of their 24 nulled
+    cells and the search itself check nothing in full."""
     _, d, view = _stream_instance_with_two_violations()
     calls = _counting(monkeypatch, "is_admissible")
     solutions = enumerate_secrecy_instances(d, [view])
     assert len(solutions) == 9
     assert sum(len(s.changes) for s in solutions) == 24
-    assert len(calls) == 33
+    assert len(calls) == 9
 
 
-def test_enumeration_evaluates_each_view_once_and_builds_each_instance_once(
+def test_enumeration_builds_each_instance_once_and_seeds_one_join_per_nulled_cell(
         monkeypatch):
     """One join per view gives the pool and the covers; each secrecy
-    instance is built once, for its check and its return, and once more
-    per nulled cell for the minimality checks."""
+    instance is built once, for its check and its return, and each of its
+    nulled cells costs one join seeded with the restored row (the first
+    seeded view already finds the violation)."""
     schema, d, view = _stream_instance_with_two_violations()
     harmless = parse_view("Vt(X) :- P(X,Y), Y > 5000.", schema)
     joins = _counting(monkeypatch, "iter_matches")
@@ -240,6 +246,83 @@ def test_enumeration_evaluates_each_view_once_and_builds_each_instance_once(
     builds = _counting(monkeypatch, "apply_changes")
     solutions = enumerate_secrecy_instances(d, [view, harmless])
     assert len(solutions) == 9
-    assert len(joins) == 2
-    assert len(checks) == 33 and len(builds) == 33
+    assert len(joins) == 2 + 24
+    assert all("first" in kwargs for _, kwargs in joins[2:])
+    assert len(checks) == 9 and len(builds) == 9
     assert all(s.instance == apply_changes(d, s.changes) for s in solutions)
+
+
+def test_self_check_rejects_a_change_set_that_leaves_a_violation():
+    _, d, view = _stream_instance_with_two_violations()
+    with pytest.raises(CrossCheckError, match="not admissible"):
+        _verified_solutions(d, [view], [frozenset({Cell("P", 1, 2)})])
+
+
+def test_self_check_rejects_a_cover_with_one_extra_pool_cell():
+    _, d, view = _stream_instance_with_two_violations()
+    cover = frozenset({Cell("P", 1, 2), Cell("P", 2, 2)})
+    assert [s.changes for s in _verified_solutions(d, [view], [cover])] == [cover]
+    with pytest.raises(CrossCheckError, match="not minimal"):
+        _verified_solutions(d, [view], [cover | {Cell("R", 1, 1)}])
+
+
+def test_self_check_rejects_comparable_change_sets():
+    """Admissibility is monotone, so the larger of two comparable
+    admissible sets is never minimal, and the minimality check fires
+    before the pairwise comparison does."""
+    _, d, view = _stream_instance_with_two_violations()
+    cover = frozenset({Cell("P", 1, 2), Cell("P", 2, 2)})
+    with pytest.raises(CrossCheckError, match="not minimal|not pairwise incomparable"):
+        _verified_solutions(d, [view], [cover, cover | {Cell("R", 2, 1)}])
+
+
+def test_seeded_minimality_check_equals_a_full_check_randomized():
+    """For an admissible change set C and each c in C, the join seeded
+    with c's restored row finds a violation exactly when C - {c} is not
+    admissible, on self-joins, body constants and arity 3, over both
+    pools."""
+    rng = random.Random(53)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
+                                            max_arity=3, body_const_prob=0.2,
+                                            self_joins=True)
+        checks = [(v, relevant_vars(v)) for v in views]
+        for mode in EnumerationMode:
+            pool = sorted_cells(candidate_cells(instance, views, mode))
+            for _ in range(4):
+                changes = frozenset(c for c in pool if rng.random() < 0.6)
+                degraded = apply_changes(instance, changes)
+                if not is_admissible(degraded, views):
+                    continue
+                for cell in changes:
+                    seeded = _restoring_violates(instance, degraded, checks, cell)
+                    full = not is_admissible(apply_changes(instance, changes - {cell}),
+                                             views)
+                    assert seeded == full, (instance, [v.token() for v in views],
+                                            sorted_cells(changes), cell)
+                    outcomes[seeded] += 1
+    # 378 restorations bring a violation back, 2,181 do not
+    assert outcomes[True] >= 300 and outcomes[False] >= 1500, outcomes
+
+
+@pytest.mark.parametrize("harmless", [0, 100])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_k_independent_violations_give_the_closed_form_3_to_the_k(k, harmless):
+    """Per violating pair P#i(i, 10i), R#i(10i, i): null P.B, or R.B, or
+    both P.A and R.C; the secrecy instances are every choice of one of
+    the three per pair.  Harmless rows join nothing: half are P rows
+    whose B fails the comparison, half R rows whose B no P row holds."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
+    p_rows = [f"P({i},{10 * i})." for i in range(1, k + 1)]
+    r_rows = [f"R({10 * i},{i})." for i in range(1, k + 1)]
+    p_rows += [f"P({j},{1000 + j})." for j in range(harmless // 2)]
+    r_rows += [f"R({2000 + j},{j})." for j in range(harmless - harmless // 2)]
+    d = parse_facts(" ".join(p_rows + r_rows), schema)
+    expected = [frozenset()]
+    for i in range(1, k + 1):
+        choices = ({Cell("P", i, 2)}, {Cell("R", i, 1)}, {Cell("P", i, 1), Cell("R", i, 2)})
+        expected = [chosen | c for chosen in expected for c in choices]
+    solutions = enumerate_secrecy_instances(d, [view])
+    assert [s.changes for s in solutions] == sorted(expected, key=sorted_cells)
