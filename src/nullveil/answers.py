@@ -12,9 +12,18 @@ queries into one instance; the no-leakage check verifies that evaluating
 a view over that instance returns exactly the secret answers to the view
 query, i.e. that recombining answers reveals nothing further.
 
-Per-instance evaluations are independent and may run concurrently; the
-intersection happens after all of them finish.  An empty family of
-secrecy instances raises `CrossCheckError` instead of answering nothing.
+A query is evaluated over the base once, keeping the rows of each match
+that gives an answer, and each secrecy instance's answers are a delta
+off that one evaluation.  A secrecy instance D_C differs from the base D
+only in the rows its change set C nulls, so a match of D_C either uses
+no changed row, and then it is a match of D with the same answer, or it
+runs through a changed row.  The answers on D_C are therefore those of
+the matches of D that avoid C's rows, plus those of the matches through
+the changed rows as they stand in D_C, from a join seeded with them.
+The second part matters even for matches D already had: nulling a cell
+can add an answer, through `isnull`, as well as remove one.  An empty
+family of secrecy instances raises `CrossCheckError` instead of
+answering nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +32,9 @@ from dataclasses import dataclass
 
 from .instances import DEFAULT_CELL_BOUND, SecrecySolution, enumerate_secrecy_instances
 from .lang import Atom, Query, Var
-from .model import Instance, Schema
-from .semantics import AnswerSet, eval_n, intersect_answers
+from .model import Instance, Schema, changed_rows
+from .semantics import (AnswerSet, eval_n, holds_n, intersect_answers, iter_matches,
+                        iter_matches_through, project, relevant_vars, scan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,9 +55,34 @@ class LeakageReport:
     failures: tuple  # of (view name, secret answers, view-on-answer-instance)
 
 
-def _secret_answers_over(solutions: list[SecrecySolution], query: Query) -> SecretAnswerReport:
+def _delta_answers(instance: Instance, query: Query):
+    """The SQL-like answers to `query` on the degradations of `instance`,
+    from one evaluation over `instance`: the returned function of a
+    degradation and its change set gives the answers of the matches of
+    `instance` that avoid the changed rows and of the matches through
+    them."""
+    relevant = relevant_vars(query)
+    preds = tuple(atom.pred for atom in query.body)
+    base = [(project(query, env), frozenset(zip(preds, (row.tid for row in rows))))
+            for env, rows in iter_matches(scan(instance), query.body)
+            if holds_n(query, relevant, env)]
+
+    def answers_on(degraded: Instance, changes: frozenset) -> AnswerSet:
+        touched = {(cell.relation, cell.tid) for cell in changes}
+        answers = {answer for answer, used in base if used.isdisjoint(touched)}
+        answers.update(project(query, env) for env, _ in iter_matches_through(
+            scan(degraded), query.body, changed_rows(degraded, changes))
+            if holds_n(query, relevant, env))
+        return frozenset(answers)
+
+    return answers_on
+
+
+def _secret_answers_over(instance: Instance, solutions: list[SecrecySolution],
+                         query: Query) -> SecretAnswerReport:
+    answers_on = _delta_answers(instance, query)
     per_instance = tuple(
-        (solution.changes, eval_n(solution.instance, query))
+        (solution.changes, answers_on(solution.instance, solution.changes))
         for solution in solutions)
     answers = intersect_answers(ans for _, ans in per_instance)
     return SecretAnswerReport(query, answers, per_instance)
@@ -57,7 +92,7 @@ def secret_answers(instance: Instance, views, query: Query,
                    max_cells: int = DEFAULT_CELL_BOUND) -> SecretAnswerReport:
     """Answers certain across every secrecy instance of `instance`."""
     solutions = enumerate_secrecy_instances(instance, views, max_cells=max_cells)
-    return _secret_answers_over(solutions, query)
+    return _secret_answers_over(instance, solutions, query)
 
 
 def _atomic_query(schema: Schema, relation: str) -> Query:
@@ -70,7 +105,8 @@ def _answer_instance_over(instance: Instance,
                           solutions: list[SecrecySolution]) -> Instance:
     rows = {}
     for name in instance.schema.names():
-        report = _secret_answers_over(solutions, _atomic_query(instance.schema, name))
+        report = _secret_answers_over(instance, solutions,
+                                      _atomic_query(instance.schema, name))
         rows[name] = sorted(report.answers, key=lambda vs: [v.sort_key() for v in vs])
     return Instance.from_values(instance.schema, rows)
 
@@ -89,7 +125,7 @@ def check_no_leakage(instance: Instance, views) -> LeakageReport:
     answer_instance = _answer_instance_over(instance, solutions)
     failures = []
     for view in views:
-        lhs = _secret_answers_over(solutions, view).answers
+        lhs = _secret_answers_over(instance, solutions, view).answers
         rhs = eval_n(answer_instance, view)
         if lhs != rhs:
             failures.append((view.name, lhs, rhs))

@@ -20,16 +20,28 @@ the leaves that are not minimal are dropped.
 
 Each kept change set C is then applied once, and that instance D_C is
 re-verified as a self-check of the search, which reads none of the
-search's matches: D_C must pass one full admissibility check, restoring
-any one nulled cell c must bring a violation back, and the kept sets
-must be pairwise incomparable.  Minimality needs no second full check.
-D_{C-c} differs from D_C only in the row of c, so a violating match of
-D_{C-c} that avoided the restored row would be a match of D_C, which is
-admissible.  Every violation restoring c can cause therefore runs
-through the restored row, and a join seeded with that row at each body
-atom over its relation, the other atoms scanning D_C with the row in
-place, finds one if there is one: the delta rule of Gupta, Mumick &
-Subrahmanian (1993), applied to one inserted row.
+search's matches: D_C must be admissible, restoring any one nulled cell
+c must bring a violation back, and the kept sets must be pairwise
+incomparable.  None of these checks evaluates a view over all of D_C;
+each joins only through the rows that differ, by the delta rule of
+Gupta, Mumick & Subrahmanian (1993).  For admissibility, each view is
+evaluated over D once, in a pass of its own that keeps the rows of each
+violating match.  A match of D_C either uses no row that C changes, and
+then it is a match of D with the same rows and the same bindings, or it
+runs through a changed row.  So D_C is admissible exactly when every
+violating match of D uses a changed row and no match through a changed
+row, as it stands in D_C, violates; a join seeded with those rows, the
+other atoms scanning D_C, finds the latter.  This split holds for any
+views, monotone or not: a nulled cell that created a violation would
+show up in the seeded join, so the check is exactly as strong as a full
+one.  Minimality starts from the admissible D_C: D_{C-c} differs from
+it only in the row of c, so every violation restoring c can cause runs
+through the restored row, and a join seeded with that row, the other
+atoms scanning D_C with the row in place, finds one if there is one.
+Pairwise incomparability takes one bitmask of the kept sets per cell:
+the intersection of the masks of the cells of a kept set holds exactly
+the kept sets that contain it, so one AND per nulled cell of each set
+replaces a comparison of every pair.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -53,8 +65,10 @@ from itertools import combinations
 
 from .errors import BoundExceededError, CrossCheckError
 from .lang import Const
-from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
-from .semantics import builtin_classical, iter_matches, relevant_vars, scan
+from .model import (Cell, ChangeSet, Instance, Row, apply_changes, changed_rows,
+                    diff_changes, sorted_cells)
+from .semantics import (builtin_classical, iter_matches, iter_matches_through,
+                        relevant_vars, scan)
 from .views import is_admissible, violates
 
 DEFAULT_ORACLE_CELL_BOUND = 16
@@ -229,31 +243,51 @@ def _verified_solutions(instance: Instance, views,
     cell brings a violation back) and pairwise incomparable; a failure
     here would mean the search itself is broken."""
     checks = [(view, relevant_vars(view)) for view in views]
+    admissible = _delta_admissible(instance, checks)
     solutions = []
     for changes in kept:
         degraded = apply_changes(instance, changes)
-        if not is_admissible(degraded, views, cross_check=False):
+        if not admissible(degraded, changes):
             raise CrossCheckError(f"kept change set is not admissible: {set(changes)}")
         for cell in changes:
             if not _restoring_violates(instance, degraded, checks, cell):
                 raise CrossCheckError(
                     f"kept change set is not minimal: {set(changes)} minus {cell.token()}")
         solutions.append(SecrecySolution(changes, degraded))
-    for a in kept:
-        for b in kept:
-            if a != b and a <= b:
-                raise CrossCheckError("kept change sets are not pairwise incomparable")
+    _check_incomparable(kept)
     solutions.sort(key=SecrecySolution.sort_key)
     return solutions
+
+
+def _delta_admissible(instance: Instance, checks):
+    """Admissibility of the degradations of `instance` for the `checks`
+    (pairs of a view and its relevant variables), from one evaluation of
+    each view over `instance`: the returned test of a degradation and
+    its change set passes when every violating match of `instance` uses
+    a changed row and no match through a changed row violates."""
+    violations = [frozenset(zip((atom.pred for atom in view.body), (row.tid for row in rows)))
+                  for view, relevant in checks
+                  for env, rows in iter_matches(scan(instance), view.body)
+                  if violates(view, relevant, env)]
+
+    def admissible(degraded: Instance, changes: frozenset) -> bool:
+        touched = {(cell.relation, cell.tid) for cell in changes}
+        if any(used.isdisjoint(touched) for used in violations):
+            return False
+        changed = changed_rows(degraded, changes)
+        return not any(violates(view, relevant, env) for view, relevant in checks
+                       for env, _ in iter_matches_through(scan(degraded), view.body, changed))
+
+    return admissible
 
 
 def _restoring_violates(base: Instance, degraded: Instance, checks, cell: Cell) -> bool:
     """Whether giving `cell` back its value in `base` makes `degraded`,
     an admissible degradation of `base`, violate one of the `checks`
     (pairs of a view and its relevant variables).  Only matches through
-    the restored row can be new, so each body atom over the cell's
-    relation is seeded with that row, and the other atoms scan
-    `degraded` with the row in place, where self-joins see it."""
+    the restored row can be new, so the join is seeded with that row,
+    and the other atoms scan `degraded` with the row in place, where
+    self-joins see it."""
     value = base.row(cell.relation, cell.tid).values[cell.pos - 1]
     rows = []
     for row in degraded.rows(cell.relation):
@@ -265,15 +299,35 @@ def _restoring_violates(base: Instance, degraded: Instance, checks, cell: Cell) 
     def rows_of(atom, env):
         return rows if atom.pred == cell.relation else degraded.rows(atom.pred)
 
-    for view, relevant in checks:
-        for i, atom in enumerate(view.body):
-            if atom.pred != cell.relation:
-                continue
-            order = (atom,) + view.body[:i] + view.body[i + 1:]
-            if any(violates(view, relevant, env)
-                   for env, _ in iter_matches(rows_of, order, first=(restored,))):
-                return True
-    return False
+    changed = {cell.relation: (restored,)}
+    return any(violates(view, relevant, env) for view, relevant in checks
+               for env, _ in iter_matches_through(rows_of, view.body, changed))
+
+
+def _check_incomparable(kept: list[frozenset]) -> None:
+    """Raise unless no kept change set is a subset of another.  Each cell
+    gets a bitmask of the kept sets holding it; the intersection of the
+    masks of the cells of a set a holds exactly the kept sets that
+    contain a, and a itself must be the only one."""
+    numbers: dict[Cell, int] = {}
+    holders: list[int] = []  # per cell number, the kept sets holding the cell
+    members = []  # per kept set, the numbers of its cells
+    for i, changes in enumerate(kept):
+        mine = []
+        for cell in changes:
+            n = numbers.setdefault(cell, len(holders))
+            if n == len(holders):
+                holders.append(0)
+            holders[n] |= 1 << i
+            mine.append(n)
+        members.append(mine)
+    everything = (1 << len(kept)) - 1
+    for i, mine in enumerate(members):
+        containing = everything
+        for n in mine:
+            containing &= holders[n]
+        if containing != 1 << i:
+            raise CrossCheckError("kept change sets are not pairwise incomparable")
 
 
 def oracle_secrecy_instances(instance: Instance, views,

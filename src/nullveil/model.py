@@ -292,6 +292,15 @@ def apply_changes(base: Instance, changes: Iterable[Cell]) -> Instance:
     return Instance(base.schema, new_rows)
 
 
+def changed_rows(instance: Instance, changes: Iterable[Cell]) -> dict[str, tuple[Row, ...]]:
+    """The rows of `instance` that hold a cell of `changes`, per relation."""
+    tids: dict[str, set[int]] = {}
+    for cell in changes:
+        tids.setdefault(cell.relation, set()).add(cell.tid)
+    return {name: tuple(row for row in instance.rows(name) if row.tid in wanted)
+            for name, wanted in tids.items()}
+
+
 def diff_changes(base: Instance, other: Instance) -> ChangeSet:
     """Recover the change set turning `base` into `other`.
 

@@ -19,7 +19,9 @@ and every relevant variable is guarded with `v != null`.
 evaluations, the admissibility sentence, the candidate-cell search and
 the grounder in `solver` bind conjunctive bodies through it.  Over
 instances every atom scans its relation; the grounder's row source
-probes a hash index instead.
+probes a hash index instead.  `iter_matches_through` runs it seeded
+with a few changed rows, for the checks and answers that follow one
+evaluation over the base into its degradations.
 `intersect_answers` is the one intersection of answer sets over a family
 of worlds, shared by secret and cautious answers.
 
@@ -29,7 +31,7 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CrossCheckError, SemanticError
 from .lang import Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var
@@ -154,6 +156,49 @@ def iter_matches(rows_of: RowSource, atoms: tuple[Atom, ...],
     return _extend(rows_of, atoms, 0, {}, (), first)
 
 
+def iter_matches_through(rows_of: RowSource, atoms: tuple[Atom, ...],
+                         changed: Mapping[str, Sequence[Row]]
+                         ) -> Iterator[tuple[Assignment, tuple[Row, ...]]]:
+    """The matches of `atoms` that use at least one changed row, each once.
+
+    `changed` holds the changed rows of each relation as `rows_of` gives
+    them; a row is changed when its tuple id is among them.  A match
+    whose first changed row is at atom i is found by seeding atom i with
+    the changed rows while the atoms before i read only unchanged rows
+    and the atoms after it read every row, as in semi-naive evaluation,
+    so a match through two changed rows is found once, not once per
+    changed row.  Yields as `iter_matches` does, with the rows in the
+    order atom i, then the other atoms in body order.
+    """
+    seeded_before = False
+    for i, atom in enumerate(atoms):
+        seeds = changed.get(atom.pred)
+        if not seeds:
+            continue
+        before, source = atoms[:i], rows_of
+        if seeded_before:
+            # fresh copies, which the row source tells apart from the
+            # atoms after i by identity, even where the body repeats an atom
+            before = tuple(Atom(a.pred, a.args) for a in before)
+            source = _unchanged_for(rows_of, before, changed)
+        yield from iter_matches(source, (atom,) + before + atoms[i + 1:], first=seeds)
+        seeded_before = True
+
+
+def _unchanged_for(rows_of: RowSource, atoms: tuple[Atom, ...],
+                   changed: Mapping[str, Sequence[Row]]) -> RowSource:
+    """`rows_of` with the changed rows left out for the given atom objects."""
+    unchanged_only = {id(a) for a in atoms}
+    tids = {pred: {row.tid for row in rows} for pred, rows in changed.items()}
+
+    def source(atom: Atom, env: Assignment) -> Iterable[Row]:
+        if id(atom) not in unchanged_only or atom.pred not in tids:
+            return rows_of(atom, env)
+        return [row for row in rows_of(atom, env) if row.tid not in tids[atom.pred]]
+
+    return source
+
+
 def _extend(rows_of: RowSource, atoms: tuple[Atom, ...], i: int, env: Assignment,
             matched: tuple, rows: Iterable[Row] | None = None):
     # A module-level generator, not a closure that calls itself: such a
@@ -192,8 +237,18 @@ def intersect_answers(answer_sets: Iterable[AnswerSet]) -> AnswerSet:
     return frozenset.intersection(*sets)
 
 
-def _project(query: Query, env: Assignment) -> tuple[Value, ...]:
+def project(query: Query, env: Assignment) -> tuple[Value, ...]:
+    """The answer row a body match gives: its values of the head variables."""
     return tuple(env[v.name] for v in query.out)
+
+
+def holds_n(query: Query, relevant: frozenset, env: Assignment) -> bool:
+    """True iff the body match `env` gives `query` an answer under the
+    SQL-like semantics: no relevant variable (the caller passes
+    `relevant_vars(query)`) binds null and every built-in holds under
+    `builtin_n`."""
+    return (not any(env[name].is_null for name in relevant)
+            and all(builtin_n(b, env) for b in query.builtins))
 
 
 def eval_classical(instance: Instance, query: Query) -> AnswerSet:
@@ -201,7 +256,7 @@ def eval_classical(instance: Instance, query: Query) -> AnswerSet:
     answers = set()
     for env, _ in iter_matches(scan(instance), query.body):
         if all(builtin_classical(b, env) for b in query.builtins):
-            answers.add(_project(query, env))
+            answers.add(project(query, env))
     return frozenset(answers)
 
 
@@ -209,13 +264,8 @@ def eval_n(instance: Instance, query: Query) -> AnswerSet:
     """SQL-like evaluation: relevant variables (free or quantified) never
     bind null, and built-ins follow the null-rejecting semantics."""
     relevant = relevant_vars(query)
-    answers = set()
-    for env, _ in iter_matches(scan(instance), query.body):
-        if any(env[name].is_null for name in relevant):
-            continue
-        if all(builtin_n(b, env) for b in query.builtins):
-            answers.add(_project(query, env))
-    return frozenset(answers)
+    return frozenset(project(query, env) for env, _ in iter_matches(scan(instance), query.body)
+                     if holds_n(query, relevant, env))
 
 
 _NEVER = BuiltinAtom("!=", (Const(NULL), Const(NULL)))  # false classically

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from nullveil import CrossCheckError, Instance, parse_facts, parse_schema
+from nullveil import (CrossCheckError, Instance, apply_changes, eval_n, parse_facts,
+                      parse_query, parse_schema, parse_view)
 from nullveil import answers as answers_module
-from nullveil.answers import (check_no_leakage, secrecy_answer_instance,
+from nullveil.answers import (_delta_answers, check_no_leakage, secrecy_answer_instance,
                               secret_answers)
+from nullveil.instances import EnumerationMode, candidate_cells, enumerate_secrecy_instances
+from nullveil.model import sorted_cells
+from nullveil.views import is_admissible
 from corpus import answers, four_tuple_example, nonmono_example, row, two_tuple_example
-from randgen import rand_case
+from randgen import rand_case, rand_query
 
 
 def test_secret_answers_four_tuple_example():
@@ -112,3 +116,57 @@ def test_no_leakage_enumerates_secrecy_instances_once(monkeypatch):
     case = four_tuple_example()
     assert check_no_leakage(case.instance, case.views).ok
     assert len(calls) == 1
+
+
+def test_delta_answers_equal_a_full_evaluation_randomized():
+    """For random change sets C inside either pool, admissible or not,
+    the answers from one evaluation over the base plus a join seeded with
+    C's changed rows equal `eval_n` over the degraded instance, on
+    self-joins, body constants, arity 3 and queries with `isnull` and
+    `isnotnull`, where nulling a cell can add an answer.  The secret
+    answers equal the plain intersection over the secrecy instances."""
+    rng = random.Random(61)
+    outcomes = {True: 0, False: 0}
+    gained = 0
+    for _ in range(300):
+        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
+                                            max_arity=3, body_const_prob=0.2,
+                                            self_joins=True)
+        query = rand_query(rng, schema)
+        answers_on = _delta_answers(instance, query)
+        base = eval_n(instance, query)
+        for mode in EnumerationMode:
+            pool = sorted_cells(candidate_cells(instance, views, mode))
+            for _ in range(4 if pool else 0):
+                changes = frozenset(c for c in pool if rng.random() < 0.3)
+                degraded = apply_changes(instance, changes)
+                full = eval_n(degraded, query)
+                assert answers_on(degraded, changes) == full, \
+                    (instance, query.token(), sorted_cells(changes))
+                outcomes[is_admissible(degraded, views)] += 1
+                gained += not full <= base
+        solutions = enumerate_secrecy_instances(instance, views)
+        report = secret_answers(instance, views, query)
+        assert report.per_instance == tuple((s.changes, eval_n(s.instance, query))
+                                            for s in solutions)
+        assert report.answers == frozenset.intersection(
+            *(eval_n(s.instance, query) for s in solutions))
+    # 873 admissible degradations, 479 not; 41 gain an answer
+    assert outcomes[True] >= 650 and outcomes[False] >= 350 and gained >= 30, \
+        (outcomes, gained)
+
+
+def test_secret_answers_evaluate_the_query_in_full_on_no_secrecy_instance(monkeypatch):
+    """Two independent violating joins give 9 secrecy instances; their
+    answers come from one evaluation over the base and seeded joins, not
+    from 9 calls of `eval_n`."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    d = parse_facts("P(1,10). P(2,20). P(3,1500). R(10,5). R(20,6). R(1600,7).",
+                    schema)
+    view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
+    calls = []
+    monkeypatch.setattr(answers_module, "eval_n",
+                        lambda *args: calls.append(args) or eval_n(*args))
+    report = secret_answers(d, [view], parse_query("?(X) :- P(X, Y).", schema))
+    assert len(report.per_instance) == 9 and report.answers == answers("3")
+    assert calls == []

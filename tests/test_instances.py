@@ -5,7 +5,9 @@ import pytest
 from nullveil import (BoundExceededError, Cell, Const, CrossCheckError, Instance,
                       apply_changes, parse_facts, parse_schema, parse_view, relevant_vars)
 import nullveil.instances as instances_module
-from nullveil.instances import (EnumerationMode, _minimal_sweep, _restoring_violates,
+import nullveil.semantics as semantics_module
+from nullveil.instances import (EnumerationMode, _check_incomparable, _delta_admissible,
+                                _minimal_sweep, _restoring_violates,
                                 _verified_solutions, candidate_cells,
                                 enumerate_secrecy_instances, instance_leq_D,
                                 oracle_secrecy_instances, tuple_leq)
@@ -220,35 +222,46 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_stream_instance_with_two_violations_makes_one_admissibility_check_per_instance(
+def test_stream_instance_with_two_violations_needs_no_full_admissibility_check(
         monkeypatch):
-    """Two independent violating joins: 9 secrecy instances, verified by
-    one full admissibility check each; the minimality of their 24 nulled
-    cells and the search itself check nothing in full."""
+    """Two independent violating joins: 9 secrecy instances with 24
+    nulled cells, verified without one full admissibility check."""
     _, d, view = _stream_instance_with_two_violations()
     calls = _counting(monkeypatch, "is_admissible")
     solutions = enumerate_secrecy_instances(d, [view])
     assert len(solutions) == 9
     assert sum(len(s.changes) for s in solutions) == 24
-    assert len(calls) == 9
+    assert len(calls) == 0
 
 
-def test_enumeration_builds_each_instance_once_and_seeds_one_join_per_nulled_cell(
+def test_enumeration_builds_each_instance_once_and_seeds_all_but_the_base_joins(
         monkeypatch):
-    """One join per view gives the pool and the covers; each secrecy
-    instance is built once, for its check and its return, and each of its
-    nulled cells costs one join seeded with the restored row (the first
-    seeded view already finds the violation)."""
+    """Per view, one join over the base gives the pool and the covers and
+    one more gives the base side of the admissibility checks; every other
+    join is seeded with changed rows.  Each secrecy instance is built
+    once, for its check and its return: its admissibility takes one
+    seeded join per view atom over a relation it changes (24 over the 9
+    instances) and each of its nulled cells one seeded with the restored
+    row (24; the first seeded view already finds the violation)."""
     schema, d, view = _stream_instance_with_two_violations()
     harmless = parse_view("Vt(X) :- P(X,Y), Y > 5000.", schema)
-    joins = _counting(monkeypatch, "iter_matches")
+    joins = []
+    iter_matches = semantics_module.iter_matches
+
+    def counting(*args, **kwargs):
+        joins.append(kwargs)
+        return iter_matches(*args, **kwargs)
+
+    monkeypatch.setattr(semantics_module, "iter_matches", counting)
+    monkeypatch.setattr(instances_module, "iter_matches", counting)
     checks = _counting(monkeypatch, "is_admissible")
     builds = _counting(monkeypatch, "apply_changes")
     solutions = enumerate_secrecy_instances(d, [view, harmless])
     assert len(solutions) == 9
-    assert len(joins) == 2 + 24
-    assert all("first" in kwargs for _, kwargs in joins[2:])
-    assert len(checks) == 9 and len(builds) == 9
+    assert len(joins) == 4 + 24 + 24
+    assert [kwargs for kwargs in joins if "first" not in kwargs] == [{}] * 4
+    assert all("first" in kwargs for kwargs in joins[4:])
+    assert len(checks) == 0 and len(builds) == 9
     assert all(s.instance == apply_changes(d, s.changes) for s in solutions)
 
 
@@ -274,6 +287,44 @@ def test_self_check_rejects_comparable_change_sets():
     cover = frozenset({Cell("P", 1, 2), Cell("P", 2, 2)})
     with pytest.raises(CrossCheckError, match="not minimal|not pairwise incomparable"):
         _verified_solutions(d, [view], [cover, cover | {Cell("R", 2, 1)}])
+
+
+def test_incomparability_check_rejects_a_subset_at_any_position():
+    a, b, c = Cell("P", 1, 1), Cell("P", 1, 2), Cell("R", 1, 1)
+    _check_incomparable([])
+    _check_incomparable([frozenset()])
+    _check_incomparable([frozenset({a, b}), frozenset({b, c}), frozenset({c, a})])
+    for kept in ([frozenset({a}), frozenset({a, b})],
+                 [frozenset({a, b}), frozenset({c}), frozenset({b})],
+                 [frozenset({c}), frozenset(), frozenset({a})],
+                 [frozenset({a, c}), frozenset({a, c})]):
+        with pytest.raises(CrossCheckError, match="^kept change sets are not pairwise incomparable$"):
+            _check_incomparable(kept)
+
+
+def test_delta_admissibility_check_equals_a_full_check_randomized():
+    """For random change sets C inside either pool, admissible or not,
+    the check that follows the base's violating matches and seeds a join
+    with C's changed rows agrees with a full check of the degraded
+    instance, on self-joins, body constants and arity 3."""
+    rng = random.Random(59)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
+                                            max_arity=3, body_const_prob=0.2,
+                                            self_joins=True)
+        admissible = _delta_admissible(instance, [(v, relevant_vars(v)) for v in views])
+        for mode in EnumerationMode:
+            pool = sorted_cells(candidate_cells(instance, views, mode))
+            for _ in range(4 if pool else 0):
+                changes = frozenset(c for c in pool if rng.random() < 0.3)
+                degraded = apply_changes(instance, changes)
+                delta = admissible(degraded, changes)
+                assert delta == is_admissible(degraded, views), \
+                    (instance, [v.token() for v in views], sorted_cells(changes))
+                outcomes[delta] += 1
+    # 807 admissible degradations, 493 not
+    assert outcomes[True] >= 600 and outcomes[False] >= 400, outcomes
 
 
 def test_seeded_minimality_check_equals_a_full_check_randomized():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,8 @@ from nullveil import (Atom, BuiltinAtom, Const, Query, SemanticError, Value, Var
 
 from corpus import (answers, join_example, sql_null_example, threshold_example,
                     two_tuple_example)
-from randgen import rand_instance, rand_query, rand_schema
+from nullveil.semantics import iter_matches, iter_matches_through, scan
+from randgen import rand_case, rand_instance, rand_query, rand_schema
 
 
 def test_relevant_vars_join_and_comparison():
@@ -179,6 +181,40 @@ def test_containment_and_null_free_agreement_randomized():
         if _mentions_null(null_free):
             continue
         assert eval_n(clean, null_free) == eval_classical(clean, null_free)
+
+
+def test_matches_through_changed_rows_are_each_found_once_randomized():
+    """The seeded join yields exactly the matches that use a changed row,
+    each once, on self-joins and on a body that repeats the very same
+    atom object around another, which over two equal rows can match
+    either of them at each occurrence."""
+    schema = parse_schema("relation P(A:int, B:int). relation Q(B:int).")
+    instance = parse_facts("P(1,2). P(1,2). Q(2).", schema)
+    p, q = Atom("P", (Var("X"), Var("Y"))), Atom("Q", (Var("Y"),))
+    changed = {"P": instance.rows("P")[1:], "Q": instance.rows("Q")}
+    assert len(list(iter_matches_through(scan(instance), (p, q, p), changed))) == 4
+    rng = random.Random(67)
+    through_two = 0
+    for _ in range(300):
+        schema, instance, views = rand_case(rng, max_tuples=4, max_views=3, max_arity=3,
+                                            body_const_prob=0.2, self_joins=True)
+        tids = {rel.name: {row.tid for row in instance.rows(rel.name) if rng.random() < 0.4}
+                for rel in schema.relations}
+        changed = {name: tuple(row for row in instance.rows(name) if row.tid in wanted)
+                   for name, wanted in tids.items()}
+        for view in views:
+            for body in (view.body, view.body[:1] + view.body + view.body[:1]):
+                expected = Counter()
+                for env, rows in iter_matches(scan(instance), body):
+                    used = sum(row.tid in tids[atom.pred] for atom, row in zip(body, rows))
+                    if used:
+                        expected[frozenset(env.items())] += 1
+                        through_two += used > 1
+                got = Counter(frozenset(env.items()) for env, _ in
+                              iter_matches_through(scan(instance), body, changed))
+                assert got == expected, (instance, [a.token() for a in body], tids)
+    # 290 matches run through two changed rows or more
+    assert through_two >= 200, through_two
 
 
 def test_monotone_under_tuple_addition_classical():
