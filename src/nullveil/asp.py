@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import DialectError, SemanticError, UnsupportedRuleError
-from .lang import Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef, _Parser
+from .lang import (Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef, _Parser,
+                   _check_rule)
 from .model import Instance, NULL, Row, Schema, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
 from .solver import DEFAULT_SEARCH_BOUND, GAtom, Rule, ground, stable_models
@@ -100,7 +101,9 @@ def _check_reserved_names(schema: Schema) -> None:
 
 
 def compile_program(instance: Instance, views) -> AnnotatedProgram:
-    """Build the secrecy program for `instance` and the view set."""
+    """Build the secrecy program for `instance` and the view set.  Each
+    view must pass the parser's view check, as on the direct route (see
+    `instances`); one that does not raises `SemanticError`."""
     _check_reserved_names(instance.schema)
     rules: list[Rule] = []
 
@@ -111,6 +114,7 @@ def compile_program(instance: Instance, views) -> AnnotatedProgram:
             rules.append(Rule((Atom(low, tuple(Const(v) for v in values)),)))
 
     for view in views:
+        _check_rule(view, instance.schema, allow_null=False)
         rules.extend(_view_rules(view))
 
     for rel in instance.schema.relations:

@@ -4,44 +4,44 @@ A secrecy instance of a base instance D is an id-correlated null
 degradation of D that is admissible for the view set and whose set of
 nulled cells is inclusion-minimal among such degradations.
 
-View bodies hold no null constants and view built-ins neither mention
-null nor test for it, so nulling a cell can only destroy a body match or
-null one of its head values: admissibility is monotone in the set of
-nulled cells.  Enumeration therefore evaluates each view once, and that
-one pass gives both the candidate pool, checked against `max_cells`, and
-the violating matches (comparisons hold, no combination variable binds
-null, some head value is non-null), each with the pool cells that
-resolve it: any one of its combination cells, or all of its non-null
-head cells.  The secrecy instances are exactly the inclusion-minimal
-cell sets resolving every match: the minimal covers of a hypergraph, the
+Enumeration evaluates each view over D once.  That one pass gives both
+the candidate pool, checked against `max_cells`, and the violating
+matches (comparisons hold, no combination variable binds null, some head
+value is non-null), each with the pool cells that resolve it: any one of
+its combination or body-constant cells, or all of its non-null head
+cells.  The secrecy instances are exactly the inclusion-minimal cell
+sets resolving every match: the minimal covers of a hypergraph, the
 monotone dualization setting of Eiter & Gottlob (1995).  A search that
 branches on the first unresolved match reaches every minimal cover, and
-the leaves that are not minimal are dropped.
+the leaves that are not minimal are dropped; minimal covers are pairwise
+incomparable by definition.  Each cover's instance is then built once.
 
-Each kept change set C is then applied once, and that instance D_C is
-re-verified as a self-check of the search, which reads none of the
-search's matches: D_C must be admissible, restoring any one nulled cell
-c must bring a violation back, and the kept sets must be pairwise
-incomparable.  None of these checks evaluates a view over all of D_C;
-each joins only through the rows that differ, by the delta rule of
-Gupta, Mumick & Subrahmanian (1993).  For admissibility, each view is
-evaluated over D once, in a pass of its own that keeps the rows of each
-violating match.  A match of D_C either uses no row that C changes, and
-then it is a match of D with the same rows and the same bindings, or it
-runs through a changed row.  So D_C is admissible exactly when every
-violating match of D uses a changed row and no match through a changed
-row, as it stands in D_C, violates; a join seeded with those rows, the
-other atoms scanning D_C, finds the latter.  This split holds for any
-views, monotone or not: a nulled cell that created a violation would
-show up in the seeded join, so the check is exactly as strong as a full
-one.  Minimality starts from the admissible D_C: D_{C-c} differs from
-it only in the row of c, so every violation restoring c can cause runs
-through the restored row, and a join seeded with that row, the other
-atoms scanning D_C with the row in place, finds one if there is one.
-Pairwise incomparability takes one bitmask of the kept sets per cell:
-the intersection of the masks of the cells of a kept set holds exactly
-the kept sets that contain it, so one AND per nulled cell of each set
-replaces a comparison of every pair.
+That the covers are the secrecy instances rests on a precondition on
+the views, which `_pool_and_options` checks with the parser's own
+`lang._check_rule`: view bodies hold no null constants, and view
+built-ins neither mention null nor test for it (no `isnull` or
+`isnotnull`).  Nulls then live only in the data, and for a set C of
+non-null cells, D_C = D with C nulled is admissible exactly when C
+resolves every violating match of D:
+
+* a violating match of D_C is one of D: each of its combination and
+  body-constant cells is non-null in D_C, so unchanged, and the same
+  rows match in D with the same combination values, so the comparisons
+  hold there too; its non-null head cell is unchanged as well.  C holds
+  none of that match's combination or body-constant cells and not all
+  of its non-null head cells, so C leaves it unresolved;
+* a violating match of D that C leaves unresolved is one of D_C: C
+  nulls none of its combination or body-constant cells, so the same rows
+  still match with the same combination values, and some non-null head
+  cell stays.
+
+So admissibility is monotone in C, and the minimal admissible C are the
+minimal covers.  A view with `isnull(B)` breaks the first step: nulling
+B creates a violating match that D does not have, and the covers would
+include a non-admissible instance; the precondition rejects such a view with a
+`SemanticError` before any search.  The tests check the equivalence on
+random change sets and compare the covers with `oracle_secrecy_instances`
+and with a sweep of the pool.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -63,13 +63,11 @@ import enum
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BoundExceededError, CrossCheckError
-from .lang import Const
-from .model import (Cell, ChangeSet, Instance, Row, apply_changes, changed_rows,
-                    diff_changes, sorted_cells)
-from .semantics import (builtin_classical, iter_matches, iter_matches_through,
-                        relevant_vars, scan)
-from .views import is_admissible, violates
+from .errors import BoundExceededError
+from .lang import Const, _check_rule
+from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
+from .semantics import builtin_classical, iter_matches, relevant_vars, scan
+from .views import is_admissible
 
 DEFAULT_ORACLE_CELL_BOUND = 16
 DEFAULT_CELL_BOUND = 24
@@ -121,7 +119,8 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
     option; when no head variable is relevant, so is the set of its
     non-null head cells, and a match without any does not violate its
     view.  With `max_cells`, a larger pool raises `BoundExceededError`,
-    the exhaustive pool before any view is evaluated.
+    the exhaustive pool before any view is evaluated.  A view outside the
+    precondition of the module docstring raises `SemanticError`.
     """
     def bounded(pool: frozenset) -> frozenset:
         if max_cells is not None and len(pool) > max_cells:
@@ -135,6 +134,7 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
         pool = bounded(frozenset(instance.cells()))
     targets, matches = set(), []  # matches: (destroying cells, head option)
     for view in views:
+        _check_rule(view, instance.schema, allow_null=False)
         relevant = relevant_vars(view)
         head = {v.name for v in view.out}
         head_relevant = bool(head & relevant)
@@ -205,8 +205,7 @@ def _minimal_covers(matches: list[tuple[frozenset, ...]]) -> list[frozenset]:
                        for cell in cover)]
 
 
-def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...],
-                   cross_check: bool) -> list[frozenset]:
+def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[frozenset]:
     """All inclusion-minimal admissible subsets of `cells`.
 
     Sweeping sizes upward, a subset containing an already-kept set is not
@@ -220,8 +219,7 @@ def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...],
             changes = frozenset(combo)
             if any(k <= changes for k in kept):
                 continue
-            if is_admissible(apply_changes(instance, changes), views,
-                             cross_check=cross_check):
+            if is_admissible(apply_changes(instance, changes), views):
                 kept.append(changes)
     return kept
 
@@ -230,104 +228,11 @@ def enumerate_secrecy_instances(instance: Instance, views,
                                 mode: EnumerationMode = EnumerationMode.TARGETED,
                                 max_cells: int = DEFAULT_CELL_BOUND) -> list[SecrecySolution]:
     """All secrecy instances of `instance` for the view set, in canonical
-    change-set order.  An admissible instance yields the single
-    empty-change solution."""
+    change-set order, each built once.  An admissible instance yields the
+    single empty-change solution."""
     _, options = _pool_and_options(instance, views, mode, max_cells)
-    return _verified_solutions(instance, views, _minimal_covers(options))
-
-
-def _verified_solutions(instance: Instance, views,
-                        kept: list[frozenset]) -> list[SecrecySolution]:
-    """The kept change sets with their instances, each built once and
-    re-verified: admissible, strictly minimal (restoring any one nulled
-    cell brings a violation back) and pairwise incomparable; a failure
-    here would mean the search itself is broken."""
-    checks = [(view, relevant_vars(view)) for view in views]
-    admissible = _delta_admissible(instance, checks)
-    solutions = []
-    for changes in kept:
-        degraded = apply_changes(instance, changes)
-        if not admissible(degraded, changes):
-            raise CrossCheckError(f"kept change set is not admissible: {set(changes)}")
-        for cell in changes:
-            if not _restoring_violates(instance, degraded, checks, cell):
-                raise CrossCheckError(
-                    f"kept change set is not minimal: {set(changes)} minus {cell.token()}")
-        solutions.append(SecrecySolution(changes, degraded))
-    _check_incomparable(kept)
-    solutions.sort(key=SecrecySolution.sort_key)
-    return solutions
-
-
-def _delta_admissible(instance: Instance, checks):
-    """Admissibility of the degradations of `instance` for the `checks`
-    (pairs of a view and its relevant variables), from one evaluation of
-    each view over `instance`: the returned test of a degradation and
-    its change set passes when every violating match of `instance` uses
-    a changed row and no match through a changed row violates."""
-    violations = [frozenset(zip((atom.pred for atom in view.body), (row.tid for row in rows)))
-                  for view, relevant in checks
-                  for env, rows in iter_matches(scan(instance), view.body)
-                  if violates(view, relevant, env)]
-
-    def admissible(degraded: Instance, changes: frozenset) -> bool:
-        touched = {(cell.relation, cell.tid) for cell in changes}
-        if any(used.isdisjoint(touched) for used in violations):
-            return False
-        changed = changed_rows(degraded, changes)
-        return not any(violates(view, relevant, env) for view, relevant in checks
-                       for env, _ in iter_matches_through(scan(degraded), view.body, changed))
-
-    return admissible
-
-
-def _restoring_violates(base: Instance, degraded: Instance, checks, cell: Cell) -> bool:
-    """Whether giving `cell` back its value in `base` makes `degraded`,
-    an admissible degradation of `base`, violate one of the `checks`
-    (pairs of a view and its relevant variables).  Only matches through
-    the restored row can be new, so the join is seeded with that row,
-    and the other atoms scan `degraded` with the row in place, where
-    self-joins see it."""
-    value = base.row(cell.relation, cell.tid).values[cell.pos - 1]
-    rows = []
-    for row in degraded.rows(cell.relation):
-        if row.tid == cell.tid:
-            row = restored = Row(row.tid, row.values[:cell.pos - 1] + (value,)
-                                 + row.values[cell.pos:])
-        rows.append(row)
-
-    def rows_of(atom, env):
-        return rows if atom.pred == cell.relation else degraded.rows(atom.pred)
-
-    changed = {cell.relation: (restored,)}
-    return any(violates(view, relevant, env) for view, relevant in checks
-               for env, _ in iter_matches_through(rows_of, view.body, changed))
-
-
-def _check_incomparable(kept: list[frozenset]) -> None:
-    """Raise unless no kept change set is a subset of another.  Each cell
-    gets a bitmask of the kept sets holding it; the intersection of the
-    masks of the cells of a set a holds exactly the kept sets that
-    contain a, and a itself must be the only one."""
-    numbers: dict[Cell, int] = {}
-    holders: list[int] = []  # per cell number, the kept sets holding the cell
-    members = []  # per kept set, the numbers of its cells
-    for i, changes in enumerate(kept):
-        mine = []
-        for cell in changes:
-            n = numbers.setdefault(cell, len(holders))
-            if n == len(holders):
-                holders.append(0)
-            holders[n] |= 1 << i
-            mine.append(n)
-        members.append(mine)
-    everything = (1 << len(kept)) - 1
-    for i, mine in enumerate(members):
-        containing = everything
-        for n in mine:
-            containing &= holders[n]
-        if containing != 1 << i:
-            raise CrossCheckError("kept change sets are not pairwise incomparable")
+    return sorted((SecrecySolution(changes, apply_changes(instance, changes))
+                   for changes in _minimal_covers(options)), key=SecrecySolution.sort_key)
 
 
 def oracle_secrecy_instances(instance: Instance, views,
@@ -341,7 +246,7 @@ def oracle_secrecy_instances(instance: Instance, views,
         raise BoundExceededError(
             f"secrecy-instance oracle exceeded its bound of {max_cells} "
             f"non-null cells ({len(cells)} cells in the instance)")
-    minimal = _minimal_sweep(instance, views, cells, cross_check=True)
+    minimal = _minimal_sweep(instance, views, cells)
     solutions = [SecrecySolution(c, apply_changes(instance, c)) for c in minimal]
     solutions.sort(key=SecrecySolution.sort_key)
     return solutions

@@ -108,7 +108,7 @@ def test_criterion_3_admissibility():
                 if is_null_view(instance, view) != \
                         null_view_sentence_holds(instance, view):
                     mismatches += 1
-            is_admissible(instance, views, cross_check=True)
+            is_admissible(instance, views)
         assert mismatches == 0
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from nullveil import (Atom, BuiltinAtom, Const, DialectError, NULL, ParseError, Rule,
-                      SemanticError, UnsupportedRuleError, Value, Var, parse_facts,
-                      parse_query, parse_schema, parse_view)
+                      SemanticError, UnsupportedRuleError, Value, Var, ViewDef,
+                      parse_facts, parse_query, parse_schema, parse_view)
 from nullveil.answers import secret_answers
 from nullveil.asp import (cautious_answers, compile_program,
                           compile_query_program, export_program, export_rule,
@@ -460,6 +460,24 @@ def test_routes_agree_on_order_comparisons_over_unordered_values():
         parse_view("V(X) :- P(X, Y), P(Y, Z), Y < 5.", schema)
     with pytest.raises(SemanticError, match="Y, which occurs at no int column"):
         parse_query("?(X) :- P(X, Y), Y < 9.", schema)
+
+
+def test_routes_reject_a_hand_built_view_that_tests_for_null():
+    """The parser rejects `isnull` in a view, and both routes make the
+    same check on views built by hand: nulling P.B for V1 would create
+    the V2 match that `isnull(B)` asks for, so the minimal covers of the
+    base's violating matches would not be the secrecy instances."""
+    schema = parse_schema("relation P(A:int, B:int).")
+    d = parse_facts("P(1, 2).", schema)
+    v2 = parse_view("V2(A) :- P(A, B).", schema)
+    views = [parse_view("V1(B) :- P(A, B).", schema),
+             ViewDef(v2.out, v2.body, (BuiltinAtom("isnull", (Var("B"),)),), "V2")]
+    query = parse_query("?(A) :- P(A, B).", schema)
+    for route in (lambda: enumerate_secrecy_instances(d, views),
+                  lambda: secret_answers(d, views, query),
+                  lambda: cautious_answers(d, views, query)):
+        with pytest.raises(SemanticError, match="^isnull may not appear in a view definition$"):
+            route()
 
 
 def test_routes_agree_on_order_comparisons_over_an_any_column_joined_to_int():

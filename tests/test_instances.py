@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from nullveil import (BoundExceededError, Cell, Const, CrossCheckError, Instance,
-                      apply_changes, parse_facts, parse_schema, parse_view, relevant_vars)
+from nullveil import (BoundExceededError, Cell, Const, Instance, apply_changes,
+                      parse_facts, parse_schema, parse_view)
 import nullveil.instances as instances_module
 import nullveil.semantics as semantics_module
-from nullveil.instances import (EnumerationMode, _check_incomparable, _delta_admissible,
-                                _minimal_sweep, _restoring_violates,
-                                _verified_solutions, candidate_cells,
-                                enumerate_secrecy_instances, instance_leq_D,
-                                oracle_secrecy_instances, tuple_leq)
+from nullveil.instances import (EnumerationMode, _minimal_sweep, _pool_and_options,
+                                candidate_cells, enumerate_secrecy_instances,
+                                instance_leq_D, oracle_secrecy_instances, tuple_leq)
 from nullveil.model import sorted_cells
 from nullveil.views import is_admissible
 
@@ -147,19 +145,33 @@ def test_bounds_are_enforced():
 
 
 def test_solution_invariants_randomized():
+    """In both modes, on self-joins, body constants, arity 3 and up to
+    three views: every solution is admissible, restoring any one of its
+    nulled cells makes it inadmissible, and no solution contains
+    another."""
     rng = random.Random(41)
-    for _ in range(120):
-        schema, instance, views = rand_case(rng, max_tuples=3)
-        solutions = enumerate_secrecy_instances(instance, views)
-        assert solutions, "at least one secrecy instance must exist"
-        changes = [s.changes for s in solutions]
-        for i, a in enumerate(changes):
-            assert is_admissible(apply_changes(instance, a), views)
-            for j, b in enumerate(changes):
-                if i != j:
-                    assert not a <= b, "solutions must be incomparable"
-        if is_admissible(instance, views):
-            assert changes == [frozenset()]
+    restored = 0
+    for _ in range(600):
+        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
+                                            max_arity=3, body_const_prob=0.2,
+                                            self_joins=True)
+        for mode in EnumerationMode:
+            solutions = enumerate_secrecy_instances(instance, views, mode)
+            assert solutions, "at least one secrecy instance must exist"
+            changes = [s.changes for s in solutions]
+            for i, a in enumerate(changes):
+                assert is_admissible(apply_changes(instance, a), views)
+                for cell in a:
+                    assert not is_admissible(apply_changes(instance, a - {cell}), views), \
+                        (mode, instance, [v.token() for v in views], sorted_cells(a), cell)
+                    restored += 1
+                for j, b in enumerate(changes):
+                    if i != j:
+                        assert not a <= b, "solutions must be incomparable"
+            if is_admissible(instance, views):
+                assert changes == [frozenset()]
+    # 775 restorations
+    assert restored >= 600, restored
 
 
 def test_targeted_mode_matches_oracle_randomized():
@@ -187,7 +199,7 @@ def test_cover_search_matches_subset_sweep_randomized():
         found = {}
         for mode in EnumerationMode:
             pool = sorted_cells(candidate_cells(instance, views, mode))
-            swept = _minimal_sweep(instance, views, pool, cross_check=False)
+            swept = _minimal_sweep(instance, views, pool)
             found[mode] = [s.changes for s in
                            enumerate_secrecy_instances(instance, views, mode)]
             assert found[mode] == sorted(swept, key=sorted_cells), \
@@ -225,7 +237,7 @@ def _counting(monkeypatch, name: str) -> list:
 def test_stream_instance_with_two_violations_needs_no_full_admissibility_check(
         monkeypatch):
     """Two independent violating joins: 9 secrecy instances with 24
-    nulled cells, verified without one full admissibility check."""
+    nulled cells, found without one full admissibility check."""
     _, d, view = _stream_instance_with_two_violations()
     calls = _counting(monkeypatch, "is_admissible")
     solutions = enumerate_secrecy_instances(d, [view])
@@ -234,15 +246,10 @@ def test_stream_instance_with_two_violations_needs_no_full_admissibility_check(
     assert len(calls) == 0
 
 
-def test_enumeration_builds_each_instance_once_and_seeds_all_but_the_base_joins(
-        monkeypatch):
-    """Per view, one join over the base gives the pool and the covers and
-    one more gives the base side of the admissibility checks; every other
-    join is seeded with changed rows.  Each secrecy instance is built
-    once, for its check and its return: its admissibility takes one
-    seeded join per view atom over a relation it changes (24 over the 9
-    instances) and each of its nulled cells one seeded with the restored
-    row (24; the first seeded view already finds the violation)."""
+def test_enumeration_joins_each_view_once_and_builds_each_instance_once(monkeypatch):
+    """One join per view over the base gives the pool and the covers, the
+    search makes no admissibility check, and each of the 9 secrecy
+    instances is built once, for its return."""
     schema, d, view = _stream_instance_with_two_violations()
     harmless = parse_view("Vt(X) :- P(X,Y), Y > 5000.", schema)
     joins = []
@@ -258,103 +265,35 @@ def test_enumeration_builds_each_instance_once_and_seeds_all_but_the_base_joins(
     builds = _counting(monkeypatch, "apply_changes")
     solutions = enumerate_secrecy_instances(d, [view, harmless])
     assert len(solutions) == 9
-    assert len(joins) == 4 + 24 + 24
-    assert [kwargs for kwargs in joins if "first" not in kwargs] == [{}] * 4
-    assert all("first" in kwargs for kwargs in joins[4:])
+    assert joins == [{}, {}]
     assert len(checks) == 0 and len(builds) == 9
     assert all(s.instance == apply_changes(d, s.changes) for s in solutions)
 
 
-def test_self_check_rejects_a_change_set_that_leaves_a_violation():
-    _, d, view = _stream_instance_with_two_violations()
-    with pytest.raises(CrossCheckError, match="not admissible"):
-        _verified_solutions(d, [view], [frozenset({Cell("P", 1, 2)})])
-
-
-def test_self_check_rejects_a_cover_with_one_extra_pool_cell():
-    _, d, view = _stream_instance_with_two_violations()
-    cover = frozenset({Cell("P", 1, 2), Cell("P", 2, 2)})
-    assert [s.changes for s in _verified_solutions(d, [view], [cover])] == [cover]
-    with pytest.raises(CrossCheckError, match="not minimal"):
-        _verified_solutions(d, [view], [cover | {Cell("R", 1, 1)}])
-
-
-def test_self_check_rejects_comparable_change_sets():
-    """Admissibility is monotone, so the larger of two comparable
-    admissible sets is never minimal, and the minimality check fires
-    before the pairwise comparison does."""
-    _, d, view = _stream_instance_with_two_violations()
-    cover = frozenset({Cell("P", 1, 2), Cell("P", 2, 2)})
-    with pytest.raises(CrossCheckError, match="not minimal|not pairwise incomparable"):
-        _verified_solutions(d, [view], [cover, cover | {Cell("R", 2, 1)}])
-
-
-def test_incomparability_check_rejects_a_subset_at_any_position():
-    a, b, c = Cell("P", 1, 1), Cell("P", 1, 2), Cell("R", 1, 1)
-    _check_incomparable([])
-    _check_incomparable([frozenset()])
-    _check_incomparable([frozenset({a, b}), frozenset({b, c}), frozenset({c, a})])
-    for kept in ([frozenset({a}), frozenset({a, b})],
-                 [frozenset({a, b}), frozenset({c}), frozenset({b})],
-                 [frozenset({c}), frozenset(), frozenset({a})],
-                 [frozenset({a, c}), frozenset({a, c})]):
-        with pytest.raises(CrossCheckError, match="^kept change sets are not pairwise incomparable$"):
-            _check_incomparable(kept)
-
-
-def test_delta_admissibility_check_equals_a_full_check_randomized():
-    """For random change sets C inside either pool, admissible or not,
-    the check that follows the base's violating matches and seeds a join
-    with C's changed rows agrees with a full check of the degraded
-    instance, on self-joins, body constants and arity 3."""
+def test_resolving_every_violating_match_is_admissibility_randomized():
+    """For random change sets C inside either pool, admissible or not, C
+    resolves every option list of `_pool_and_options` exactly when the
+    degraded instance is admissible, on self-joins, body constants,
+    arity 3 and up to three views: the equivalence that makes the
+    minimal covers the secrecy instances."""
     rng = random.Random(59)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
         schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
                                             max_arity=3, body_const_prob=0.2,
                                             self_joins=True)
-        admissible = _delta_admissible(instance, [(v, relevant_vars(v)) for v in views])
         for mode in EnumerationMode:
-            pool = sorted_cells(candidate_cells(instance, views, mode))
+            pool, options = _pool_and_options(instance, views, mode)
+            pool = sorted_cells(pool)
             for _ in range(4 if pool else 0):
                 changes = frozenset(c for c in pool if rng.random() < 0.3)
-                degraded = apply_changes(instance, changes)
-                delta = admissible(degraded, changes)
-                assert delta == is_admissible(degraded, views), \
+                resolved = all(any(option <= changes for option in match)
+                               for match in options)
+                assert resolved == is_admissible(apply_changes(instance, changes), views), \
                     (instance, [v.token() for v in views], sorted_cells(changes))
-                outcomes[delta] += 1
+                outcomes[resolved] += 1
     # 807 admissible degradations, 493 not
     assert outcomes[True] >= 600 and outcomes[False] >= 400, outcomes
-
-
-def test_seeded_minimality_check_equals_a_full_check_randomized():
-    """For an admissible change set C and each c in C, the join seeded
-    with c's restored row finds a violation exactly when C - {c} is not
-    admissible, on self-joins, body constants and arity 3, over both
-    pools."""
-    rng = random.Random(53)
-    outcomes = {True: 0, False: 0}
-    for _ in range(300):
-        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
-                                            max_arity=3, body_const_prob=0.2,
-                                            self_joins=True)
-        checks = [(v, relevant_vars(v)) for v in views]
-        for mode in EnumerationMode:
-            pool = sorted_cells(candidate_cells(instance, views, mode))
-            for _ in range(4):
-                changes = frozenset(c for c in pool if rng.random() < 0.6)
-                degraded = apply_changes(instance, changes)
-                if not is_admissible(degraded, views):
-                    continue
-                for cell in changes:
-                    seeded = _restoring_violates(instance, degraded, checks, cell)
-                    full = not is_admissible(apply_changes(instance, changes - {cell}),
-                                             views)
-                    assert seeded == full, (instance, [v.token() for v in views],
-                                            sorted_cells(changes), cell)
-                    outcomes[seeded] += 1
-    # 378 restorations bring a violation back, 2,181 do not
-    assert outcomes[True] >= 300 and outcomes[False] >= 1500, outcomes
 
 
 @pytest.mark.parametrize("harmless", [0, 100])
