@@ -14,16 +14,16 @@ query, i.e. that recombining answers reveals nothing further.
 
 A query is evaluated over the base once, keeping the rows of each match
 that gives an answer, and each secrecy instance's answers are a delta
-off that one evaluation.  A secrecy instance D_C differs from the base D
-only in the rows its change set C nulls, so a match of D_C either uses
-no changed row, and then it is a match of D with the same answer, or it
-runs through a changed row.  The answers on D_C are therefore those of
-the matches of D that avoid C's rows, plus those of the matches through
-the changed rows as they stand in D_C, from a join seeded with them.
-The second part matters even for matches D already had: nulling a cell
-can add an answer, through `isnull`, as well as remove one.  An empty
-family of secrecy instances raises `CrossCheckError` instead of
-answering nothing.
+off that one evaluation, from its change set C alone.  The secrecy
+instance D_C differs from the base D only in the rows C nulls
+(`model.nulled_rows`), so a match of D_C either uses no nulled row, and
+then it is a match of D with the same answer, or it runs through one.
+The answers on D_C are those of the matches of D that avoid C's rows,
+plus those of a join seeded with the nulled rows over D's rows with the
+nulled ones in their place.  The second part matters even for matches D
+already had: nulling a cell can add an answer, through `isnull`, as well
+as remove one.  An empty family of secrecy instances raises
+`CrossCheckError` instead of answering nothing.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instances import DEFAULT_CELL_BOUND, SecrecySolution, enumerate_secrecy_instances
-from .lang import Atom, Query, Var
-from .model import Instance, Schema, changed_rows
+from .lang import Atom, Query, Var, _check_rule
+from .model import Instance, Schema, nulled_rows
 from .semantics import (AnswerSet, eval_n, holds_n, intersect_answers, iter_matches,
                         iter_matches_through, project, relevant_vars, scan)
 
@@ -58,20 +58,23 @@ class LeakageReport:
 def _delta_answers(instance: Instance, query: Query):
     """The SQL-like answers to `query` on the degradations of `instance`,
     from one evaluation over `instance`: the returned function of a
-    degradation and its change set gives the answers of the matches of
-    `instance` that avoid the changed rows and of the matches through
-    them."""
+    change set gives the answers of the matches of `instance` that avoid
+    the changed rows and of the matches through the nulled rows."""
     relevant = relevant_vars(query)
     preds = tuple(atom.pred for atom in query.body)
     base = [(project(query, env), frozenset(zip(preds, (row.tid for row in rows))))
             for env, rows in iter_matches(scan(instance), query.body)
             if holds_n(query, relevant, env)]
 
-    def answers_on(degraded: Instance, changes: frozenset) -> AnswerSet:
+    def answers_on(changes: frozenset) -> AnswerSet:
         touched = {(cell.relation, cell.tid) for cell in changes}
         answers = {answer for answer, used in base if used.isdisjoint(touched)}
+        nulled = nulled_rows(instance, changes)
+        degraded = {name: [rows.get(row.tid, row) for row in instance.rows(name)]
+                    for name, rows in nulled.items()}
         answers.update(project(query, env) for env, _ in iter_matches_through(
-            scan(degraded), query.body, changed_rows(degraded, changes))
+            lambda atom, env: degraded.get(atom.pred, instance.rows(atom.pred)),
+            query.body, {name: rows.values() for name, rows in nulled.items()})
             if holds_n(query, relevant, env))
         return frozenset(answers)
 
@@ -82,7 +85,7 @@ def _secret_answers_over(instance: Instance, solutions: list[SecrecySolution],
                          query: Query) -> SecretAnswerReport:
     answers_on = _delta_answers(instance, query)
     per_instance = tuple(
-        (solution.changes, answers_on(solution.instance, solution.changes))
+        (solution.changes, answers_on(solution.changes))
         for solution in solutions)
     answers = intersect_answers(ans for _, ans in per_instance)
     return SecretAnswerReport(query, answers, per_instance)
@@ -91,6 +94,7 @@ def _secret_answers_over(instance: Instance, solutions: list[SecrecySolution],
 def secret_answers(instance: Instance, views, query: Query,
                    max_cells: int = DEFAULT_CELL_BOUND) -> SecretAnswerReport:
     """Answers certain across every secrecy instance of `instance`."""
+    _check_rule(query, instance.schema, allow_null=True)
     solutions = enumerate_secrecy_instances(instance, views, max_cells=max_cells)
     return _secret_answers_over(instance, solutions, query)
 

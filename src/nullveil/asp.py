@@ -44,7 +44,6 @@ from .lang import (Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef
 from .model import Instance, NULL, Row, Schema, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
 from .solver import DEFAULT_SEARCH_BOUND, GAtom, Rule, ground, stable_models
-from .views import nulled_atom
 
 
 class Annotation(enum.Enum):
@@ -141,6 +140,17 @@ def _version_rules(low: str, arity: int) -> list[Rule]:
     return rules
 
 
+def nulled_atom(atom: Atom, names: set) -> Atom | None:
+    """`atom` with every occurrence of the named variables replaced by the
+    null constant; None when no such occurrence exists."""
+    args = tuple(
+        Const(NULL) if isinstance(t, Var) and t.name in names else t
+        for t in atom.args)
+    if args == atom.args:
+        return None
+    return Atom(atom.pred, args)
+
+
 def _view_rules(view: ViewDef) -> list[Rule]:
     # each tuple-id variable occurs once, so it is never relevant
     body = _with_tids(view.body, view.builtins)
@@ -216,6 +226,7 @@ def models_to_instances(models, base: Instance) -> list[Instance]:
 def cautious_answers(instance: Instance, views, query: Query,
                      max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
     """Query answers true in every stable model of the secrecy program."""
+    _check_rule(query, instance.schema, allow_null=True)
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)
     ground_rules = ground(program.rules + (query_rule,))

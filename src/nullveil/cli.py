@@ -135,14 +135,15 @@ def cmd_instances(args) -> int:
     lines = []
     for i, solution in enumerate(solutions, 1):
         extra = pool is not None and not solution.changes <= pool
+        degraded = solution.instance
         item = {"changes": _changes_json(solution.changes),
-                "facts": _instance_json(solution.instance)}
+                "facts": _instance_json(degraded)}
         if pool is not None:
             item["exhaustive_only"] = extra
         items.append(item)
         flag = "  [exhaustive-only]" if extra else ""
         lines.append(f"instance {i}: changes {_changes_text(solution.changes)}{flag}")
-        lines += ["  " + fact for fact in fact_lines(solution.instance)]
+        lines += ["  " + fact for fact in fact_lines(degraded)]
     _emit(args, {"instances": items}, "\n".join(lines) + "\n")
     return EXIT_OK
 

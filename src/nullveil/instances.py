@@ -14,7 +14,7 @@ sets resolving every match: the minimal covers of a hypergraph, the
 monotone dualization setting of Eiter & Gottlob (1995).  A search that
 branches on the first unresolved match reaches every minimal cover, and
 the leaves that are not minimal are dropped; minimal covers are pairwise
-incomparable by definition.  Each cover's instance is then built once.
+incomparable by definition.  Each cover is returned over its base.
 
 That the covers are the secrecy instances rests on a precondition on
 the views, which `_pool_and_options` checks with the parser's own
@@ -80,13 +80,15 @@ class EnumerationMode(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class SecrecySolution:
-    """An inclusion-minimal admissible change set with its instance."""
+    """An inclusion-minimal admissible change set over its base; the
+    `instance` property builds the secrecy instance anew on each read."""
 
     changes: ChangeSet
-    instance: Instance
+    base: Instance
 
-    def sort_key(self) -> tuple:
-        return sorted_cells(self.changes)
+    @property
+    def instance(self) -> Instance:
+        return apply_changes(self.base, self.changes)
 
 
 def tuple_leq(t1, t2) -> bool:
@@ -227,12 +229,12 @@ def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[f
 def enumerate_secrecy_instances(instance: Instance, views,
                                 mode: EnumerationMode = EnumerationMode.TARGETED,
                                 max_cells: int = DEFAULT_CELL_BOUND) -> list[SecrecySolution]:
-    """All secrecy instances of `instance` for the view set, in canonical
-    change-set order, each built once.  An admissible instance yields the
-    single empty-change solution."""
+    """All secrecy instances of `instance` for the view set, as change
+    sets in canonical order.  An admissible instance yields the single
+    empty-change solution."""
     _, options = _pool_and_options(instance, views, mode, max_cells)
-    return sorted((SecrecySolution(changes, apply_changes(instance, changes))
-                   for changes in _minimal_covers(options)), key=SecrecySolution.sort_key)
+    return [SecrecySolution(changes, instance)
+            for changes in sorted(_minimal_covers(options), key=sorted_cells)]
 
 
 def oracle_secrecy_instances(instance: Instance, views,
@@ -246,7 +248,5 @@ def oracle_secrecy_instances(instance: Instance, views,
         raise BoundExceededError(
             f"secrecy-instance oracle exceeded its bound of {max_cells} "
             f"non-null cells ({len(cells)} cells in the instance)")
-    minimal = _minimal_sweep(instance, views, cells)
-    solutions = [SecrecySolution(c, apply_changes(instance, c)) for c in minimal]
-    solutions.sort(key=SecrecySolution.sort_key)
-    return solutions
+    return [SecrecySolution(changes, instance)
+            for changes in sorted(_minimal_sweep(instance, views, cells), key=sorted_cells)]

@@ -2,10 +2,10 @@
 
 Instances are immutable after construction and all operations here are
 pure, so values can be shared freely across threads.  Updates are
-expressed as change sets: sets of cell coordinates whose values are
-replaced by the single distinguished null constant.  Tuple ids are never
-touched by an update, which keeps any updated instance correlated with
-its base (same relations, same ids, same cardinalities).
+expressed as change sets: sets of cell coordinates whose values
+`nulled_rows` replaces by the single distinguished null constant.  Tuple
+ids are never touched by an update, which keeps any updated instance
+correlated with its base (same relations, same ids, same cardinalities).
 """
 
 from __future__ import annotations
@@ -258,22 +258,19 @@ class Instance:
         return "{" + ", ".join(parts) + "}"
 
 
-def apply_changes(base: Instance, changes: Iterable[Cell]) -> Instance:
-    """Return the instance obtained from `base` by nulling every cell in
-    `changes`.  Every addressed cell must exist and hold a non-null value;
-    ids, relation membership and tuple counts are preserved.  The cells
-    are checked in the one pass over the rows that builds the result.
-    """
+def nulled_rows(base: Instance, changes: Iterable[Cell]) -> dict[str, dict[int, Row]]:
+    """The rows of `base` that hold a cell of `changes`, with those cells
+    nulled, per relation and tuple id, from one pass over each touched
+    relation.  Every addressed cell must exist and hold a non-null value."""
     by_row: dict[tuple[str, int], set[int]] = {}
     for cell in changes:
         by_row.setdefault((cell.relation, cell.tid), set()).add(cell.pos)
-    new_rows: dict[str, list[Row]] = {}
-    for name in base.schema.names():
-        rel_rows = []
+    touched = {name for name, _ in by_row}
+    nulled = {name: {} for name in base.schema.names() if name in touched}
+    for name, rows in nulled.items():
         for row in base.rows(name):
             positions = by_row.pop((name, row.tid), None)
             if positions is None:
-                rel_rows.append(row)
                 continue
             for pos in sorted(positions):
                 if not 1 <= pos <= len(row.values):
@@ -281,24 +278,23 @@ def apply_changes(base: Instance, changes: Iterable[Cell]) -> Instance:
                 if row.values[pos - 1].is_null:
                     raise InvalidChangeError(
                         f"cell {Cell(name, row.tid, pos).token()} is already null")
-            rel_rows.append(Row(row.tid, tuple(
-                NULL if pos in positions else v for pos, v in enumerate(row.values, 1))))
-        new_rows[name] = rel_rows
+            rows[row.tid] = Row(row.tid, tuple(
+                NULL if pos in positions else v for pos, v in enumerate(row.values, 1)))
     if by_row:  # cells of no row of base
         name, tid = min(by_row)
         if not base.schema.has_relation(name):
             raise AddressError(f"unknown relation {name}")
         raise AddressError(f"no tuple {name}#{tid}")
-    return Instance(base.schema, new_rows)
+    return nulled
 
 
-def changed_rows(instance: Instance, changes: Iterable[Cell]) -> dict[str, tuple[Row, ...]]:
-    """The rows of `instance` that hold a cell of `changes`, per relation."""
-    tids: dict[str, set[int]] = {}
-    for cell in changes:
-        tids.setdefault(cell.relation, set()).add(cell.tid)
-    return {name: tuple(row for row in instance.rows(name) if row.tid in wanted)
-            for name, wanted in tids.items()}
+def apply_changes(base: Instance, changes: Iterable[Cell]) -> Instance:
+    """`base` with every cell in `changes` nulled: its `nulled_rows` in
+    place of its rows, so its relations, ids and tuple counts are kept."""
+    nulled = nulled_rows(base, changes)
+    return Instance(base.schema, {
+        name: [nulled.get(name, {}).get(row.tid, row) for row in base.rows(name)]
+        for name in base.schema.names()})
 
 
 def diff_changes(base: Instance, other: Instance) -> ChangeSet:

@@ -16,8 +16,7 @@ Attribute sets are the paper's description of where an update may
 touch: *combination* attributes are the positions of relevant
 (join/comparison) variables, *secrecy* attributes the positions of head
 variables.  The compiler and the enumeration decide per variable, not per
-position (see `attr_sets`); `nulled_atom` builds the compiler's update
-heads.
+position (see `attr_sets`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossCheckError
-from .lang import Atom, Const, Var, ViewDef
+from .lang import Var, ViewDef
 from .model import Instance, NULL
 from .semantics import (builtin_classical, eval_n, iter_matches, negate_builtin,
                         relevant_vars, scan)
@@ -58,17 +57,6 @@ def attr_sets(view: ViewDef) -> AttrSets:
             if term.name in head:
                 secrecy.add((atom.pred, pos))
     return AttrSets(frozenset(combination), frozenset(secrecy))
-
-
-def nulled_atom(atom: Atom, names: set) -> Atom | None:
-    """`atom` with every occurrence of the named variables replaced by the
-    null constant; None when no such occurrence exists."""
-    args = tuple(
-        Const(NULL) if isinstance(t, Var) and t.name in names else t
-        for t in atom.args)
-    if args == atom.args:
-        return None
-    return Atom(atom.pred, args)
 
 
 def is_null_view(instance: Instance, view: ViewDef) -> bool:

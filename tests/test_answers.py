@@ -2,9 +2,13 @@ import random
 
 import pytest
 
-from nullveil import (CrossCheckError, Instance, apply_changes, eval_n, parse_facts,
-                      parse_query, parse_schema, parse_view)
+from nullveil import (Atom, BuiltinAtom, Const, CrossCheckError, Instance, NULL, Query,
+                      SemanticError, Var, apply_changes, eval_n, parse_facts, parse_query,
+                      parse_schema, parse_view, parse_views)
 from nullveil import answers as answers_module
+from nullveil import instances as instances_module
+from nullveil import model as model_module
+from nullveil.asp import cautious_answers
 from nullveil.answers import (_delta_answers, check_no_leakage, secrecy_answer_instance,
                               secret_answers)
 from nullveil.instances import EnumerationMode, candidate_cells, enumerate_secrecy_instances
@@ -141,7 +145,7 @@ def test_delta_answers_equal_a_full_evaluation_randomized():
                 changes = frozenset(c for c in pool if rng.random() < 0.3)
                 degraded = apply_changes(instance, changes)
                 full = eval_n(degraded, query)
-                assert answers_on(degraded, changes) == full, \
+                assert answers_on(changes) == full, \
                     (instance, query.token(), sorted_cells(changes))
                 outcomes[is_admissible(degraded, views)] += 1
                 gained += not full <= base
@@ -170,3 +174,43 @@ def test_secret_answers_evaluate_the_query_in_full_on_no_secrecy_instance(monkey
     report = secret_answers(d, [view], parse_query("?(X) :- P(X, Y).", schema))
     assert len(report.per_instance) == 9 and report.answers == answers("3")
     assert calls == []
+
+
+def test_answer_path_builds_no_instance_per_secrecy_instance(monkeypatch):
+    """The 9 secrecy instances of two independent violating joins are
+    answered from their change sets: no `apply_changes` call and no
+    `Instance` built, apart from the one secrecy answer instance."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    d = parse_facts("P(1,10). P(2,20). P(3,1500). R(10,5). R(20,6). R(1600,7).",
+                    schema)
+    views = parse_views("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
+    builds, instances = [], []
+    for module in (model_module, instances_module):
+        monkeypatch.setattr(module, "apply_changes",
+                            lambda *args: builds.append(args) or apply_changes(*args))
+    init = Instance.__init__
+    monkeypatch.setattr(Instance, "__init__",
+                        lambda self, *args: instances.append(args) or init(self, *args))
+    report = secret_answers(d, views, parse_query("?(X) :- P(X, Y).", schema))
+    assert len(report.per_instance) == 9 and report.answers == answers("3")
+    assert instances == []
+    assert [r.values for r in secrecy_answer_instance(d, views).rows("P")] == [row("3 1500")]
+    assert len(instances) == 1
+    assert check_no_leakage(d, views).ok
+    assert builds == [] and len(instances) == 2
+
+
+def test_a_query_outside_its_preconditions_is_rejected_on_both_routes():
+    """A query built in code skips the parser's checks; an order
+    comparison of a variable that occurs only at an `any` column is a
+    semantic error on the direct route as on the program route, not an
+    empty answer on one and a grounding failure on the other."""
+    schema = parse_schema("relation p(c1:any).")
+    d = parse_facts("@1 p(s1). @2 p(4).", schema)
+    views = parse_views("v0(V1) :- p(V1).", schema)
+    v1 = Var("V1")
+    query = Query((v1,), (Atom("p", (v1,)), Atom("p", (Const(NULL),))),
+                  (BuiltinAtom("<", (v1, v1)), BuiltinAtom("isnull", (v1,))))
+    for route in (secret_answers, cautious_answers):
+        with pytest.raises(SemanticError, match="occurs at no int column"):
+            route(d, views, query)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -391,13 +394,17 @@ def test_readme_library_example_prints_what_it_says(capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def write_readme_inputs(directory: Path) -> None:
+    inputs = readme_block("Input files", "text")
+    for name, text in re.findall(r"^% (\w+\.nv).*?\n(.*?)(?=^% |\Z)", inputs, re.M | re.S):
+        (directory / name).write_text(text, encoding="utf-8")
+    assert sorted(p.name for p in directory.iterdir()) == ["facts.nv", "schema.nv", "views.nv"]
+
+
 def test_readme_commands_run_on_its_input_files(capsys, tmp_path, monkeypatch):
     """Every command of the README's CLI section exits 0 on the README's
     three input files."""
-    inputs = readme_block("Input files", "text")
-    for name, text in re.findall(r"^% (\w+\.nv).*?\n(.*?)(?=^% |\Z)", inputs, re.M | re.S):
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.nv", "schema.nv", "views.nv"]
+    write_readme_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     script = readme_block("CLI", "sh").replace("\\\n", " ")
     commands = [shlex.split(line)[1:] for line in script.splitlines()
@@ -407,3 +414,25 @@ def test_readme_commands_run_on_its_input_files(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_json_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """`instances` and `answer --via both` print byte-identical JSON on the
+    README inputs in two interpreters whose string hashing differs, so no
+    output follows the iteration order of a set or dict of strings."""
+    write_readme_inputs(tmp_path)
+    common = ["--schema", "schema.nv", "--facts", "facts.nv", "--views", "views.nv",
+              "--format", "json"]
+    commands = [["instances", "--mode", "exhaustive", *common],
+                ["answer", "--query", "?(X,Y) :- P(X,Y).", "--via", "both", *common]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs[seed] = [subprocess.run([sys.executable, "-m", "nullveil.cli", *argv],
+                                        cwd=tmp_path, env=env, capture_output=True,
+                                        check=True, timeout=120).stdout
+                         for argv in commands]
+    assert outputs["0"] == outputs["1"]
+    assert json.loads(outputs["0"][0])["instances"] and json.loads(outputs["0"][1])["via"] == "both"

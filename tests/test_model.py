@@ -6,8 +6,10 @@ from nullveil import (AddressError, Cell, CorrelationError, Instance,
                       InvalidChangeError, NULL, Relation, Row, Schema,
                       SemanticError, Value, apply_changes, diff_changes,
                       parse_facts, parse_schema)
+from nullveil.model import nulled_rows, sorted_cells
 
 from corpus import row
+from randgen import rand_case
 
 
 def schema_pr() -> Schema:
@@ -172,3 +174,28 @@ def test_equality_includes_the_schema():
     unary = Instance(typed, {})
     binary = Instance(Schema([Relation("P", (("A", "int"), ("B", "int")))]), {})
     assert unary != binary and len({unary, binary}) == 2
+
+
+def test_nulled_rows_are_the_rows_apply_changes_changes_randomized():
+    """`nulled_rows(D, C)` holds exactly the rows of `apply_changes(D, C)`
+    that differ from D's, per relation and tuple id, on instances whose
+    tuple ids are scattered and out of order."""
+    rng = random.Random(67)
+    touched = 0
+    for _ in range(300):
+        schema, instance, _ = rand_case(rng, max_tuples=4, max_arity=3)
+        instance = Instance(schema, {
+            name: [Row(tid, r.values) for tid, r in
+                   zip(rng.sample(range(1, 20), len(instance.rows(name))), instance.rows(name))]
+            for name in schema.names()})
+        changes = frozenset(c for c in sorted_cells(instance.cells()) if rng.random() < 0.3)
+        degraded = apply_changes(instance, changes)
+        expected = {}
+        for name in schema.names():
+            for old, new in zip(instance.rows(name), degraded.rows(name)):
+                if new != old:
+                    expected.setdefault(name, {})[new.tid] = new
+        assert nulled_rows(instance, changes) == expected, (instance, sorted_cells(changes))
+        touched += sum(map(len, expected.values()))
+    # 344 nulled rows
+    assert touched >= 250, touched
