@@ -19,12 +19,21 @@ Overwrite rules, one per relation position and keyed on the tuple id,
 then mark a version as overwritten once an update of the same tuple has
 nulled a value the version still holds.
 
+The database enters the program as facts, ground atoms kept apart from
+the rules, and the exported text lists them first.
+
 Queries are answered cautiously: the query is rewritten to its classical
 form, retargeted at `_s` atoms under a fresh `ans` head, and the answers
 true in every stable model are returned; they must coincide with the
-secret answers computed from the materialised secrecy instances.  Each
-secrecy instance is read off its stable model by projection: every `_s`
-atom is one tuple, named by its id.
+secret answers computed from the materialised secrecy instances.  Only
+what the query reads is grounded: the `_s` rules of a relation the
+query does not read, and then its `_u` rules, form a top layer that no
+other rule reads, and every stable model of the rest extends to exactly
+one of the whole program, so leaving them out changes neither the number
+of models nor their `ans` atoms.  The answers are read from the atoms
+true in every model, without building each model.  Each secrecy
+instance is read off its stable model by projection: every `_s` atom is
+one tuple, named by its id; this reads the whole program's models.
 
 Export produces solver-ready text for the dlv and clingo dialects
 (predicates lowercased, disjunction `v` respectively `|`); denial
@@ -43,7 +52,8 @@ from .lang import (Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef
                    _check_rule)
 from .model import Instance, NULL, Row, Schema, Value
 from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
-from .solver import DEFAULT_SEARCH_BOUND, GAtom, Rule, ground, stable_models
+from .solver import (DEFAULT_SEARCH_BOUND, GAtom, Rule, StableModels, drop_unread, ground,
+                     stable_models)
 
 
 class Annotation(enum.Enum):
@@ -58,8 +68,11 @@ ANS_PRED = "ans"
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedProgram:
-    """The compiled secrecy program: its rules in compilation order."""
+    """The compiled secrecy program: the database as ground atoms, each
+    tuple's values with its id last, and the view and version rules, both
+    in compilation order."""
 
+    facts: tuple[GAtom, ...]
     rules: tuple[Rule, ...]
 
 
@@ -104,21 +117,16 @@ def compile_program(instance: Instance, views) -> AnnotatedProgram:
     view must pass the parser's view check, as on the direct route (see
     `instances`); one that does not raises `SemanticError`."""
     _check_reserved_names(instance.schema)
+    facts = tuple((name.lower(), row.values + (Value.of_int(row.tid),))
+                  for name in instance.schema.names() for row in instance.rows(name))
     rules: list[Rule] = []
-
-    for name in instance.schema.names():
-        low = name.lower()
-        for row in instance.rows(name):
-            values = row.values + (Value.of_int(row.tid),)
-            rules.append(Rule((Atom(low, tuple(Const(v) for v in values)),)))
-
     for view in views:
         _check_rule(view, instance.schema, allow_null=False)
         rules.extend(_view_rules(view))
 
     for rel in instance.schema.relations:
         rules.extend(_version_rules(rel.name.lower(), rel.arity))
-    return AnnotatedProgram(tuple(rules))
+    return AnnotatedProgram(facts, tuple(rules))
 
 
 def _version_rules(low: str, arity: int) -> list[Rule]:
@@ -225,17 +233,22 @@ def models_to_instances(models, base: Instance) -> list[Instance]:
 
 def cautious_answers(instance: Instance, views, query: Query,
                      max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
-    """Query answers true in every stable model of the secrecy program."""
+    """Query answers true in every stable model of the secrecy program,
+    grounding only the rules the query reads (see `drop_unread`)."""
     _check_rule(query, instance.schema, allow_null=True)
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)
-    ground_rules = ground(program.rules + (query_rule,))
-    return model_answers(stable_models(ground_rules, max_nodes))
+    rules = drop_unread(program.rules + (query_rule,), {ANS_PRED})
+    return model_answers(stable_models(ground(rules, program.facts), max_nodes))
 
 
 def model_answers(models) -> AnswerSet:
     """Cautious answers: the `ans` rows true in every stable model; no
-    stable model at all raises `CrossCheckError`."""
+    stable model at all raises `CrossCheckError`.  `models` is what
+    `stable_models` returns, which gives its atoms true in every model
+    without building each model, or any list of models."""
+    if isinstance(models, StableModels):
+        models = [models.cautious()] if models else []
     return intersect_answers(
         frozenset(args for pred, args in model if pred == ANS_PRED)
         for model in models)
@@ -268,17 +281,18 @@ def _pretty_builtin(b: BuiltinAtom) -> str:
 DIALECTS = ("dlv", "clingo")
 
 
-def _export_atom(atom: Atom) -> str:
-    if not atom.args:
-        return atom.pred
-    return f"{atom.pred}({','.join(t.token() for t in atom.args)})"
+def _export_atom(pred: str, args: tuple) -> str:
+    """An atom's text; its arguments are terms, or values when it is ground."""
+    if not args:
+        return pred
+    return f"{pred}({','.join(t.token() for t in args)})"
 
 
 def export_rule(rule: Rule, dialect: str) -> str:
     sep = " v " if dialect == "dlv" else " | "
-    head = sep.join(_export_atom(a) for a in rule.head)
-    body = ", ".join([*map(_export_atom, rule.pos),
-                      *(f"not {_export_atom(a)}" for a in rule.neg),
+    head = sep.join(_export_atom(a.pred, a.args) for a in rule.head)
+    body = ", ".join([*(_export_atom(a.pred, a.args) for a in rule.pos),
+                      *(f"not {_export_atom(a.pred, a.args)}" for a in rule.neg),
                       *(b.token() for b in rule.builtins)])
     if not body:
         return f"{head}."
@@ -287,11 +301,14 @@ def export_rule(rule: Rule, dialect: str) -> str:
     return f"{head} :- {body}."
 
 
-def export_program(rules, dialect: str) -> str:
-    """Solver-ready text of the rules; dialect is `dlv` or `clingo`."""
+def export_program(rules, dialect: str, facts=()) -> str:
+    """Solver-ready text of the facts, ground atoms, then the rules;
+    dialect is `dlv` or `clingo`."""
     if dialect not in DIALECTS:
         raise DialectError(f"unsupported dialect {dialect!r}")
-    return "\n".join(export_rule(r, dialect) for r in rules) + "\n"
+    lines = [f"{_export_atom(pred, values)}." for pred, values in facts]
+    lines += [export_rule(r, dialect) for r in rules]
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

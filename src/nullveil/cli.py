@@ -171,7 +171,7 @@ def cmd_answer(args) -> int:
 def cmd_compile(args) -> int:
     _, instance, views, _ = _load(args, need_views=True)
     program = asp.compile_program(instance, views)
-    text = asp.export_program(program.rules, args.dialect)
+    text = asp.export_program(program.rules, args.dialect, program.facts)
     payload = {"program": text}
     if args.dcs:
         constraints = [dc for view in views
@@ -218,9 +218,10 @@ def cmd_solve(args) -> int:
         raise SemanticError(f"solver binary not found: {args.solver}")
     if solver_path:
         dialect = "clingo" if "clingo" in Path(solver_path).name else "dlv"
-        models = _external_models(solver_path, dialect, asp.export_program(rules, dialect))
+        models = _external_models(solver_path, dialect,
+                                  asp.export_program(rules, dialect, program.facts))
     else:
-        models = stable_models(asp.ground(rules), max_nodes=args.max_nodes)
+        models = stable_models(asp.ground(rules, program.facts), max_nodes=args.max_nodes)
     answers = asp.model_answers(models)  # no model at all is a CrossCheckError
     instances = asp.models_to_instances(models, instance)
     items = []

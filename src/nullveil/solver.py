@@ -7,15 +7,18 @@ grounders such as gringo work on, and no stage re-splits a mixed body.
 Grounding instantiates rules bottom-up over the atoms that can possibly
 be derived (facts plus heads of rules whose positive bodies are possibly
 derivable), evaluating built-ins away: a false built-in deletes the
-instance, a true one is dropped.  Positive bodies are matched against
-the possible atoms by `semantics.iter_matches`, the same engine that
-evaluates queries over instances, so grounding a rule is evaluating its
-body as a conjunctive query.  Null is an ordinary constant here, and an
-order comparison with a null operand is false, as in `semantics`.  An
-order comparison over unordered values (symbols, strings) raises
-`SemanticError`, as in `semantics`; no parsed view or query brings one,
-because `lang` only accepts an order comparison whose variables occur at
-`int` columns, so both routes see the same comparisons.
+instance, a true one is dropped.  A database enters as facts, ground
+atoms, the extensional part of the program: each is numbered and kept
+as a body-free ground rule, and no rule is built or matched for it.
+Positive bodies are matched against the possible atoms by
+`semantics.iter_matches`, the same engine that evaluates queries over
+instances, so grounding a rule is evaluating its body as a conjunctive
+query.  Null is an ordinary constant here, and an order comparison with
+a null operand is false, as in `semantics`.  An order comparison over
+unordered values (symbols, strings) raises `SemanticError`, as in
+`semantics`; no parsed view or query brings one, because `lang` only
+accepts an order comparison whose variables occur at `int` columns, so
+both routes see the same comparisons.
 
 Grounding is semi-naive (Bancilhon & Ramakrishnan 1986).  It runs in
 rounds, and each round reads a snapshot: the possible atoms as they
@@ -55,8 +58,11 @@ is certain, which satisfies it; a live constraint whose body is true
 leaves no model.  Each of these steps keeps the stable models, also with
 disjunction (Brass & Dix 1997, "Characterizations of the disjunctive
 stable semantics by partial evaluation").  Search then sees only the
-live rules, restricted to the atoms left undecided, and every model gets
-the certain atoms back.
+live rules, restricted to the atoms left undecided.  The models come
+back as the certain atoms, once, and each model's undecided part as atom
+numbers; a caller that needs whole models builds them on reading, and
+one that needs only what all models share, as cautious answers do,
+intersects the parts.
 
 What is left splits below the query.  The output layer is the live
 rules with one head atom that no live rule's body reads and no
@@ -242,14 +248,18 @@ class _Store:
         return best
 
 
-def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
+def ground(rules: Iterable[Rule], facts: Iterable[GAtom] = (),
+           max_rules: int = 1_000_000) -> GroundProgram:
     """Instantiate `rules` over the possibly-derivable atoms.
 
-    Saturates: an atom is possibly derivable when it heads a rule all of
-    whose positive body atoms are; negation does not gate possibility.
-    A rule's `pos` atoms are matched, its `builtins` evaluated and its
-    `head` and `neg` atoms numbered, each read from its own field.
-    Rules are duplicate-free, in derivation order; atoms are numbered as met.
+    The `facts`, ground atoms, are numbered first, each as a body-free
+    ground rule, so giving an atom here or as a fact rule grounds the
+    same.  Saturates: an atom is possibly derivable when it heads a rule
+    all of whose positive body atoms are; negation does not gate
+    possibility.  A rule's `pos` atoms are matched, its `builtins`
+    evaluated and its `head` and `neg` atoms numbered, each read from its
+    own field.  Rules are duplicate-free, in derivation order; atoms are
+    numbered as met.
     """
     rules = list(rules)
     for r in rules:
@@ -258,6 +268,19 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
     out: dict[tuple, None] = {}  # insertion-ordered, drops repeats
     rounds = 1
 
+    def add(gr: tuple, heads: tuple) -> None:
+        """Keep ground rule `gr`, unless kept already, and derive its heads."""
+        known = len(out)
+        out[gr] = None  # one hash per instance, not two
+        if len(out) == known:
+            return
+        if len(out) > max_rules:
+            raise BoundExceededError(
+                f"grounding exceeded its bound of {max_rules} ground rules "
+                f"({rounds} rounds, {len(store.possible)} possible atoms so far)")
+        for n, h in zip(gr[0], heads):
+            store.derive(n, h)
+
     def instantiate(r: Rule, k: int, matches) -> None:
         """Ground rules of the matches of `r.pos` with atom k matched first."""
         for env, matched in matches:
@@ -265,19 +288,11 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
                 continue
             rows = matched[1:k + 1] + matched[:1] + matched[k + 1:]
             heads = tuple(_ground_atom(a, env) for a in r.head)
-            gr = (tuple(map(store.number, heads)), tuple(row.tid for row in rows),
-                  tuple(store.number(_ground_atom(a, env)) for a in r.neg))
-            known = len(out)
-            out[gr] = None  # one hash per instance, not two
-            if len(out) == known:
-                continue
-            if len(out) > max_rules:
-                raise BoundExceededError(
-                    f"grounding exceeded its bound of {max_rules} ground rules "
-                    f"({rounds} rounds, {len(store.possible)} possible atoms so far)")
-            for n, h in zip(gr[0], heads):
-                store.derive(n, h)
+            add((tuple(map(store.number, heads)), tuple(row.tid for row in rows),
+                 tuple(store.number(_ground_atom(a, env)) for a in r.neg)), heads)
 
+    for gatom in facts:
+        add(((store.number(gatom),), (), ()), (gatom,))
     for r in rules:
         if not r.pos:
             instantiate(r, 0, iter_matches(store.rows_of, ()))
@@ -292,6 +307,44 @@ def ground(rules: Iterable[Rule], max_rules: int = 1_000_000) -> GroundProgram:
                                                    first=delta[atom.pred]))
         delta = store.end_round()
     return GroundProgram(list(store.numbers), list(out))
+
+
+def drop_unread(rules: Iterable[Rule], keep) -> list[Rule]:
+    """`rules` less the top layer that the predicates in `keep` do not read.
+
+    Drops, repeatedly, every rule of a predicate P outside `keep` when
+    each rule defining P has P as its only head atom and does not read P,
+    and no other rule left mentions P, in a head or a body.  The dropped
+    rules then form a non-recursive top layer of normal rules: none of
+    the rules left mentions a predicate they define, so those rules split
+    the program (Lifschitz & Turner 1994), and each stable model of the
+    rules left extends in exactly one way to one of the whole program.
+    A constraint is never dropped, nor is a rule of a predicate that
+    reads itself, such as `a :- not a.`.  The rules left keep their order."""
+    rules = list(rules)
+    sole: dict[str, list[int]] = {}  # predicate -> the rules that define it alone
+    others: dict[str, int] = {}  # predicate -> rules left that mention it otherwise
+    mentions = []
+    for i, r in enumerate(rules):
+        body = {a.pred for a in r.pos + r.neg}
+        defines = r.head[0].pred if len(r.head) == 1 and r.head[0].pred not in body else None
+        if defines is not None:
+            sole.setdefault(defines, []).append(i)
+        mentions.append(body | {a.pred for a in r.head})
+        for pred in mentions[-1]:
+            if pred != defines:
+                others[pred] = others.get(pred, 0) + 1
+    live = [True] * len(rules)
+    drop = [pred for pred in sole if pred not in keep and not others.get(pred)]
+    while drop:
+        pred = drop.pop()
+        for i in sole[pred]:
+            live[i] = False
+            for read in mentions[i] - {pred}:
+                others[read] -= 1
+                if not others[read] and read in sole and read not in keep:
+                    drop.append(read)
+    return [r for r, alive in zip(rules, live) if alive]
 
 
 # --------------------------------------------------------------------------
@@ -694,8 +747,40 @@ def _split(value: list[int], residue: list[tuple]) -> tuple[list, list]:
     return output, [(members[r], rules[r]) for r in members]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class StableModels:
+    """The stable models of a ground program, without repeating what they
+    share: the `certain` atoms once, and each model's `parts` entry, its
+    true undecided atoms as numbers into `atoms`, the program's atoms.
+    `len` counts the models; iterating yields each model as the frozenset
+    of its ground atoms, and it equals the list of those frozensets."""
+
+    atoms: list  # of GAtom
+    certain: frozenset  # of GAtom
+    parts: list  # of frozenset[int]
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self) -> Iterator[frozenset]:
+        atoms, certain = self.atoms, self.certain
+        return (certain.union([atoms[a - 1] for a in part]) for part in self.parts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, StableModels)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def cautious(self) -> frozenset:
+        """The atoms true in every model; there must be one."""
+        common = frozenset.intersection(*self.parts)
+        return self.certain.union([self.atoms[a - 1] for a in common])
+
+
 def stable_models(program: GroundProgram,
-                  max_nodes: int = DEFAULT_SEARCH_BOUND) -> list[frozenset]:
+                  max_nodes: int = DEFAULT_SEARCH_BOUND) -> StableModels:
     """All stable models of the ground program: models that are minimal
     models of their own reduct.
 
@@ -707,14 +792,16 @@ def stable_models(program: GroundProgram,
     on the order of `program.rules`.  Every model is the certain atoms,
     one model of each component, and the output atoms whose rules' bodies
     that choice makes true; the models are sorted by `_gatom_key` of
-    their atoms.  The searches share the `max_nodes` bound, and each
+    their atoms, and each is returned as its part beyond the certain
+    atoms.  The searches share the `max_nodes` bound, and each
     model assembled from two or more components counts as one more node
     against it, checked before the first is built."""
     atoms = program.atoms
     settled = _settle(len(atoms), program.rules)
     if settled is None:
-        return []
+        return StableModels(atoms, frozenset(), [])
     value, live = settled
+    certain = frozenset([atoms[a - 1] for a in range(1, len(atoms) + 1) if value[a] == _TRUE])
     # as sets, because a repeated literal would hide a unit clause
     residue = [(tuple(set(head)),
                 tuple({p for p in pos if value[p] == _UNDEF}),
@@ -728,7 +815,7 @@ def stable_models(program: GroundProgram,
         parts.append(search.models())
         nodes, found = search.nodes, search.found
         if not parts[-1]:
-            return []
+            return StableModels(atoms, certain, [])
     if len(parts) > 1:
         assembled = prod(map(len, parts))
         if nodes + assembled > max_nodes:
@@ -741,7 +828,7 @@ def stable_models(program: GroundProgram,
         model = set().union(*choice)
         model.update([head[0] for head, pos, neg in output
                       if model.issuperset(pos) and model.isdisjoint(neg)])
-        models.append(model)
+        models.append(frozenset(model))
     # Stable models are minimal models, so neither of two holds the other,
     # and of their sorted atom lists the one with the least atom that only
     # one of them holds comes first.  The certain atoms, held by all, do
@@ -749,5 +836,4 @@ def stable_models(program: GroundProgram,
     true = sorted({a for m in models for a in m}, key=lambda a: _gatom_key(atoms[a - 1]))
     rank = {a: i for i, a in enumerate(true)}
     models.sort(key=lambda m: sorted(rank[a] for a in m))
-    base = frozenset(atoms[a - 1] for a in range(1, len(atoms) + 1) if value[a] == _TRUE)
-    return [base.union(atoms[a - 1] for a in m) for m in models]
+    return StableModels(atoms, certain, models)

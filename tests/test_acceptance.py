@@ -184,7 +184,7 @@ def test_criterion_7_asp_correspondence():
                       "200 randomized cases", budget=600.0):
         two = two_tuple_example()
         program = compile_program(two.instance, two.views)
-        models = stable_models(ground(program.rules))
+        models = stable_models(ground(program.rules, program.facts))
         assert len(models) == 3
         assert set(models_to_instances(models, two.instance)) == \
             {s.instance for s in enumerate_secrecy_instances(two.instance,
@@ -196,7 +196,7 @@ def test_criterion_7_asp_correspondence():
             schema, instance, views = rand_case(rng, max_tuples=3, lp_safe=True)
             program = compile_program(instance, views)
             model_instances = models_to_instances(
-                stable_models(ground(program.rules)), instance)
+                stable_models(ground(program.rules, program.facts)), instance)
             expected = enumerate_secrecy_instances(instance, views)
             if set(model_instances) != {s.instance for s in expected}:
                 mismatches += 1
@@ -252,7 +252,7 @@ def test_criterion_9_export_validity_with_external_solver(tmp_path):
         two = two_tuple_example()
         program = compile_program(two.instance, two.views)
         dialect = "clingo" if "clingo" in solver else "dlv"
-        text = export_program(program.rules, dialect)
+        text = export_program(program.rules, dialect, program.facts)
         path = tmp_path / "program.lp"
         path.write_text(text, encoding="utf-8")
         cmd = [solver, "--models=0", path] if dialect == "clingo" else [solver, path]

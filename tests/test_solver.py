@@ -7,10 +7,10 @@ import pytest
 from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, CrossCheckError, NULL,
                       UnsupportedRuleError, Value, Var, parse_facts, parse_query, parse_schema,
                       parse_view, solver)
-from nullveil.asp import (cautious_answers, compile_program, compile_query_program,
+from nullveil.asp import (ANS_PRED, cautious_answers, compile_program, compile_query_program,
                           model_answers)
 from nullveil.semantics import builtin_classical
-from nullveil.solver import GroundProgram, Rule, fact, ground, stable_models
+from nullveil.solver import GroundProgram, Rule, drop_unread, fact, ground, stable_models
 
 from randgen import rand_case, rand_query
 
@@ -461,18 +461,21 @@ def test_head_cycle_in_the_residue_is_still_checked(spied):
 
 
 def test_search_is_sized_by_the_residue_not_the_database(spied):
-    """One violating join among 1,600 rows that join nothing: the ground
-    program has about 6,900 atoms, and the search sees a few dozen."""
+    """One violating join among 1,600 rows that join nothing: the whole
+    ground program has about 6,900 atoms, and the search that
+    `cautious_answers` runs sees a few dozen."""
     schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
     facts = ["P(1, 100). R(100, 7)."]
     facts += [f"P({i % 900}, {2000 + i}). R({5000 + i}, {i % 700})." for i in range(800)]
     instance = parse_facts(" ".join(facts), schema)
     views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
-    answers = cautious_answers(instance, views, parse_query("?(X) :- P(X,Y).", schema))
+    query = parse_query("?(X) :- P(X,Y).", schema)
+    answers = cautious_answers(instance, views, query)
     assert answers == {(Value.of_int(i % 900),) for i in range(800)}
-    (_, (value, _)), = spied.settled
     (search,) = spied.searches
-    assert len(value) - 1 > 6500 and search.natoms <= 40
+    program = compile_program(instance, views)
+    whole = ground(program.rules + (compile_query_program(query),), program.facts)
+    assert len(whole.atoms) > 6500 and search.natoms <= 40
 
 
 def test_search_nodes_grow_linearly_in_independent_violations(spied):
@@ -488,7 +491,7 @@ def test_search_nodes_grow_linearly_in_independent_violations(spied):
                          for i in range(1, k + 1))
         program = compile_program(parse_facts(facts, schema), views)
         spied.searches.clear()
-        assert len(stable_models(ground(program.rules + (query,)))) == 3 ** k
+        assert len(stable_models(ground(program.rules + (query,), program.facts))) == 3 ** k
         assert len(spied.searches) == k
         nodes[k] = spied.searches[-1].nodes  # each search counts on from the last
         assert nodes[k] <= k * nodes[1], nodes
@@ -505,7 +508,7 @@ def test_one_large_component_is_searched_as_one(spied, m, natoms, nodes):
     views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
     query = compile_query_program(parse_query("?(X) :- P(X, Y).", schema))
     program = compile_program(parse_facts(facts, schema), views)
-    assert len(stable_models(ground(program.rules + (query,)))) == 2 ** m + 1
+    assert len(stable_models(ground(program.rules + (query,), program.facts))) == 2 ** m + 1
     (search,) = spied.searches
     assert (search.natoms, search.nodes) == (natoms, nodes)
 
@@ -555,6 +558,92 @@ def test_grounding_a_query_rule_is_classical_evaluation_randomized():
         compared += 1
         nonempty += bool(expected)
     assert compared >= 250 and nonempty >= 60
+
+
+# --------------------------------------------------------------------------
+# facts, the unread top layer, and readback
+
+def test_facts_ground_as_fact_rules_randomized():
+    """Atoms given as `facts` ground exactly as the same atoms given as
+    body-free rules ahead of the others: the same atoms, numbered alike,
+    and the same ground rules."""
+    rng = random.Random(139)
+    for i in range(300):
+        schema, instance, views = rand_case(rng, max_tuples=4, lp_safe=bool(i % 2),
+                                            self_joins=bool(i // 2 % 2), max_arity=3)
+        program = compile_program(instance, views)
+        rules = program.rules + (compile_query_program(rand_query(rng, schema)),)
+        facts = [fact(Atom(pred, tuple(map(Const, values)))) for pred, values in program.facts]
+        assert ground(rules, program.facts) == ground(facts + list(rules)), (instance, views)
+    # ahead of the body-free rules too
+    choice = [Rule((a0("x"), a0("y")))]
+    assert ground(choice, [("y", ())]) == ground([fact(a0("y"))] + choice)
+
+
+def _above_the_query(rules) -> list:
+    """`rules` after the fact q and an `ans` rule that reads it."""
+    return [fact(a0("q")), Rule((a0(ANS_PRED),), (a0("q"),))] + rules
+
+
+def _cautious(rules):
+    return model_answers(stable_models(ground(rules)))
+
+
+def test_an_odd_loop_above_the_query_is_kept():
+    """`a :- ans, not a.` reads a itself, so it stays, and there is still
+    no stable model."""
+    whole = _above_the_query([Rule((a0("a"),), (a0(ANS_PRED),), (a0("a"),))])
+    assert drop_unread(whole, {ANS_PRED}) == whole
+    with pytest.raises(CrossCheckError):
+        _cautious(whole)
+
+
+def test_two_rules_of_one_unread_predicate_go_together():
+    """b is defined twice, each time alone in the head, and nothing else
+    mentions it: both rules go, then c, which only b read, and the
+    answers stay."""
+    whole = _above_the_query([Rule((a0("b"),), (a0("q"),)),
+                              Rule((a0("b"),), (), (a0("c"),)),
+                              Rule((a0("c"),), (a0("q"),))])
+    kept = drop_unread(whole, {ANS_PRED})
+    assert kept == whole[:2]
+    assert _cautious(kept) == _cautious(whole) == {()}
+
+
+def test_a_predicate_in_a_disjunctive_head_is_kept():
+    """b heads `b :- q.` alone, but also the disjunction `b v c.`, so
+    neither rule goes."""
+    whole = _above_the_query([Rule((a0("b"),), (a0("q"),)), Rule((a0("b"), a0("c")))])
+    assert drop_unread(whole, {ANS_PRED}) == whole
+    assert _cautious(whole) == {()}
+
+
+def test_readback_gives_the_certain_atoms_once_randomized():
+    """On the random ground programs, with a, b and c as `ans` atoms: no
+    model's undecided part holds a certain atom, iterating gives the full
+    models, and the cautious `ans` rows read off the parts equal those of
+    the full models, also when there is no model."""
+    renamed = {atom: (ANS_PRED, (Value.of_sym(atom[0]),)) for atom in ATOMS[:3]}
+    rng = random.Random(149)
+    empty = from_parts = 0
+    for _ in range(1000):
+        rules = [tuple(tuple(renamed.get(x, x) for x in part) for part in rule)
+                 for rule in _rand_ground_program(rng)]
+        models = stable_models(numbered(rules))
+        full = list(models)
+        assert len(models) == len(full), rules
+        for part in models.parts:
+            assert models.certain.isdisjoint(models.atoms[a - 1] for a in part), rules
+        if not full:
+            empty += 1
+            for answered in (models, full):
+                with pytest.raises(CrossCheckError):
+                    model_answers(answered)
+        else:
+            assert model_answers(models) == model_answers(full), rules
+            undecided = {models.atoms[a - 1] for part in models.parts for a in part}
+            from_parts += any((ANS_PRED, row) in undecided for row in model_answers(models))
+    assert empty >= 150 and from_parts >= 50, (empty, from_parts)
 
 
 # --------------------------------------------------------------------------
@@ -622,11 +711,12 @@ def test_grounding_secrecy_programs_matches_naive_fixpoint():
     for i in range(400):
         schema, instance, views = rand_case(rng, max_tuples=3, lp_safe=bool(i % 2),
                                             self_joins=bool(i // 2 % 2))
-        rules = (compile_program(instance, views).rules
-                 + (compile_query_program(rand_query(rng, schema)),))
-        grounded = decoded(ground(rules))
+        program = compile_program(instance, views)
+        rules = program.rules + (compile_query_program(rand_query(rng, schema)),)
+        facts = [fact(Atom(pred, tuple(map(Const, values)))) for pred, values in program.facts]
+        grounded = decoded(ground(rules, program.facts))
         assert len(grounded) == len(set(grounded)), (instance, views)
-        assert set(grounded) == oracle_ground(rules), (instance, views)
+        assert set(grounded) == oracle_ground(facts + list(rules)), (instance, views)
 
 
 def test_grounding_bound_names_stage_and_progress():
