@@ -126,8 +126,8 @@ def cmd_instances(args) -> int:
     mode = EnumerationMode(args.mode)
     solutions = enumerate_secrecy_instances(instance, views, mode,
                                             max_cells=args.max_cells)
-    # the targeted options are the exhaustive ones inside the targeted
-    # pool, so the targeted instances are the ones whose changes lie there
+    # the targeted edges are the exhaustive ones cut to the targeted pool,
+    # so the targeted instances are the exhaustive ones that lie inside it
     pool = None
     if mode is EnumerationMode.EXHAUSTIVE:
         pool = candidate_cells(instance, views, EnumerationMode.TARGETED)

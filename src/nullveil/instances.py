@@ -4,44 +4,41 @@ A secrecy instance of a base instance D is an id-correlated null
 degradation of D that is admissible for the view set and whose set of
 nulled cells is inclusion-minimal among such degradations.
 
-Enumeration evaluates each view over D once.  That one pass gives both
-the candidate pool, checked against `max_cells`, and the violating
-matches (comparisons hold, no combination variable binds null, some head
-value is non-null), each with the pool cells that resolve it: any one of
-its combination or body-constant cells, or all of its non-null head
-cells.  The secrecy instances are exactly the inclusion-minimal cell
-sets resolving every match: the minimal covers of a hypergraph, the
-monotone dualization setting of Eiter & Gottlob (1995).  A search that
-branches on the first unresolved match reaches every minimal cover, and
-the leaves that are not minimal are dropped; minimal covers are pairwise
-incomparable by definition.  Each cover is returned over its base.
+Enumeration evaluates each view over D once, for the candidate pool,
+checked against `max_cells`, and the violating matches (comparisons
+hold, no combination variable binds null, some head value is non-null).
+Nulling one of a match's combination or body-constant cells, or all of
+its non-null head cells, resolves it; `_pool_and_options` writes that as
+edges, and the secrecy instances are their minimal transversals (the
+monotone dualization setting of Eiter & Gottlob 1995), which the MMCS
+search of Murakami & Uno (2014) finds once each, over the base.
 
-That the covers are the secrecy instances rests on a precondition on
-the views, which `_pool_and_options` checks with the parser's own
+That the transversals are the secrecy instances rests on a precondition
+on the views, which `_pool_and_options` checks with the parser's own
 `lang._check_rule`: view bodies hold no null constants, and view
 built-ins neither mention null nor test for it (no `isnull` or
 `isnotnull`).  Nulls then live only in the data, and for a set C of
-non-null cells, D_C = D with C nulled is admissible exactly when C
-resolves every violating match of D:
+non-null pool cells, D_C = D with C nulled is admissible exactly when C
+meets every edge, that is, resolves every violating match of D:
 
 * a violating match of D_C is one of D: each of its combination and
   body-constant cells is non-null in D_C, so unchanged, and the same
   rows match in D with the same combination values, so the comparisons
   hold there too; its non-null head cell is unchanged as well.  C holds
   none of that match's combination or body-constant cells and not all
-  of its non-null head cells, so C leaves it unresolved;
-* a violating match of D that C leaves unresolved is one of D_C: C
-  nulls none of its combination or body-constant cells, so the same rows
-  still match with the same combination values, and some non-null head
-  cell stays.
+  of its non-null head cells, so C misses one of its edges;
+* a violating match of D whose edges C does not all meet is one of D_C:
+  C nulls none of its combination or body-constant cells, so the same
+  rows still match with the same combination values, and some non-null
+  head cell stays.
 
 So admissibility is monotone in C, and the minimal admissible C are the
-minimal covers.  A view with `isnull(B)` breaks the first step: nulling
-B creates a violating match that D does not have, and the covers would
-include a non-admissible instance; the precondition rejects such a view with a
-`SemanticError` before any search.  The tests check the equivalence on
-random change sets and compare the covers with `oracle_secrecy_instances`
-and with a sweep of the pool.
+minimal transversals.  A view with `isnull(B)` breaks the first step:
+nulling B creates a violating match that D does not have, and a
+non-admissible instance would pass; the precondition rejects such a view
+with a `SemanticError` before any search.  The tests check the
+equivalence on random change sets and the transversals against
+`oracle_secrecy_instances`, a sweep of the pool and a brute-force scan.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -110,18 +107,18 @@ def instance_leq_D(base: Instance, d1: Instance, d2: Instance) -> bool:
 
 
 def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
-                      max_cells: int | None = None) -> tuple[frozenset, list]:
-    """The candidate pool and, per violating match, the sets of pool cells
-    that each resolve it, from one evaluation of each view.
+                      max_cells: int | None = None) -> tuple[frozenset, set]:
+    """The candidate pool and its edges, from one evaluation of each view.
 
     The default pool holds the combination cells and non-null head cells
     of every match whose comparisons hold and whose combination variables
-    are non-null; the exhaustive pool is every non-null cell.  Each pool
-    cell at a combination or body-constant position of a match is one
-    option; when no head variable is relevant, so is the set of its
-    non-null head cells, and a match without any does not violate its
-    view.  With `max_cells`, a larger pool raises `BoundExceededError`,
-    the exhaustive pool before any view is evaluated.  A view outside the
+    are non-null; the exhaustive pool is every non-null cell.  With D a
+    violating match's pool cells at combination or body-constant
+    positions, the match gives the edge D when a head variable is
+    relevant, and otherwise one edge D | {h} per non-null head cell h:
+    "a cell of D, or all the head cells" in conjunctive normal form.
+    With `max_cells`, a larger pool raises `BoundExceededError`, the
+    exhaustive pool before any view is evaluated.  A view outside the
     precondition of the module docstring raises `SemanticError`.
     """
     def bounded(pool: frozenset) -> frozenset:
@@ -134,7 +131,7 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
     pool = None
     if mode is EnumerationMode.EXHAUSTIVE:
         pool = bounded(frozenset(instance.cells()))
-    targets, matches = set(), []  # matches: (destroying cells, head option)
+    targets, edges = set(), set()
     for view in views:
         _check_rule(view, instance.schema, allow_null=False)
         relevant = relevant_vars(view)
@@ -157,54 +154,57 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
                     elif term.name in head and not value.is_null:
                         heads.add(cell)
             targets |= heads
+            destroying = frozenset(destroying)
             if head_relevant:
-                matches.append((destroying, ()))
-            elif heads:
-                matches.append((destroying, (frozenset(heads),)))
+                edges.add(destroying)
+            else:
+                edges.update(destroying | {cell} for cell in heads)
     if pool is None:
         pool = bounded(frozenset(targets))
-    return pool, [tuple(frozenset({cell}) for cell in sorted_cells(destroying & pool))
-                  + head_option for destroying, head_option in matches]
+    # a body-constant cell is in the default pool only as another match's target
+    return pool, {edge & pool for edge in edges}
 
 
 def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozenset:
-    """Cells an update may null.  The default pool collects, per
-    potentially violating match, the combination- and secrecy-variable
-    positions of the matched tuples; the exhaustive pool is every
-    non-null cell."""
-    if mode is EnumerationMode.EXHAUSTIVE:
-        return frozenset(instance.cells())
+    """Cells an update may null in `mode`: the pool of `_pool_and_options`."""
     return _pool_and_options(instance, views, mode)[0]
 
 
-def _resolves(chosen: frozenset, options: tuple[frozenset, ...]) -> bool:
-    return any(option <= chosen for option in options)
+def _minimal_transversals(edges) -> list[frozenset]:
+    """All inclusion-minimal cell sets meeting every edge, each found once
+    by the MMCS search of Murakami & Uno (2014).
 
-
-def _minimal_covers(matches: list[tuple[frozenset, ...]]) -> list[frozenset]:
-    """All inclusion-minimal cell sets resolving every match.
-
-    The search branches on the first match the chosen cells leave
-    unresolved, one child per way to resolve it.  Some way lies inside
-    any cover that contains the chosen cells, so every minimal cover is
-    a leaf; a leaf is kept when no one-cell-smaller set still covers.
+    A node branches on its unmet edge with the fewest candidate cells; the
+    first child loses them all as candidates, and each later one gets the
+    earlier ones back, so no set is reached twice.  A child is pushed only
+    while each chosen cell keeps a critical edge, one that no other chosen
+    cell meets: no cell of a minimal transversal lacks one, and a node
+    with every edge met is then minimal.  An empty edge leaves no
+    transversal; no edges leave the empty one.
     """
-    leaves, seen = [], set()
-    stack = [(frozenset(), 0)]  # chosen cells, index before which all are resolved
+    occurs: dict[Cell, set] = {}
+    for edge in edges:
+        for cell in edge:
+            occurs.setdefault(cell, set()).add(edge)
+    found = []
+    # chosen cells, their critical edges, unmet edges, candidates; a stack
+    # rather than recursion, for the depth reaches the pool size
+    stack = [((), (), frozenset(edges), frozenset(occurs))]
     while stack:
-        chosen, start = stack.pop()
-        if chosen in seen:
+        chosen, critical, unmet, candidates = stack.pop()
+        if not unmet:
+            found.append(frozenset(chosen))
             continue
-        seen.add(chosen)
-        for i in range(start, len(matches)):
-            if not _resolves(chosen, matches[i]):
-                stack.extend((chosen | option, i + 1) for option in matches[i])
-                break
-        else:
-            leaves.append(chosen)
-    return [cover for cover in leaves
-            if not any(all(_resolves(cover - {cell}, m) for m in matches)
-                       for cell in cover)]
+        branch = min((edge & candidates for edge in unmet), key=len)
+        candidates = candidates - branch
+        for cell in sorted_cells(branch):
+            met = occurs[cell]
+            kept = tuple(crit - met for crit in critical)
+            if all(kept):
+                stack.append((chosen + (cell,), kept + (unmet & met,),
+                              unmet - met, candidates))
+            candidates = candidates | {cell}
+    return found
 
 
 def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[frozenset]:
@@ -232,9 +232,9 @@ def enumerate_secrecy_instances(instance: Instance, views,
     """All secrecy instances of `instance` for the view set, as change
     sets in canonical order.  An admissible instance yields the single
     empty-change solution."""
-    _, options = _pool_and_options(instance, views, mode, max_cells)
+    _, edges = _pool_and_options(instance, views, mode, max_cells)
     return [SecrecySolution(changes, instance)
-            for changes in sorted(_minimal_covers(options), key=sorted_cells)]
+            for changes in sorted(_minimal_transversals(edges), key=sorted_cells)]
 
 
 def oracle_secrecy_instances(instance: Instance, views,

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,9 +7,10 @@ from nullveil import (BoundExceededError, Cell, Const, Instance, apply_changes,
                       parse_facts, parse_schema, parse_view)
 import nullveil.instances as instances_module
 import nullveil.semantics as semantics_module
-from nullveil.instances import (EnumerationMode, _minimal_sweep, _pool_and_options,
-                                candidate_cells, enumerate_secrecy_instances,
-                                instance_leq_D, oracle_secrecy_instances, tuple_leq)
+from nullveil.instances import (EnumerationMode, _minimal_sweep, _minimal_transversals,
+                                _pool_and_options, candidate_cells,
+                                enumerate_secrecy_instances, instance_leq_D,
+                                oracle_secrecy_instances, tuple_leq)
 from nullveil.model import sorted_cells
 from nullveil.views import is_admissible
 
@@ -272,10 +274,10 @@ def test_enumeration_joins_each_view_once_and_builds_each_instance_once(monkeypa
 
 def test_resolving_every_violating_match_is_admissibility_randomized():
     """For random change sets C inside either pool, admissible or not, C
-    resolves every option list of `_pool_and_options` exactly when the
-    degraded instance is admissible, on self-joins, body constants,
-    arity 3 and up to three views: the equivalence that makes the
-    minimal covers the secrecy instances."""
+    meets every edge of `_pool_and_options` exactly when the degraded
+    instance is admissible, on self-joins, body constants, arity 3 and
+    up to three views: the equivalence that makes the minimal
+    transversals the secrecy instances."""
     rng = random.Random(59)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
@@ -283,17 +285,79 @@ def test_resolving_every_violating_match_is_admissibility_randomized():
                                             max_arity=3, body_const_prob=0.2,
                                             self_joins=True)
         for mode in EnumerationMode:
-            pool, options = _pool_and_options(instance, views, mode)
+            pool, edges = _pool_and_options(instance, views, mode)
             pool = sorted_cells(pool)
             for _ in range(4 if pool else 0):
                 changes = frozenset(c for c in pool if rng.random() < 0.3)
-                resolved = all(any(option <= changes for option in match)
-                               for match in options)
+                resolved = all(not edge.isdisjoint(changes) for edge in edges)
                 assert resolved == is_admissible(apply_changes(instance, changes), views), \
                     (instance, [v.token() for v in views], sorted_cells(changes))
                 outcomes[resolved] += 1
     # 807 admissible degradations, 493 not
     assert outcomes[True] >= 600 and outcomes[False] >= 400, outcomes
+
+
+def test_minimal_transversals_match_a_hitting_set_scan_randomized():
+    """On random hypergraphs over at most six cells, with nested and
+    duplicate edges, empty edges and no edges at all, the search returns
+    each minimal hitting set exactly once: an empty edge leaves none,
+    and no edges leave only the empty set."""
+    rng = random.Random(61)
+    universe = [Cell("P", tid, pos) for tid in (1, 2, 3) for pos in (1, 2)]
+    shapes = {"nested": 0, "duplicate": 0, "empty edge": 0, "no edges": 0, "several": 0}
+    for _ in range(500):
+        cells = universe[:rng.randint(1, len(universe))]
+        edges = [frozenset(rng.sample(cells, rng.randint(1, min(3, len(cells)))))
+                 for _ in range(rng.randint(0, 5))]
+        if edges and rng.random() < 0.3:
+            edges.append(rng.choice(edges) | {rng.choice(cells)})
+        if edges and rng.random() < 0.3:
+            edges.append(rng.choice(edges))
+        if rng.random() < 0.1:
+            edges.append(frozenset())
+        hitting = [frozenset(c) for size in range(len(cells) + 1)
+                   for c in combinations(cells, size)
+                   if all(not edge.isdisjoint(c) for edge in edges)]
+        minimal = [h for h in hitting if not any(k < h for k in hitting)]
+        found = _minimal_transversals(edges)
+        assert len(found) == len(set(found)), edges
+        assert sorted(found, key=sorted_cells) == sorted(minimal, key=sorted_cells), edges
+        shapes["nested"] += any(a < b for a in edges for b in edges)
+        shapes["duplicate"] += len(set(edges)) < len(edges)
+        shapes["empty edge"] += frozenset() in edges
+        shapes["no edges"] += not edges
+        shapes["several"] += len(found) > 1
+    # 248 with nested edges, 287 with duplicates, 56 with an empty edge, 69
+    # with none, 152 with several transversals
+    assert all(count >= 40 for count in shapes.values()), shapes
+
+
+def _stream_database(p_rows, r_rows):
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    facts = [f"P({a},{b})." for a, b in p_rows] + [f"R({b},{c})." for b, c in r_rows]
+    return (parse_facts(" ".join(facts), schema),
+            parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema))
+
+
+@pytest.mark.parametrize("p_rows, r_rows, n_edges, n_transversals", [
+    ([(i, 100) for i in range(1, 7)], [(100, i) for i in range(1, 7)], 72, 3971),
+    ([(1, 100)], [(100, i) for i in range(1, 13)], 24, 4097),
+], ids=["biclique-6", "star-12"])
+def test_transversal_search_visits_a_few_nodes_per_transversal(
+        monkeypatch, p_rows, r_rows, n_edges, n_transversals):
+    """One large component: on the biclique (six P rows joined to six R
+    rows) and the star (one P row joined to twelve R rows), the search
+    visits at most 3 x (transversals + edges) nodes.  It sorts the
+    branch cells once at each node with an unmet edge, and every other
+    node is a returned transversal."""
+    d, view = _stream_database(p_rows, r_rows)
+    _, edges = _pool_and_options(d, [view], EnumerationMode.TARGETED)
+    sorts = _counting(monkeypatch, "sorted_cells")
+    transversals = _minimal_transversals(edges)
+    assert (len(edges), len(transversals)) == (n_edges, n_transversals)
+    nodes = len(sorts) + len(transversals)
+    # about 8,000 on either
+    assert nodes <= 3 * (n_transversals + n_edges), nodes
 
 
 @pytest.mark.parametrize("harmless", [0, 100])
