@@ -30,8 +30,13 @@ what the query reads is grounded: the `_s` rules of a relation the
 query does not read, and then its `_u` rules, form a top layer that no
 other rule reads, and every stable model of the rest extends to exactly
 one of the whole program, so leaving them out changes neither the number
-of models nor their `ans` atoms.  The answers are read from the atoms
-true in every model, without building each model.  Each secrecy
+of models nor their `ans` atoms.  The `_s` rule of a relation the query
+reads is the one rule of its predicate, read only by the `ans` rule, so
+it is unfolded there: `ans(X) :- p_s(X,Y,T1).` grounds as
+`ans(X) :- p_t(X,Y,T1), not p_u(X,Y,T1).`, which keeps every model's
+other atoms (see `solver.drop_unread`), and no `_s` atom is grounded at
+all.  The answers are read from the atoms true in every model, without
+building each model.  Each secrecy
 instance is read off its stable model by projection: every `_s` atom is
 one tuple, named by its id; this reads the whole program's models.
 
@@ -234,7 +239,8 @@ def models_to_instances(models, base: Instance) -> list[Instance]:
 def cautious_answers(instance: Instance, views, query: Query,
                      max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
     """Query answers true in every stable model of the secrecy program,
-    grounding only the rules the query reads (see `drop_unread`)."""
+    grounding only the rules the query reads, its `_s` rules unfolded
+    into the `ans` rule (see `drop_unread`)."""
     _check_rule(query, instance.schema, allow_null=True)
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)

@@ -107,8 +107,9 @@ def instance_leq_D(base: Instance, d1: Instance, d2: Instance) -> bool:
 
 
 def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
-                      max_cells: int | None = None) -> tuple[frozenset, set]:
-    """The candidate pool and its edges, from one evaluation of each view.
+                      max_cells: int | None = None) -> tuple[frozenset, tuple]:
+    """The candidate pool and its edges, each once, in the order the
+    matches give them, from one evaluation of each view.
 
     The default pool holds the combination cells and non-null head cells
     of every match whose comparisons hold and whose combination variables
@@ -131,7 +132,7 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
     pool = None
     if mode is EnumerationMode.EXHAUSTIVE:
         pool = bounded(frozenset(instance.cells()))
-    targets, edges = set(), set()
+    targets, edges = set(), {}  # edges in insertion order, not the hash seed's
     for view in views:
         _check_rule(view, instance.schema, allow_null=False)
         relevant = relevant_vars(view)
@@ -142,7 +143,7 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
                 continue
             if not all(builtin_classical(b, env) for b in view.builtins):
                 continue
-            destroying, heads = set(), set()
+            destroying, heads = set(), {}
             for atom, row in zip(view.body, rows):
                 for pos, (term, value) in enumerate(zip(atom.args, row.values), 1):
                     cell = Cell(atom.pred, row.tid, pos)
@@ -152,17 +153,17 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
                         destroying.add(cell)
                         targets.add(cell)
                     elif term.name in head and not value.is_null:
-                        heads.add(cell)
-            targets |= heads
+                        heads[cell] = None
+            targets.update(heads)
             destroying = frozenset(destroying)
             if head_relevant:
-                edges.add(destroying)
+                edges[destroying] = None
             else:
-                edges.update(destroying | {cell} for cell in heads)
+                edges.update(dict.fromkeys(destroying | {cell} for cell in heads))
     if pool is None:
         pool = bounded(frozenset(targets))
     # a body-constant cell is in the default pool only as another match's target
-    return pool, {edge & pool for edge in edges}
+    return pool, tuple(dict.fromkeys(edge & pool for edge in edges))
 
 
 def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozenset:
@@ -171,31 +172,33 @@ def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozens
 
 
 def _minimal_transversals(edges) -> list[frozenset]:
-    """All inclusion-minimal cell sets meeting every edge, each found once
-    by the MMCS search of Murakami & Uno (2014).
+    """All inclusion-minimal cell sets meeting every edge of the sequence
+    `edges`, each found once by the MMCS search of Murakami & Uno (2014).
 
-    A node branches on its unmet edge with the fewest candidate cells; the
-    first child loses them all as candidates, and each later one gets the
-    earlier ones back, so no set is reached twice.  A child is pushed only
-    while each chosen cell keeps a critical edge, one that no other chosen
-    cell meets: no cell of a minimal transversal lacks one, and a node
-    with every edge met is then minimal.  An empty edge leaves no
-    transversal; no edges leave the empty one.
+    A node branches on its unmet edge with the fewest candidate cells, the
+    earliest in `edges` among equals, so the search tree is the same in
+    every process; the first child loses them all as candidates, and each
+    later one gets the earlier ones back, so no set is reached twice.  A
+    child is pushed only while each chosen cell keeps a critical edge, one
+    that no other chosen cell meets: no cell of a minimal transversal
+    lacks one, and a node with every edge met is then minimal.  An empty
+    edge leaves no transversal; no edges leave the empty one.
     """
-    occurs: dict[Cell, set] = {}
-    for edge in edges:
+    occurs: dict[Cell, set] = {}  # cell -> the numbers of the edges it meets
+    for number, edge in enumerate(edges):
         for cell in edge:
-            occurs.setdefault(cell, set()).add(edge)
+            occurs.setdefault(cell, set()).add(number)
     found = []
     # chosen cells, their critical edges, unmet edges, candidates; a stack
     # rather than recursion, for the depth reaches the pool size
-    stack = [((), (), frozenset(edges), frozenset(occurs))]
+    stack = [((), (), frozenset(range(len(edges))), frozenset(occurs))]
     while stack:
         chosen, critical, unmet, candidates = stack.pop()
         if not unmet:
             found.append(frozenset(chosen))
             continue
-        branch = min((edge & candidates for edge in unmet), key=len)
+        # min keeps the first of equals: ties go to the lowest number
+        branch = min((edges[number] & candidates for number in sorted(unmet)), key=len)
         candidates = candidates - branch
         for cell in sorted_cells(branch):
             met = occurs[cell]

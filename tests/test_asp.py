@@ -9,6 +9,7 @@ import pytest
 from nullveil import (Atom, BuiltinAtom, Const, DialectError, NULL, ParseError, Rule,
                       SemanticError, UnsupportedRuleError, Value, Var, ViewDef,
                       parse_facts, parse_query, parse_schema, parse_view)
+from nullveil import asp
 from nullveil.answers import secret_answers
 from nullveil.asp import (ANS_PRED, cautious_answers, compile_program,
                           compile_query_program, export_program, export_rule,
@@ -456,6 +457,30 @@ def test_grounding_only_what_the_query_reads_keeps_the_answers_randomized():
                                             query.token())
         nonempty += bool(outcomes[0])
     assert pruned >= 150 and nonempty >= 50, (pruned, nonempty)
+
+
+@pytest.mark.parametrize("query", ["?(X) :- P(X, Y).", "?(X, Z) :- P(X, Y), R(Y, Z)."])
+def test_cautious_answers_ground_no_surviving_atom(monkeypatch, query):
+    """The `_s` rule of a relation the query reads is unfolded into the
+    `ans` rule before grounding, so the ground program that
+    `cautious_answers` searches holds no `_s` atom, and the answers are
+    the secret answers."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    instance = parse_facts("P(1, 101). R(101, 201). P(2, 102). R(102, 202). "
+                           "P(3, 103). R(104, 204).", schema)
+    views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+    q = parse_query(query, schema)
+    grounded = []
+
+    def spying(*args, **kwargs):
+        grounded.append(ground(*args, **kwargs))
+        return grounded[-1]
+
+    monkeypatch.setattr(asp, "ground", spying)
+    assert cautious_answers(instance, views, q) == secret_answers(instance, views, q).answers
+    (program,) = grounded
+    assert {pred for pred, _ in program.atoms} >= {"p_t", "p_u"}
+    assert not {pred for pred, _ in program.atoms} & {"p_s", "r_s"}
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -618,6 +618,145 @@ def test_a_predicate_in_a_disjunctive_head_is_kept():
     assert _cautious(whole) == {()}
 
 
+X, Y = Var("X"), Var("Y")
+ONE, TWO = Const(Value.of_int(1)), Const(Value.of_int(2))
+
+
+def unary(pred):
+    return lambda term: Atom(pred, (term,))
+
+
+q, p, r, s, ans = map(unary, ("q", "p", "r", "s", ANS_PRED))
+
+
+def _keyed_models(rules) -> list:
+    """The oracle's stable models of `rules`, grounded, as sets of
+    `_gatom_key`s, which sort."""
+    keyed = [tuple(tuple(map(solver._gatom_key, part)) for part in rule)
+             for rule in decoded(ground(rules))]
+    return oracle_stable_models(keyed)
+
+
+def _rand_unfolding_program(rng: random.Random) -> list:
+    """Random 0-ary rules over a, b and c, as in `_rand_ground_program`,
+    with the facts q(1) and maybe q(2), one definition of p, maybe a rule
+    that blocks unfolding p, and one or two readers of p or of s, which
+    reads p; in random order."""
+    zero = [a0(name) for name in "abc"[:rng.randint(1, 3)]]
+
+    def some(sizes):
+        return tuple(rng.sample(zero, min(len(zero), rng.choice(sizes))))
+    rules = [Rule(some((0, 1, 1, 2)), some((0, 1, 1)), some((0, 0, 1)))
+             for _ in range(rng.randint(0, 2))]
+    rules += [fact(q(ONE))] + [fact(q(TWO))] * (rng.random() < 0.5)
+    rules.append(rng.choice([
+        Rule((p(X),), (q(X),) + some((0, 1)), some((0, 0, 1))),
+        # a variable outside the head, and a built-in over it
+        Rule((p(X),), (q(X), q(Y)), builtins=(BuiltinAtom("!=", (X, Y)),)),
+        Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, TWO)),)),
+    ]))
+    if rng.random() < 0.4:
+        rules.append(rng.choice([
+            Rule((p(X),), (q(X),), some((0, 1))),  # a second definition
+            Rule((p(X), zero[0]), (q(X),)),  # a disjunctive head
+            Rule((zero[0],), (q(X),), (p(X),)),  # a negated occurrence
+            Rule((p(X),), (p(X), q(X))),  # a definition that reads p
+        ]))
+    rules += rng.sample([
+        Rule((ans(X),), (p(X),) + some((0, 1)), some((0, 0, 1))),
+        Rule((ans(ONE),), (p(ONE),)),  # a constant at the occurrence
+        Rule((ans(X),), (q(X), p(Y), p(X))),  # two occurrences
+        Rule(some((1,)), (p(TWO),), some((0, 1))),
+        Rule((), (p(X),) + some((1,))),  # a constraint
+        Rule((ans(X),), (s(X),)),
+    ], rng.randint(1, 2))
+    if any(s(X) in rule.pos for rule in rules):
+        rules.append(Rule((s(X),), (p(X),), some((0, 1))))
+    return rng.sample(rules, len(rules))
+
+
+def test_the_pass_keeps_the_stable_models_randomized():
+    """On 1,000 random programs with `ans` kept, the oracle's stable
+    models after `drop_unread` are those before it, restricted to the
+    predicates left, one for one, also when there is none; and the
+    search finds them too."""
+    rng = random.Random(151)
+    kinds = dict.fromkeys(("unfolded", "p kept", "s and p unfolded", "renamed apart",
+                           "no model"), 0)
+    for _ in range(1000):
+        rules = _rand_unfolding_program(rng)
+        kept = drop_unread(rules, {ANS_PRED})
+        left = {a.pred for rule in kept for a in rule.head + rule.pos + rule.neg}
+        models = _keyed_models(kept)
+        before = _keyed_models(rules)
+        assert models == sorted((frozenset(a for a in m if a[0] in left) for m in before),
+                                key=sorted), (rules, kept)
+        assert [frozenset(map(solver._gatom_key, m)) for m in stable_models(ground(kept))] \
+            == models, (rules, kept)
+        kinds["unfolded"] += any(rule not in rules for rule in kept)
+        kinds["p kept"] += "p" in left
+        kinds["s and p unfolded"] += (Rule((ans(X),), (s(X),)) in rules
+                                      and not left & {"s", "p"})
+        kinds["renamed apart"] += Var("V1") in {t for rule in kept for a in rule.pos
+                                                for t in a.args}
+        kinds["no model"] += not before
+    # 715, 364, 163, 202 and 170
+    assert all(count >= 100 for count in kinds.values()), kinds
+
+
+@pytest.mark.parametrize("whole", [
+    # p is negated
+    [fact(q(ONE)), Rule((p(X),), (q(X),)), Rule((ans(X),), (p(X),)),
+     Rule((ans(X),), (q(X),), (p(X),))],
+    # p sits in a disjunctive head
+    [fact(q(ONE)), Rule((p(X), r(X)), (q(X),)), Rule((ans(X),), (p(X),)),
+     Rule((ans(X),), (r(X),))],
+    # p has two definitions
+    [fact(q(ONE)), fact(q(TWO)), Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, ONE)),)),
+     Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, TWO)),)), Rule((ans(X),), (p(X),))],
+    # p's definition has an empty body
+    [fact(q(ONE)), fact(a0("p")), Rule((ans(X),), (q(X), a0("p")))],
+    # p's definition reads p
+    [fact(q(ONE)), Rule((p(X),), (q(X), p(X))), Rule((ans(X),), (p(X),))],
+    # p's head repeats a variable, so p(Y, 1) cannot be substituted
+    [fact(q(ONE)), fact(q(TWO)), Rule((Atom("p", (X, X)),), (q(X),)),
+     Rule((ans(Y),), (q(Y), Atom("p", (Y, ONE))))],
+], ids=["negated", "disjunctive-head", "two-definitions", "empty-body", "reads-itself",
+        "repeated-head-variable"])
+def test_what_the_pass_does_not_unfold(whole):
+    assert drop_unread(whole, {ANS_PRED}) == whole
+
+
+@pytest.mark.parametrize("whole, unfolded, answers", [
+    # a constant at the occurrence: the definition's negated atom gets it
+    ([fact(q(ONE)), fact(q(TWO)), fact(r(TWO)), Rule((p(X),), (q(X),), (r(X),)),
+      Rule((ans(Y),), (q(Y), p(ONE)))],
+     [Rule((ans(Y),), (q(Y), q(ONE)), (r(ONE),))],
+     {(Value.of_int(1),), (Value.of_int(2),)}),
+    # Y, outside the head, is renamed apart at each of two occurrences,
+    # past the reader's own V1; one Y for both would pair 1 and 2 with
+    # nothing but themselves
+    ([fact(Atom(pred, tuple(Const(Value.of_int(v)) for v in values)))
+      for pred, values in [("r", (5,)), ("r", (6,)), ("e", (1, 5)), ("e", (2, 6))]]
+     + [Rule((p(X),), (Atom("e", (X, Y)), r(Y))),
+        Rule((Atom(ANS_PRED, (X, Var("V1"))),), (p(X), p(Var("V1"))))],
+     [Rule((Atom(ANS_PRED, (X, Var("V1"))),),
+           (Atom("e", (X, Var("V2"))), r(Var("V2")), Atom("e", (Var("V1"), Var("V3"))),
+            r(Var("V3"))))],
+     {(Value.of_int(i), Value.of_int(j)) for i in (1, 2) for j in (1, 2)}),
+    # the definition's built-in over the constants it is given: false at 2
+    ([fact(q(ONE)), fact(q(TWO)), Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, TWO)),)),
+      Rule((ans(ONE),), (p(ONE),)), Rule((ans(TWO),), (p(TWO),))],
+     [Rule((ans(ONE),), (q(ONE),), builtins=(BuiltinAtom("!=", (ONE, TWO)),)),
+      Rule((ans(TWO),), (q(TWO),), builtins=(BuiltinAtom("!=", (TWO, TWO)),))],
+     {(Value.of_int(1),)}),
+], ids=["constant", "variable-outside-the-head", "built-in-over-constants"])
+def test_unfolding_substitutes_the_occurrence(whole, unfolded, answers):
+    kept = drop_unread(whole, {ANS_PRED})
+    assert [rule for rule in kept if rule not in whole] == unfolded
+    assert _cautious(kept) == _cautious(whole) == answers
+
+
 def test_readback_gives_the_certain_atoms_once_randomized():
     """On the random ground programs, with a, b and c as `ans` atoms: no
     model's undecided part holds a certain atom, iterating gives the full
