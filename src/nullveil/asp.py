@@ -30,7 +30,9 @@ what the query reads is grounded: the `_s` rules of a relation the
 query does not read, and then its `_u` rules, form a top layer that no
 other rule reads, and every stable model of the rest extends to exactly
 one of the whole program, so leaving them out changes neither the number
-of models nor their `ans` atoms.  The `_s` rule of a relation the query
+of models nor their `ans` atoms.  Of a relation that no view reads
+either, the `_t` rules go too, and its rows, facts that no rule left
+mentions, are not grounded.  The `_s` rule of a relation the query
 reads is the one rule of its predicate, read only by the `ans` rule, so
 it is unfolded there: `ans(X) :- p_s(X,Y,T1).` grounds as
 `ans(X) :- p_t(X,Y,T1), not p_u(X,Y,T1).`, which keeps every model's
@@ -240,12 +242,16 @@ def cautious_answers(instance: Instance, views, query: Query,
                      max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
     """Query answers true in every stable model of the secrecy program,
     grounding only the rules the query reads, its `_s` rules unfolded
-    into the `ans` rule (see `drop_unread`)."""
+    into the `ans` rule (see `drop_unread`), and only the facts of
+    predicates those rules mention."""
     _check_rule(query, instance.schema, allow_null=True)
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)
     rules = drop_unread(program.rules + (query_rule,), {ANS_PRED})
-    return model_answers(stable_models(ground(rules, program.facts), max_nodes))
+    # a fact that no rule left mentions is true in every model, and nothing reads it
+    mentioned = {atom.pred for r in rules for atom in r.head + r.pos + r.neg}
+    facts = [gatom for gatom in program.facts if gatom[0] in mentioned]
+    return model_answers(stable_models(ground(rules, facts), max_nodes))
 
 
 def model_answers(models) -> AnswerSet:

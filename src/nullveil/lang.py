@@ -194,6 +194,16 @@ def tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _int_of(tok: _Token) -> int:
+    """The value of an `int` token; `int()` refuses one with more digits
+    than the interpreter's int-string limit, and so does the parser."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(tok.text.lstrip('-'))} digits)",
+                         tok.line, tok.col) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -232,7 +242,7 @@ class _Parser:
         if tok.kind == "upper":
             return Var(tok.text)
         if tok.kind == "int":
-            return Const(Value.of_int(int(tok.text)))
+            return Const(Value.of_int(_int_of(tok)))
         if tok.kind == "str":
             return Const(Value.of_str(tok.text))
         if tok.kind == "lower":
@@ -355,9 +365,9 @@ def parse_facts(text: str, schema: Schema) -> Instance:
         if parser.peek().text == "@":
             at = parser.next()
             tid_tok = parser.next()
-            if tid_tok.kind != "int" or int(tid_tok.text) < 1:
+            tid = _int_of(tid_tok) if tid_tok.kind == "int" else 0
+            if tid < 1:
                 raise ParseError("expected positive tuple id after '@'", at.line, at.col)
-            tid = int(tid_tok.text)
         name_tok = parser.expect_name("relation name")
         if not schema.has_relation(name_tok.text):
             raise ParseError(f"unknown relation {name_tok.text}", name_tok.line, name_tok.col)

@@ -28,22 +28,31 @@ grounded once, in the first round.  Every other rule is matched once per
 positive body atom whose predicate gained atoms in the last round: that
 atom is matched first, against the delta only, and the others against
 the whole snapshot, so every instance found has at least one new atom
-and none over the older atoms is found again.  An instance with several
-new atoms is found once per new atom, and the instances kept so far
-drop the repeats.  Grounding ends after a round that derives nothing.
-Each ground atom gets the next number, from 1, the first time grounding
-meets it, as a head atom or as a negated body atom; this is the only
-numbering of ground atoms, and ground rules are (head, pos, neg) triples
-of numbers.  A positive body atom is a matched store row, whose id is
-its atom's number.  None of this depends on the hash seed.
+and none over the older atoms is found again.  The delta is first
+reduced by a semi-join (Bernstein & Chiu 1981, "Using semi-joins to
+solve relational queries"): a delta row is dropped when some other
+positive atom holds a variable of the seeded atom at a column whose
+index in the snapshot lacks the row's value for that variable, and the
+match is skipped when some other positive atom's predicate has no atom
+yet.  Only rows and matches that could never complete go, so the
+instances found, and their order, are those of the unreduced delta.  An
+instance with several new atoms is found once per new atom, and the
+instances kept so far drop the repeats.  Grounding ends after a round
+that derives nothing.  Each ground atom gets the next number, from 1,
+the first time grounding meets it, as a head atom or as a negated body
+atom; this is the only numbering of ground atoms, and ground rules are
+(head, pos, neg) triples of numbers.  A positive body atom is a matched
+store row, whose id is its atom's number.  None of this depends on the
+hash seed.
 
 The snapshot keeps its atoms per predicate in the order they were
 derived, and a hash index from (predicate, position, value) to the
 atoms holding that value there.  An atom with a constant or an already
 bound variable reads the shortest such index entry instead of scanning
 its predicate, so joining on a bound column costs the matching atoms,
-not all of them.  A column is indexed the first time a rule probes it,
-and kept up to date from then on; columns no rule binds cost nothing.
+not all of them.  A column is indexed the first time a rule probes it
+or a semi-join reads it, and kept up to date from then on; columns that
+no rule binds cost nothing.
 
 A caller that reads only some predicates, as cautious answers read only
 `ans`, can shrink the program before grounding with `drop_unread`.  It
@@ -209,8 +218,9 @@ def _gatom_key(gatom: GAtom) -> tuple:
 
 class _Store:
     """The numbered ground atoms, the possible ones per predicate in the
-    order they were derived, and the index of each column a rule has
-    probed.  It is the snapshot a round reads: the atoms a round derives
+    order they were derived, and the index of each column that a rule
+    has probed or that a round's seeds were reduced on, one index for
+    both.  It is the snapshot a round reads: the atoms a round derives
     are held back until it ends."""
 
     def __init__(self):
@@ -243,24 +253,45 @@ class _Store:
         self.derived = []
         return delta
 
+    def column(self, pred: str, pos: int) -> dict[Value, list[Row]]:
+        """The index of column `pos` of `pred`, built the first time it is
+        asked for and kept up to date from then on."""
+        column = self.columns.get((pred, pos))
+        if column is None:
+            column = self.columns[pred, pos] = {}
+            for row in self.rows.get(pred, []):
+                column.setdefault(row.values[pos], []).append(row)
+        return column
+
     def rows_of(self, atom: Atom, env: dict) -> list[Row]:
         """Row source for `iter_matches`: the shortest index entry over
         the atom's constants and bound variables, else every atom of its
-        predicate.  A column is indexed the first time it is probed."""
+        predicate."""
         best = self.rows.get(atom.pred, [])
         for pos, term in enumerate(atom.args):
             value = env.get(term.name) if isinstance(term, Var) else term.value
             if value is None:
                 continue
-            column = self.columns.get((atom.pred, pos))
-            if column is None:
-                column = self.columns[atom.pred, pos] = {}
-                for row in self.rows.get(atom.pred, []):
-                    column.setdefault(row.values[pos], []).append(row)
-            hits = column.get(value, [])
+            hits = self.column(atom.pred, pos).get(value, [])
             if len(hits) < len(best):
                 best = hits
         return best
+
+
+def _semi_joins(pos: tuple[Atom, ...], k: int) -> tuple[list, list]:
+    """What a row seeding positive atom k of a rule must meet to join the
+    rule's other positive atoms: their predicates, each with some atom,
+    and a (seed position, predicate, position) triple per place where one
+    of them holds a variable of atom k, whose value at its first place in
+    atom k must be in that column."""
+    first: dict[str, int] = {}
+    for i, term in enumerate(pos[k].args):
+        if isinstance(term, Var) and term.name not in first:
+            first[term.name] = i
+    others = pos[:k] + pos[k + 1:]
+    keys = [(first[term.name], atom.pred, p) for atom in others
+            for p, term in enumerate(atom.args) if isinstance(term, Var) and term.name in first]
+    return [atom.pred for atom in others], keys
 
 
 def ground(rules: Iterable[Rule], facts: Iterable[GAtom] = (),
@@ -311,15 +342,24 @@ def ground(rules: Iterable[Rule], facts: Iterable[GAtom] = (),
     for r in rules:
         if not r.pos:
             instantiate(r, 0, iter_matches(store.rows_of, ()))
+    semi_joins = [[_semi_joins(r.pos, k) for k in range(len(r.pos))] for r in rules]
     delta = store.end_round()
     while delta:
         rounds += 1
-        for r in rules:
-            for k, atom in enumerate(r.pos):
-                if atom.pred in delta:
+        for r, reducers in zip(rules, semi_joins):
+            for k, (preds, keys) in enumerate(reducers):
+                atom = r.pos[k]
+                seeds = delta.get(atom.pred)
+                if not seeds or not all(pred in store.rows for pred in preds):
+                    continue
+                for i, pred, pos in keys:
+                    column = store.column(pred, pos)
+                    seeds = [row for row in seeds if row.values[i] in column]
+                    if not seeds:
+                        break
+                else:
                     order = (atom,) + r.pos[:k] + r.pos[k + 1:]
-                    instantiate(r, k, iter_matches(store.rows_of, order,
-                                                   first=delta[atom.pred]))
+                    instantiate(r, k, iter_matches(store.rows_of, order, first=seeds))
         delta = store.end_round()
     return GroundProgram(list(store.numbers), list(out))
 

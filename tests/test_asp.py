@@ -483,6 +483,26 @@ def test_cautious_answers_ground_no_surviving_atom(monkeypatch, query):
     assert not {pred for pred, _ in program.atoms} & {"p_s", "r_s"}
 
 
+def test_cautious_answers_ground_no_fact_of_an_unread_relation(monkeypatch):
+    """No view and no query reads S, so every rule of S goes before
+    grounding, and its rows are not handed to `ground` either."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int). "
+                          "relation S(D:int).")
+    instance = parse_facts("P(1, 101). R(101, 201). P(2, 102). S(5). S(6).", schema)
+    views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+    q = parse_query("?(X) :- P(X, Y).", schema)
+    facts = []
+
+    def spying(rules, given=(), **kwargs):
+        facts.append(list(given))
+        return ground(rules, given, **kwargs)
+
+    monkeypatch.setattr(asp, "ground", spying)
+    assert cautious_answers(instance, views, q) == secret_answers(instance, views, q).answers
+    (given,) = facts
+    assert sorted(pred for pred, _ in given) == ["p", "p", "r"]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="a stable model keeps two updates of p#1, each nulling a "
                           "value the other keeps, so every version of p#1 is "

@@ -230,6 +230,19 @@ def test_unreadable_input_text_exits_2(files, capsys, tmp_path):
     assert code == 2 and f"parse error: {latin1}: not UTF-8 text" in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+def test_an_integer_literal_past_the_int_string_limit_exits_2(files, capsys):
+    too_long = "9" * (sys.get_int_max_str_digits() + 1)
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", f"P({too_long}, 1).")
+    code, out, err = run(capsys, "eval", "--schema", schema, "--facts", facts,
+                         "--query", "?(X) :- P(X, Y).")
+    assert code == 2 and not out
+    assert err.startswith("parse error: 1:3: integer literal too long")
+    assert "Traceback" not in err
+
+
 def test_search_node_bound_flag_and_its_old_name(files, capsys):
     schema = files("s.nv", SCHEMA_PR)
     facts = files("f.nv", "P(1,2). R(2,1).")

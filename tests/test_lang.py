@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from nullveil import (ParseError, Query, QueryClass, SemanticError, ViewDef,
                       classify_query, eval_n, parse_facts, parse_query, parse_schema,
                       parse_view, parse_views, print_facts, print_schema, rewrite_query)
+from nullveil.asp import parse_answer_sets, parse_program_text
 
 from corpus import row
 from randgen import rand_instance, rand_query, rand_schema, rand_view
@@ -67,6 +69,31 @@ def test_digits_int_cannot_read_are_parse_errors():
     with pytest.raises(ParseError, match="unexpected character '²'"):
         parse_query("?(X) :- P(X), X < ²3.", schema)
     assert parse_facts("P(٣).", schema).row("P", 1).values == row("3")
+
+
+# the interpreter's int-string limit; 0 where int() reads any length
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() has no digit limit here")
+def test_integer_literals_past_the_int_string_limit_are_parse_errors():
+    schema = parse_schema("relation P(A:int, B:int).")
+    too_long = "9" * (INT_DIGITS + 1)
+    message = rf"integer literal too long \({INT_DIGITS + 1} digits\)"
+    with pytest.raises(ParseError, match=rf"^1:3: {message}"):
+        parse_facts(f"P({too_long}, 1).", schema)
+    with pytest.raises(ParseError, match=rf"^1:2: {message}"):
+        parse_facts(f"@{too_long} P(1, 1).", schema)
+    with pytest.raises(ParseError, match=rf"^1:22: {message}"):
+        parse_query(f"?(X) :- P(X, Y), Y < -{too_long}.", schema)
+    with pytest.raises(ParseError, match=message):
+        parse_view(f"V(X) :- P(X, {too_long}).", schema)
+    with pytest.raises(ParseError, match=message):
+        parse_program_text(f"p({too_long}).")
+    with pytest.raises(ParseError, match=message):
+        parse_answer_sets(f"{{p(1), p({too_long})}}")
+    longest = parse_facts(f"@{'0' * (INT_DIGITS - 1)}7 P({'9' * INT_DIGITS}, 1).", schema)
+    assert longest.row("P", 7).values[0].payload == 10 ** INT_DIGITS - 1
 
 
 def test_parse_view_golden():

@@ -478,6 +478,42 @@ def test_search_is_sized_by_the_residue_not_the_database(spied):
     assert len(whole.atoms) > 6500 and search.natoms <= 40
 
 
+def _stream_database(harmless: int) -> str:
+    """Two violating P/R pairs and `harmless` rows whose B values join
+    nothing, one in ten of them with a null outside the join column."""
+    facts = [f"P({i}, {100 + i}). R({100 + i}, {200 + i})." for i in (1, 2)]
+    for i in range(harmless // 2):
+        a = "null" if i % 10 == 3 else i % 900
+        c = "null" if i % 10 == 7 else i % 700
+        facts.append(f"P({a}, {2000 + i}). R({5000 + i}, {c}).")
+    return " ".join(facts)
+
+
+@pytest.mark.parametrize("query, gained", [("?(X) :- P(X, Y).", 540),
+                                           ("?(X, Z) :- P(X, Y), R(Y, Z).", 0)])
+def test_grounding_probes_no_row_that_joins_nothing(monkeypatch, query, gained):
+    """A round's seeds are reduced by a semi-join on the store's column
+    index before they are matched, so rows that join no other body atom
+    are never probed for partners: the probes do not grow with them."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+    probes = []
+    rows_of = solver._Store.rows_of
+
+    def counting(store, atom, env):
+        probes[-1] += 1
+        return rows_of(store, atom, env)
+
+    monkeypatch.setattr(solver._Store, "rows_of", counting)
+    answers = []
+    for harmless in (400, 1600):
+        probes.append(0)
+        answers.append(cautious_answers(parse_facts(_stream_database(harmless), schema),
+                                        views, parse_query(query, schema)))
+    assert probes[0] == probes[1], probes
+    assert answers[0] <= answers[1] and len(answers[1] - answers[0]) == gained
+
+
 def test_search_nodes_grow_linearly_in_independent_violations(spied):
     """k violating pairs give 3^k stable models, but once the query's
     `ans` rules are set aside the residue is one component per pair, so
@@ -843,6 +879,54 @@ def test_grounding_recursive_programs_matches_naive_fixpoint(rules, paths):
     assert len(grounded) == len(set(grounded))
     assert set(grounded) == oracle_ground(rules)
     assert len({h for head, _, _ in grounded for h in head if h[0] == "path"}) == paths
+
+
+def _ints(pred, *rows):
+    return [fact(Atom(pred, tuple(Const(Value.of_int(v)) for v in values))) for values in rows]
+
+
+def _atom(pred, *args):
+    return Atom(pred, tuple(Var(a) if isinstance(a, str) else Const(Value.of_int(a))
+                            for a in args))
+
+
+@pytest.mark.parametrize("rules, derived", [
+    # a self-join whose seed joins itself: e(1,1), and e(2,3) with e(3,2),
+    # derived in one round, so each seed's partner is in the same delta
+    (_ints("f", (1, 1), (2, 3), (3, 2), (4, 5))
+     + [Rule((_atom("e", "X", "Y"),), (_atom("f", "X", "Y"),)),
+        Rule((_atom("loop", "X"),), (_atom("e", "X", "Y"), _atom("e", "Y", "X")))],
+     {("loop", 1), ("loop", 2), ("loop", 3)}),
+    # a partner that repeats the shared variable: d(4,5) holds 4 in its
+    # first column only, d(7,6) holds 6 in its second column only
+    (_ints("p", (1, 2), (3, 4), (5, 6)) + _ints("d", (2, 2), (4, 5), (7, 6))
+     + [Rule((_atom("q", "X"),), (_atom("p", "X", "Y"), _atom("d", "Y", "Y")))],
+     {("q", 1)}),
+    # a partner empty when the first seeds arrive, filled in later rounds
+    # of a recursive rule: edge needs open, which needs reach
+    (_ints("start", (1,)) + _ints("link", (1, 2), (2, 3), (3, 1), (5, 6))
+     + [Rule((_atom("reach", "X"),), (_atom("start", "X"),)),
+        Rule((_atom("reach", "Y"),), (_atom("reach", "X"), _atom("edge", "X", "Y"))),
+        Rule((_atom("edge", "X", "Y"),), (_atom("link", "X", "Y"), _atom("open", "X"))),
+        Rule((_atom("open", "X"),), (_atom("reach", "X"),))],
+     {("reach", 1), ("reach", 2), ("reach", 3)}),
+    # a partner with a constant, which p reaches only after r is in, so
+    # only p's seeds find q; and partners that share no variable
+    (_ints("p0", (1, 2), (3, 4), (5, 6)) + _ints("r", (7, 2), (8, 4), (7, 6))
+     + _ints("s", (1,)) + _ints("flag", (9,))
+     + [Rule((_atom("p", "X", "Y"),), (_atom("p0", "X", "Y"),)),
+        Rule((_atom("q", "X"),), (_atom("p", "X", "Y"), _atom("r", 7, "Y"))),
+        Rule((_atom("g", "X"),), (_atom("s", "X"), _atom("flag", 9))),
+        Rule((_atom("h", "X"),), (_atom("s", "X"), _atom("flag", 8)))],
+     {("q", 1), ("q", 5), ("g", 1)}),
+], ids=["self-join", "repeated-variable", "late-partner", "constant"])
+def test_reduced_seeds_ground_as_the_naive_fixpoint(rules, derived):
+    grounded = decoded(ground(rules))
+    assert len(grounded) == len(set(grounded))
+    assert set(grounded) == oracle_ground(rules)
+    heads = {(pred, values[0].payload) for head, _, _ in grounded for pred, values in head
+             if pred in {"loop", "q", "reach", "g", "h"}}
+    assert heads == derived
 
 
 def test_grounding_secrecy_programs_matches_naive_fixpoint():
