@@ -20,7 +20,9 @@ then mark a version as overwritten once an update of the same tuple has
 nulled a value the version still holds.
 
 The database enters the program as facts, ground atoms kept apart from
-the rules, and the exported text lists them first.
+the rules, and the exported text lists them first; each row reaches the
+rest of the program through its relation's copy rule
+`p_t(X1,X2,T) :- p(X1,X2,T).`
 
 Queries are answered cautiously: the query is rewritten to its classical
 form, retargeted at `_s` atoms under a fresh `ans` head, and the answers
@@ -37,10 +39,14 @@ reads is the one rule of its predicate, read only by the `ans` rule, so
 it is unfolded there: `ans(X) :- p_s(X,Y,T1).` grounds as
 `ans(X) :- p_t(X,Y,T1), not p_u(X,Y,T1).`, which keeps every model's
 other atoms (see `solver.drop_unread`), and no `_s` atom is grounded at
-all.  The answers are read from the atoms true in every model, without
-building each model.  Each secrecy
-instance is read off its stable model by projection: every `_s` atom is
-one tuple, named by its id; this reads the whole program's models.
+all.  The copy rule is then the one rule left that reads the relation,
+so the rows enter at `_t`: each row p(a, t) is handed to the grounder as
+the fact p_t(a, t), and the copy goes, which again keeps every model's
+other atoms, so no atom of the relation itself is grounded either.  The
+answers are read from the atoms true in every model, without building
+each model.  Each secrecy instance is read off its stable model by
+projection: every `_s` atom is one tuple, named by its id; this reads
+the whole program's models.
 
 Export produces solver-ready text for the dlv and clingo dialects
 (predicates lowercased, disjunction `v` respectively `|`); denial
@@ -242,15 +248,13 @@ def cautious_answers(instance: Instance, views, query: Query,
                      max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
     """Query answers true in every stable model of the secrecy program,
     grounding only the rules the query reads, its `_s` rules unfolded
-    into the `ans` rule (see `drop_unread`), and only the facts of
-    predicates those rules mention."""
+    into the `ans` rule, and only the rows of relations those rules read,
+    each given as its `_t` atom in place of the copy rule (see
+    `drop_unread`)."""
     _check_rule(query, instance.schema, allow_null=True)
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)
-    rules = drop_unread(program.rules + (query_rule,), {ANS_PRED})
-    # a fact that no rule left mentions is true in every model, and nothing reads it
-    mentioned = {atom.pred for r in rules for atom in r.head + r.pos + r.neg}
-    facts = [gatom for gatom in program.facts if gatom[0] in mentioned]
+    rules, facts = drop_unread(program.rules + (query_rule,), {ANS_PRED}, program.facts)
     return model_answers(stable_models(ground(rules, facts), max_nodes))
 
 

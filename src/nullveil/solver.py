@@ -65,9 +65,14 @@ Brass & Dix 1997), and the rule, which then nothing reads, goes as a top
 layer.  ASP preprocessors eliminate such predicates the same way
 (Gebser, Kaufmann, Neumann & Schaub 2008, "Advanced preprocessing for
 answer set solving").  The stable models of what is left are those of
-the whole program restricted to the predicates left.  On a secrecy
-program this unfolds the `_s` rule of each relation the query reads
-into the `ans` rule, so no `_s` atom is grounded.
+the whole program restricted to the predicates left.  The same pass
+takes the facts: those that nothing left reads go, and a predicate whose
+facts one rule left reads, and copies unchanged into its head, enters at
+that head, the copy unfolded with the facts as its definition.  On a
+secrecy program this unfolds the `_s` rule of each relation the query
+reads into the `ans` rule, so no `_s` atom is grounded, and the rows of
+each relation a view or the query reads enter as `_t` facts, so no atom
+of the relation itself is grounded.
 
 Almost all of a ground secrecy program is decided before any search:
 its facts, what they derive, and the atoms nothing can derive.  So one
@@ -369,9 +374,12 @@ def _substituted(args: tuple, env: dict) -> tuple:
     return tuple(env.get(t.name, t) if isinstance(t, Var) else t for t in args)
 
 
-def drop_unread(rules: Iterable[Rule], keep) -> list[Rule]:
+def drop_unread(rules: Iterable[Rule], keep,
+                facts: Iterable[GAtom] = ()) -> tuple[list[Rule], list[GAtom]]:
     """`rules` less the top layer that the predicates in `keep` do not read,
-    with every predicate that one normal rule defines unfolded.
+    with every predicate that one normal rule defines unfolded, and
+    `facts`, ground atoms, less those that nothing left reads, with every
+    predicate that one copy rule reads entering at that rule's head.
 
     First it drops, repeatedly, every rule of a predicate P outside `keep`
     when each rule defining P has P as its only head atom and does not
@@ -384,9 +392,9 @@ def drop_unread(rules: Iterable[Rule], keep) -> list[Rule]:
     predicate that reads itself, such as `a :- not a.`.
 
     Then it unfolds each predicate P outside `keep` that exactly one rule
-    defines, with P as its only head atom over pairwise distinct
-    variables and a positive body that is not empty and does not read P,
-    when every other occurrence of P is a positive body atom.  Each
+    and no fact defines, with P as its only head atom over pairwise
+    distinct variables and a positive body that is not empty and does not
+    read P, when every other occurrence of P is a positive body atom.  Each
     occurrence is replaced by the defining rule's positive body under the
     substitution of its head's variables by the occurrence's terms, the
     rule's other variables renamed apart for each occurrence, and its
@@ -399,10 +407,27 @@ def drop_unread(rules: Iterable[Rule], keep) -> list[Rule]:
     are subsumed by the one whose copies agree.  After that only its own
     rule mentions P, a top layer as above.  Unfolding keeps the polarity
     of every occurrence and leaves nothing unread that was read, so
-    nothing is left to drop after it.  The stable models of the rules
-    left are those of `rules` restricted to the predicates left.  The
-    rules left keep their order, each unfolded rule in its reader's place."""
+    nothing is left to drop after it.
+
+    Last come the facts.  A fact of a predicate outside `keep` that no
+    rule left mentions goes: it is true in every model, and nothing reads
+    it.  A predicate P with facts, outside `keep` and mentioned by exactly
+    one rule left, enters at that rule's head when the rule is a copy
+    `Q(X1..Xn) :- P(X1..Xn).`: one head atom, one positive atom, the same
+    pairwise distinct variables in the same order, nothing negated and no
+    built-in.  Each fact P(a) is then given as Q(a), and the copy goes.
+    So no other rule heads P, and its facts are its definition; this is
+    the unfolding above with that definition (GPPE): the copy's ground
+    instances are `Q(a) :- P(a).` for the facts P(a), each with a body
+    that is true.
+
+    The stable models of the rules and facts left are those of `rules`
+    and `facts` restricted to the predicates left.  The rules left keep
+    their order, each unfolded rule in its reader's place, and so do the
+    facts."""
     rules = list(rules)
+    facts = list(facts)
+    factual = {pred for pred, _ in facts}
     sole: dict[str, list[int]] = {}  # predicate -> the rules that define it alone
     others: dict[str, int] = {}  # predicate -> rules left that mention it otherwise
     mentions = []
@@ -434,7 +459,7 @@ def drop_unread(rules: Iterable[Rule], keep) -> list[Rule]:
     for pred, (i, *more) in heading.items():
         definition = rules[i]  # as unfolded so far
         head = definition.head[0].args
-        if (more or pred in keep or pred in negated or len(definition.head) > 1
+        if (more or pred in keep or pred in negated or pred in factual or len(definition.head) > 1
                 or not all(isinstance(t, Var) for t in head) or len(set(head)) < len(head)
                 or not definition.pos or any(a.pred == pred for a in definition.pos)):
             continue
@@ -460,7 +485,25 @@ def drop_unread(rules: Iterable[Rule], keep) -> list[Rule]:
                 builtins += (BuiltinAtom(b.op, _substituted(b.args, env))
                              for b in definition.builtins)
             rules[j] = Rule(r.head, tuple(pos), tuple(neg), tuple(builtins))
-    return [r for r in rules if r is not None]
+    rules = [r for r in rules if r is not None]
+    mentioning: dict[str, list[int]] = {}  # predicate -> the rules that mention it
+    for i, r in enumerate(rules):
+        for pred in {a.pred for a in r.head + r.pos + r.neg}:
+            mentioning.setdefault(pred, []).append(i)
+    copied: dict[str, str] = {}  # extensional predicate -> the head its copy gives its facts
+    for pred in factual:
+        if pred in keep or len(mentioning.get(pred, ())) != 1:
+            continue
+        (i,) = mentioning[pred]
+        r = rules[i]
+        args = r.pos[0].args if len(r.pos) == 1 else None
+        if (len(r.head) == 1 and r.head[0].args == args and not r.neg and not r.builtins
+                and all(isinstance(t, Var) for t in args) and len(set(args)) == len(args)):
+            copied[pred] = r.head[0].pred
+            rules[i] = None
+    facts = [(copied.get(pred, pred), values) for pred, values in facts
+             if pred in mentioning or pred in keep]
+    return [r for r in rules if r is not None], facts
 
 
 # --------------------------------------------------------------------------

@@ -67,7 +67,9 @@ def _rand_args(rng: random.Random, arity: int, pool: list,
 
 
 def rand_query(rng: random.Random, schema: Schema, max_atoms: int = 3,
-               n_consts: int = 4) -> Query:
+               n_consts: int = 4, ops: tuple = COMPARISON_OPS) -> Query:
+    """A random query whose comparisons other than `isnull`/`isnotnull`
+    draw their operator from `ops`."""
     pool: list = []
     atoms = []
     for _ in range(rng.randint(1, max_atoms)):
@@ -83,7 +85,7 @@ def rand_query(rng: random.Random, schema: Schema, max_atoms: int = 3,
             op = rng.choice(("isnull", "isnotnull"))
             builtins.append(BuiltinAtom(op, (left,)))
         else:
-            op = rng.choice(COMPARISON_OPS)
+            op = rng.choice(ops)
             if rng.random() < 0.5:
                 right = Var(rng.choice(pool))
             else:
@@ -121,13 +123,14 @@ def _lp_safe_shape(view: ViewDef) -> bool:
 def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
               n_consts: int = 4, max_atoms: int = 2,
               body_const_prob: float = 0.0,
-              self_joins: bool = False) -> ViewDef | None:
+              self_joins: bool = False, ops: tuple = COMPARISON_OPS) -> ViewDef | None:
     """A random view whose body holds an integer constant at each position
     with probability `body_const_prob`, and whose body relations are drawn
     with replacement when `self_joins` is set, so one relation can occur
     twice (neither by default, which leaves the draws of the default
-    stream unchanged); None when no head choice satisfies the requested
-    shape."""
+    stream unchanged); its comparisons draw their operator from `ops`,
+    whose default, `COMPARISON_OPS`, keeps every seeded stream.  None when
+    no head choice satisfies the requested shape."""
     if self_joins:
         rels = [rng.choice(schema.relations) for _ in range(rng.randint(1, max_atoms))]
     else:
@@ -153,7 +156,7 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
         if not pool:
             break
         left = Var(rng.choice(pool))
-        op = rng.choice(COMPARISON_OPS)
+        op = rng.choice(ops)
         if rng.random() < 0.5:
             right = Var(rng.choice(pool))
         else:
@@ -183,9 +186,11 @@ def rand_view(rng: random.Random, schema: Schema, lp_safe: bool = False,
 
 def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
               lp_safe: bool = False, max_arity: int = 2, n_consts: int = 4,
-              body_const_prob: float = 0.0, self_joins: bool = False):
+              body_const_prob: float = 0.0, self_joins: bool = False,
+              ops: tuple = COMPARISON_OPS):
     """A (schema, instance, views) triple; views share the schema.
-    `lp_safe` restricts the view shape only, not the data."""
+    `lp_safe` restricts the view shape only, not the data; `ops` are the
+    views' comparison operators."""
     while True:
         schema = rand_schema(rng, max_arity=max_arity)
         instance = rand_instance(rng, schema, max_tuples=max_tuples,
@@ -194,7 +199,7 @@ def rand_case(rng: random.Random, max_tuples: int = 3, max_views: int = 2,
         for _ in range(rng.randint(1, max_views)):
             view = rand_view(rng, schema, lp_safe=lp_safe, n_consts=n_consts,
                              body_const_prob=body_const_prob,
-                             self_joins=self_joins)
+                             self_joins=self_joins, ops=ops)
             if view is not None:
                 views.append(ViewDef(view.out, view.body, view.builtins,
                                      f"v{len(views)}"))

@@ -162,6 +162,19 @@ def test_cmd_compile_program_and_dcs(files, capsys, tmp_path):
                        "--views", views, "--dialect", "dlv")
     assert code == 0
     assert "p_s(X1,X2,T) :- p_t(X1,X2,T), not p_u(X1,X2,T)." in out
+    # the paper's program: the rows as facts of p and r, copied into p_t
+    # and r_t by rule, although cautious answers take them in at `_t`
+    assert out.startswith("p(1,2,1).\nr(2,1,1).\n")
+    assert "\np_t(X1,X2,T) :- p(X1,X2,T).\n" in out
+    for query in ([], ["--query", "?(X) :- P(X,Y)."]):
+        code, out, _ = run(capsys, "solve", "--schema", schema, "--facts", facts,
+                           "--views", views, *query)
+        assert code == 0
+        assert out == ("3 stable model(s)\n"
+                       "model 1:\n  @1 P(null, 2).\n  @1 R(2, null).\n"
+                       "model 2:\n  @1 P(1, null).\n  @1 R(2, 1).\n"
+                       "model 3:\n  @1 P(1, 2).\n  @1 R(null, 1).\n"
+                       + "cautious answers:\n" * bool(query))
     code, out, _ = run(capsys, "compile", "--schema", schema, "--facts", facts,
                        "--views", views, "--dcs", "--format", "json")
     assert code == 0

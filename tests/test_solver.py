@@ -6,7 +6,7 @@ import pytest
 
 from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, CrossCheckError, NULL,
                       UnsupportedRuleError, Value, Var, parse_facts, parse_query, parse_schema,
-                      parse_view, solver)
+                      parse_view, asp, solver)
 from nullveil.asp import (ANS_PRED, cautious_answers, compile_program, compile_query_program,
                           model_answers)
 from nullveil.semantics import builtin_classical
@@ -514,6 +514,32 @@ def test_grounding_probes_no_row_that_joins_nothing(monkeypatch, query, gained):
     assert answers[0] <= answers[1] and len(answers[1] - answers[0]) == gained
 
 
+def test_each_harmless_pair_grounds_at_most_three_rules_and_three_atoms(monkeypatch):
+    """The rows enter at their `_t` atoms, so a harmless P/R pair grounds
+    its two `_t` facts and one `ans` rule, whose `not p_u` atom is its
+    third atom; its `ans` atom is the one of every other harmless pair.
+    No `p` or `r` atom is grounded."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    views = [parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)]
+    query = parse_query("?(X) :- P(X, Y).", schema)
+    grounded = []
+
+    def spying(*args, **kwargs):
+        grounded.append(ground(*args, **kwargs))
+        return grounded[-1]
+
+    monkeypatch.setattr(asp, "ground", spying)
+    for pairs in (20, 40):
+        facts = "P(1, 101). R(101, 201). " + " ".join(
+            f"P(7, {2000 + i}). R({5000 + i}, {i})." for i in range(pairs))
+        answers = cautious_answers(parse_facts(facts, schema), views, query)
+        assert answers == {(Value.of_int(7),)}
+    small, large = grounded
+    assert len(large.rules) - len(small.rules) <= 3 * 20
+    assert len(large.atoms) - len(small.atoms) <= 3 * 20
+    assert not {pred for pred, _ in small.atoms + large.atoms} & {"p", "r"}
+
+
 def test_search_nodes_grow_linearly_in_independent_violations(spied):
     """k violating pairs give 3^k stable models, but once the query's
     `ans` rules are set aside the residue is one component per pair, so
@@ -629,7 +655,7 @@ def test_an_odd_loop_above_the_query_is_kept():
     """`a :- ans, not a.` reads a itself, so it stays, and there is still
     no stable model."""
     whole = _above_the_query([Rule((a0("a"),), (a0(ANS_PRED),), (a0("a"),))])
-    assert drop_unread(whole, {ANS_PRED}) == whole
+    assert drop_unread(whole, {ANS_PRED}) == (whole, [])
     with pytest.raises(CrossCheckError):
         _cautious(whole)
 
@@ -641,7 +667,7 @@ def test_two_rules_of_one_unread_predicate_go_together():
     whole = _above_the_query([Rule((a0("b"),), (a0("q"),)),
                               Rule((a0("b"),), (), (a0("c"),)),
                               Rule((a0("c"),), (a0("q"),))])
-    kept = drop_unread(whole, {ANS_PRED})
+    kept, _ = drop_unread(whole, {ANS_PRED})
     assert kept == whole[:2]
     assert _cautious(kept) == _cautious(whole) == {()}
 
@@ -650,7 +676,7 @@ def test_a_predicate_in_a_disjunctive_head_is_kept():
     """b heads `b :- q.` alone, but also the disjunction `b v c.`, so
     neither rule goes."""
     whole = _above_the_query([Rule((a0("b"),), (a0("q"),)), Rule((a0("b"), a0("c")))])
-    assert drop_unread(whole, {ANS_PRED}) == whole
+    assert drop_unread(whole, {ANS_PRED}) == (whole, [])
     assert _cautious(whole) == {()}
 
 
@@ -665,11 +691,11 @@ def unary(pred):
 q, p, r, s, ans = map(unary, ("q", "p", "r", "s", ANS_PRED))
 
 
-def _keyed_models(rules) -> list:
-    """The oracle's stable models of `rules`, grounded, as sets of
-    `_gatom_key`s, which sort."""
+def _keyed_models(rules, facts=()) -> list:
+    """The oracle's stable models of `rules` and `facts`, grounded, as
+    sets of `_gatom_key`s, which sort."""
     keyed = [tuple(tuple(map(solver._gatom_key, part)) for part in rule)
-             for rule in decoded(ground(rules))]
+             for rule in decoded(ground(rules, facts))]
     return oracle_stable_models(keyed)
 
 
@@ -721,7 +747,7 @@ def test_the_pass_keeps_the_stable_models_randomized():
                            "no model"), 0)
     for _ in range(1000):
         rules = _rand_unfolding_program(rng)
-        kept = drop_unread(rules, {ANS_PRED})
+        kept, _ = drop_unread(rules, {ANS_PRED})
         left = {a.pred for rule in kept for a in rule.head + rule.pos + rule.neg}
         models = _keyed_models(kept)
         before = _keyed_models(rules)
@@ -760,7 +786,7 @@ def test_the_pass_keeps_the_stable_models_randomized():
 ], ids=["negated", "disjunctive-head", "two-definitions", "empty-body", "reads-itself",
         "repeated-head-variable"])
 def test_what_the_pass_does_not_unfold(whole):
-    assert drop_unread(whole, {ANS_PRED}) == whole
+    assert drop_unread(whole, {ANS_PRED}) == (whole, [])
 
 
 @pytest.mark.parametrize("whole, unfolded, answers", [
@@ -788,9 +814,121 @@ def test_what_the_pass_does_not_unfold(whole):
      {(Value.of_int(1),)}),
 ], ids=["constant", "variable-outside-the-head", "built-in-over-constants"])
 def test_unfolding_substitutes_the_occurrence(whole, unfolded, answers):
-    kept = drop_unread(whole, {ANS_PRED})
+    kept, _ = drop_unread(whole, {ANS_PRED})
     assert [rule for rule in kept if rule not in whole] == unfolded
     assert _cautious(kept) == _cautious(whole) == answers
+
+
+def e(*terms):
+    return Atom("e", terms)
+
+
+def t(*terms):
+    return Atom("t", terms)
+
+
+def _rand_copy_program(rng: random.Random) -> tuple:
+    """Random rules over a and b, as in `_rand_unfolding_program`, the
+    facts of a binary extensional predicate e, maybe of g, t, `ans` and an
+    unread h, a rule that reads e into t, copying or not, maybe a rule
+    that keeps e from being copied, maybe a second definition of t, and
+    one or two readers of t; `keep` holds `ans` and maybe e.  Returns
+    (rules, facts, keep), rules and facts in random order."""
+    zero = [a0(name) for name in "ab"[:rng.randint(1, 2)]]
+
+    def some(sizes):
+        return tuple(rng.sample(zero, min(len(zero), rng.choice(sizes))))
+    rules = [Rule(some((0, 1, 1, 2)), some((0, 1, 1)), some((0, 0, 1)))
+             for _ in range(rng.randint(0, 1))]
+    facts = rng.sample([gatom("e", 1, 2), gatom("e", 2, 2), gatom("e", 2, 1)], rng.randint(1, 2))
+    facts += [gatom("g", 1)] * (rng.random() < 0.5) + [gatom("h", 1)] * (rng.random() < 0.3)
+    facts += [gatom("t", 2, 2)] * (rng.random() < 0.2) + [gatom(ANS_PRED, 3)] * (rng.random() < 0.2)
+    rules.append(rng.choice([
+        *[Rule((t(X, Y),), (e(X, Y),))] * 4,  # the copy, four times as likely as the rest
+        Rule((t(X, TWO),), (e(X, TWO),)),  # a constant
+        Rule((t(X, X),), (e(X, X),)),  # a repeated variable
+        Rule((t(X, Y),), (e(X, Y),), builtins=(BuiltinAtom("!=", (X, Y)),)),
+        Rule((t(Y, X),), (e(X, Y),)),  # permuted
+        Rule((t(X, Y),), (e(X, Y),), some((1,))),  # a negated atom
+    ]))
+    if rng.random() < 0.3:
+        rules.append(rng.choice([
+            Rule((ans(X),), (e(X, Y),)),  # e read twice
+            Rule((zero[0],), (Atom("g", (X,)),), (e(X, X),)),  # e under `not`
+            Rule((e(X, X),), (Atom("g", (X,)),)),  # a rule heads e
+        ]))
+    if rng.random() < 0.7:
+        rules.append(Rule((t(X, X),), (Atom("g", (X,)),), some((0, 1))))
+    rules += rng.sample([
+        Rule((ans(X),), (t(X, Y),) + some((0, 1)), some((0, 0, 1))),
+        Rule((ans(Y),), (t(X, Y), t(Y, X))),
+        Rule(some((1,)), (t(ONE, TWO),), some((0, 1))),
+        Rule((), (t(X, X),) + some((1,))),  # a constraint
+    ], rng.randint(1, 2))
+    keep = {ANS_PRED, "e"} if rng.random() < 0.15 else {ANS_PRED}
+    return rng.sample(rules, len(rules)), rng.sample(facts, len(facts)), keep
+
+
+def test_the_pass_keeps_the_stable_models_with_facts_randomized():
+    """On 600 random programs with facts and copy rules, the oracle's
+    stable models after `drop_unread` are those before it, restricted to
+    the predicates left, one for one, also when there is none; and the
+    search finds them too."""
+    rng = random.Random(157)
+    kinds = dict.fromkeys(("copied", "e kept", "unread facts gone", "no model"), 0)
+    for _ in range(600):
+        rules, facts, keep = _rand_copy_program(rng)
+        kept, given = drop_unread(rules, keep, facts)
+        left = {a.pred for rule in kept for a in rule.head + rule.pos + rule.neg}
+        left |= {pred for pred, _ in given}
+        fact_rules = [fact(Atom(pred, tuple(map(Const, values)))) for pred, values in facts]
+        before = _keyed_models(fact_rules + rules)
+        models = _keyed_models(kept, given)
+        assert models == sorted((frozenset(a for a in m if a[0] in left) for m in before),
+                                key=sorted), (rules, facts, kept, given)
+        assert [frozenset(map(solver._gatom_key, m))
+                for m in stable_models(ground(kept, given))] == models, (rules, facts)
+        kinds["copied"] += "e" not in left and any(rule.pos == (e(X, Y),) for rule in rules)
+        kinds["e kept"] += "e" in left
+        kinds["unread facts gone"] += len(given) < len(facts)
+        kinds["no model"] += not before
+    # 128, 471, 232 and 97
+    assert all(count >= 80 for count in kinds.values()), kinds
+
+
+COPY = Rule((t(X, Y),), (e(X, Y),))
+T_TOO = Rule((t(X, X),), (Atom("g", (X,)),))  # a second definition, so t is not unfolded
+T_READ = Rule((ans(X),), (t(X, Y),))
+E_FACTS = [gatom("e", 1, 2), gatom("e", 2, 2), gatom("g", 1)]
+
+
+@pytest.mark.parametrize("rules, keep", [
+    ([COPY, T_TOO, T_READ], {ANS_PRED, "e"}),
+    ([COPY, T_TOO, T_READ, Rule((ans(X),), (e(X, X),))], {ANS_PRED}),
+    ([COPY, T_TOO, T_READ, Rule((ans(X),), (Atom("g", (X,)),), (e(X, X),))], {ANS_PRED}),
+    ([Rule((t(X, TWO),), (e(X, TWO),)), T_TOO, T_READ], {ANS_PRED}),
+    ([Rule((t(X, X),), (e(X, X),)), T_TOO, T_READ], {ANS_PRED}),
+    ([Rule((t(X, Y),), (e(X, Y),), builtins=(BuiltinAtom("<", (X, Y)),)), T_TOO, T_READ],
+     {ANS_PRED}),
+    ([Rule((t(Y, X),), (e(X, Y),)), T_TOO, T_READ], {ANS_PRED}),
+    ([COPY, T_TOO, T_READ, Rule((e(X, X),), (Atom("g", (X,)),))], {ANS_PRED}),
+], ids=["kept", "read-twice", "negated", "constant", "repeated-variable", "built-in",
+        "permuted", "headed"])
+def test_what_the_pass_does_not_copy(rules, keep):
+    assert drop_unread(rules, keep, E_FACTS) == (rules, E_FACTS)
+
+
+def test_facts_enter_at_their_copy():
+    """e's one reader copies it into t, so e's facts are given as t's and
+    the copy goes; h's fact, which nothing reads, goes too; g's stays."""
+    facts = [gatom("h", 5)] + E_FACTS
+    assert drop_unread([T_READ, COPY, T_TOO], {ANS_PRED}, facts) == \
+        ([T_READ, T_TOO], [gatom("t", 1, 2), gatom("t", 2, 2), gatom("g", 1)])
+    assert _cautious([T_READ, COPY, T_TOO] + [fact(Atom(pred, tuple(map(Const, values))))
+                                              for pred, values in facts]) \
+        == {(Value.of_int(1),), (Value.of_int(2),)}
+    # a fact of a kept predicate stays, read or not
+    assert drop_unread([T_READ, COPY, T_TOO], {ANS_PRED, "h"}, facts)[1][0] == gatom("h", 5)
 
 
 def test_readback_gives_the_certain_atoms_once_randomized():
