@@ -16,8 +16,8 @@ from .asp import (AnnotatedProgram, Annotation, cautious_answers, compile_progra
 from .errors import (AddressError, BoundExceededError, CorrelationError,
                      CrossCheckError, DialectError, InvalidChangeError,
                      NullveilError, ParseError, SemanticError, UnsupportedRuleError)
-from .instances import (EnumerationMode, SecrecySolution, candidate_cells,
-                        enumerate_secrecy_instances, instance_leq_D,
+from .instances import (EnumerationMode, SecrecyInstances, SecrecySolution,
+                        candidate_cells, enumerate_secrecy_instances, instance_leq_D,
                         oracle_secrecy_instances, tuple_leq)
 from .lang import (Atom, BuiltinAtom, Const, Query, QueryClass, Term, Var, ViewDef,
                    classify_query, parse_facts, parse_query, parse_schema,

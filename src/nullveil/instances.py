@@ -13,6 +13,16 @@ edges, and the secrecy instances are their minimal transversals (the
 monotone dualization setting of Eiter & Gottlob 1995), which the MMCS
 search of Murakami & Uno (2014) finds once each, over the base.
 
+Two edges that hold cells of one row (relation, tid) are in one
+component, and the minimal transversals of the edges are the unions of
+one minimal transversal of each component, for the components share no
+cell.  So MMCS runs once per component, and `enumerate_secrecy_instances`
+returns the product lazily (`SecrecyInstances`): its length is the
+product of the counts, and only iterating it builds the change sets.
+Since the components share no row either, each row's version in a
+secrecy instance depends on its own component's transversal alone,
+which is what lets `answers` decide secret answers without the product.
+
 That the transversals are the secrecy instances rests on a precondition
 on the views, which `_pool_and_options` checks with the parser's own
 `lang._check_rule`: view bodies hold no null constants, and view
@@ -57,8 +67,10 @@ admissibility test on each, and assumes no monotonicity.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from .errors import BoundExceededError
 from .lang import Const, _check_rule
@@ -210,6 +222,68 @@ def _minimal_transversals(edges) -> list[frozenset]:
     return found
 
 
+def _components(edges) -> list[list[frozenset]]:
+    """The edges in connected components, two edges joined when they hold
+    cells of one row (relation, tid): each component's edges in their
+    order in `edges`, and the components in the order of their first
+    edges, so the split does not follow the hash seed.  Empty edges,
+    which no row holds, make one component of their own."""
+    root: dict = {}  # row -> another row of its component, or itself
+
+    def find(row):
+        while root[row] != row:
+            row = root[row]
+        return row
+
+    for edge in edges:
+        rows = [(cell.relation, cell.tid) for cell in edge]
+        for row in rows:
+            root.setdefault(row, row)
+        for row in rows[1:]:
+            root[find(row)] = find(rows[0])
+    components: dict = {}
+    for edge in edges:
+        key = find(next((c.relation, c.tid) for c in edge)) if edge else None
+        components.setdefault(key, []).append(edge)
+    return list(components.values())
+
+
+class SecrecyInstances(Sequence):
+    """The secrecy instances of `base`, lazily, as the product of its
+    components' alternatives.
+
+    `components` holds per component its alternatives: change sets over
+    rows that no other component's alternatives touch, here the
+    component's minimal transversals in canonical order.  A secrecy
+    instance picks one alternative per component and nulls their union.
+    The length is the product of the counts, computed without building
+    the product; indexing or iterating builds and sorts it on each call,
+    and yields `SecrecySolution`s in canonical order.
+    """
+
+    def __init__(self, base: Instance, components: tuple[tuple[ChangeSet, ...], ...]):
+        self.base = base
+        self.components = components
+
+    def __len__(self) -> int:
+        return prod(len(alternatives) for alternatives in self.components)
+
+    def choices(self) -> list[tuple[ChangeSet, tuple[int, ...]]]:
+        """Every secrecy instance as its change set and the index of the
+        alternative it picks in each component, in canonical order."""
+        picked = []
+        for choice in product(*(range(len(a)) for a in self.components)):
+            changes = frozenset().union(*(a[i] for a, i in zip(self.components, choice)))
+            picked.append((changes, choice))
+        return sorted(picked, key=lambda item: sorted_cells(item[0]))
+
+    def __getitem__(self, index: int) -> SecrecySolution:
+        return SecrecySolution(self.choices()[index][0], self.base)
+
+    def __iter__(self):
+        return (SecrecySolution(changes, self.base) for changes, _ in self.choices())
+
+
 def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[frozenset]:
     """All inclusion-minimal admissible subsets of `cells`.
 
@@ -231,13 +305,15 @@ def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[f
 
 def enumerate_secrecy_instances(instance: Instance, views,
                                 mode: EnumerationMode = EnumerationMode.TARGETED,
-                                max_cells: int = DEFAULT_CELL_BOUND) -> list[SecrecySolution]:
+                                max_cells: int = DEFAULT_CELL_BOUND) -> SecrecyInstances:
     """All secrecy instances of `instance` for the view set, as change
-    sets in canonical order.  An admissible instance yields the single
-    empty-change solution."""
+    sets in canonical order: the lazy product of the minimal transversals
+    of each component of the edges, each component searched alone.  An
+    admissible instance yields the single empty-change solution."""
     _, edges = _pool_and_options(instance, views, mode, max_cells)
-    return [SecrecySolution(changes, instance)
-            for changes in sorted(_minimal_transversals(edges), key=sorted_cells)]
+    return SecrecyInstances(instance, tuple(
+        tuple(sorted(_minimal_transversals(component), key=sorted_cells))
+        for component in _components(edges)))
 
 
 def oracle_secrecy_instances(instance: Instance, views,

@@ -16,14 +16,14 @@ under `eval_n`; then the unary null checks are lowered to (in)equalities
 and every relevant variable is guarded with `v != null`.
 
 `iter_matches` is the package's one body-matching engine: both
-evaluations, the admissibility sentence, the candidate-cell search and
-the grounder in `solver` bind conjunctive bodies through it.  Over
-instances every atom scans its relation; the grounder's row source
-probes a hash index instead.  `iter_matches_through` runs it seeded
-with a few changed rows, for the checks and answers that follow one
-evaluation over the base into its degradations.
-`intersect_answers` is the one intersection of answer sets over a family
-of worlds, shared by secret and cautious answers.
+evaluations, the admissibility sentence, the candidate-cell search, the
+witness pass of secret answers and the grounder in `solver` bind
+conjunctive bodies through it.  Over instances every atom scans its
+relation; secret answers scan every version of each row at once, and
+the grounder's row source probes a hash index instead.
+`intersect_answers` intersects the answer sets of the stable models, for
+cautious answers; secret answers decide each candidate by a countermodel
+search instead (see `answers`).
 
 Everything here is pure over immutable instances; evaluations can run
 concurrently.
@@ -31,7 +31,7 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import CrossCheckError, SemanticError
 from .lang import Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var
@@ -142,8 +142,9 @@ def iter_matches(rows_of: RowSource, atoms: tuple[Atom, ...],
     """Enumerate assignments satisfying the atom list syntactically.
 
     This is the one routine that binds a conjunctive body to rows: query
-    and view evaluation scan instances (`scan`), the grounder probes its
-    indexed store of possibly derivable atoms.  `rows_of(atom, env)` is
+    and view evaluation scan instances (`scan`), secret answers scan
+    every version of each row, and the grounder probes its indexed store
+    of possibly derivable atoms.  `rows_of(atom, env)` is
     told the atom being matched and the bindings made so far, and gives
     the rows that atom may match; it may give more rows than match,
     since every row is checked against every term here.  `first`, when
@@ -154,49 +155,6 @@ def iter_matches(rows_of: RowSource, atoms: tuple[Atom, ...],
     constant.
     """
     return _extend(rows_of, atoms, 0, {}, (), first)
-
-
-def iter_matches_through(rows_of: RowSource, atoms: tuple[Atom, ...],
-                         changed: Mapping[str, Sequence[Row]]
-                         ) -> Iterator[tuple[Assignment, tuple[Row, ...]]]:
-    """The matches of `atoms` that use at least one changed row, each once.
-
-    `changed` holds the changed rows of each relation as `rows_of` gives
-    them; a row is changed when its tuple id is among them.  A match
-    whose first changed row is at atom i is found by seeding atom i with
-    the changed rows while the atoms before i read only unchanged rows
-    and the atoms after it read every row, as in semi-naive evaluation,
-    so a match through two changed rows is found once, not once per
-    changed row.  Yields as `iter_matches` does, with the rows in the
-    order atom i, then the other atoms in body order.
-    """
-    seeded_before = False
-    for i, atom in enumerate(atoms):
-        seeds = changed.get(atom.pred)
-        if not seeds:
-            continue
-        before, source = atoms[:i], rows_of
-        if seeded_before:
-            # fresh copies, which the row source tells apart from the
-            # atoms after i by identity, even where the body repeats an atom
-            before = tuple(Atom(a.pred, a.args) for a in before)
-            source = _unchanged_for(rows_of, before, changed)
-        yield from iter_matches(source, (atom,) + before + atoms[i + 1:], first=seeds)
-        seeded_before = True
-
-
-def _unchanged_for(rows_of: RowSource, atoms: tuple[Atom, ...],
-                   changed: Mapping[str, Sequence[Row]]) -> RowSource:
-    """`rows_of` with the changed rows left out for the given atom objects."""
-    unchanged_only = {id(a) for a in atoms}
-    tids = {pred: {row.tid for row in rows} for pred, rows in changed.items()}
-
-    def source(atom: Atom, env: Assignment) -> Iterable[Row]:
-        if id(atom) not in unchanged_only or atom.pred not in tids:
-            return rows_of(atom, env)
-        return [row for row in rows_of(atom, env) if row.tid not in tids[atom.pred]]
-
-    return source
 
 
 def _extend(rows_of: RowSource, atoms: tuple[Atom, ...], i: int, env: Assignment,
@@ -227,13 +185,13 @@ def _extend(rows_of: RowSource, atoms: tuple[Atom, ...], i: int, env: Assignment
 
 
 def intersect_answers(answer_sets: Iterable[AnswerSet]) -> AnswerSet:
-    """Rows common to every answer set of a non-empty family of worlds
-    (secrecy instances or stable models), compared syntactically, nulls
-    included.  An empty family has no certain answers to speak of and is
-    reported as a fault rather than read as the empty answer."""
+    """Rows common to every answer set of a non-empty family of stable
+    models, compared syntactically, nulls included.  An empty family has
+    no certain answers to speak of and is reported as a fault rather than
+    read as the empty answer."""
     sets = list(answer_sets)
     if not sets:
-        raise CrossCheckError("no secrecy instance or stable model to take answers over")
+        raise CrossCheckError("no stable model to take answers over")
     return frozenset.intersection(*sets)
 
 

@@ -417,3 +417,37 @@ def test_k_independent_violations_give_the_closed_form_3_to_the_k(k, harmless):
         expected = [chosen | c for chosen in expected for c in choices]
     solutions = enumerate_secrecy_instances(d, [view])
     assert [s.changes for s in solutions] == sorted(expected, key=sorted_cells)
+
+
+def test_the_product_of_the_components_is_the_search_over_all_edges_randomized():
+    """Searched per component of the edges and multiplied out, the
+    secrecy instances are those of one search over all the edges, in
+    the same canonical order, on self-joins, body constants, arity 3 and
+    up to three views, in both modes."""
+    rng = random.Random(97)
+    several = 0
+    for _ in range(300):
+        schema, instance, views = rand_case(rng, max_tuples=4, max_views=3,
+                                            max_arity=3, body_const_prob=0.2,
+                                            self_joins=True)
+        for mode in EnumerationMode:
+            _, edges = _pool_and_options(instance, views, mode)
+            solutions = enumerate_secrecy_instances(instance, views, mode)
+            whole = sorted(_minimal_transversals(edges), key=sorted_cells)
+            assert len(solutions) == len(whole)
+            assert [s.changes for s in solutions] == whole, (instance, edges)
+            several += len(solutions.components) > 1
+    # 86 enumerations with two components or more
+    assert several >= 60, several
+
+
+def test_k_independent_violations_are_k_components_counted_without_the_product():
+    """At k=12 the 531,441 secrecy instances are twelve components of
+    three transversals each, counted without building the product."""
+    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
+    view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
+    d = parse_facts(" ".join(f"P({i}, {100 + i}). R({100 + i}, {200 + i})."
+                             for i in range(1, 13)), schema)
+    solutions = enumerate_secrecy_instances(d, [view], max_cells=48)
+    assert [len(alternatives) for alternatives in solutions.components] == [3] * 12
+    assert len(solutions) == 3 ** 12
