@@ -47,10 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CrossCheckError
-from .instances import DEFAULT_CELL_BOUND, SecrecyInstances, enumerate_secrecy_instances
+from .instances import SecrecyInstances, enumerate_secrecy_instances
 from .lang import Atom, Query, Var, _check_rule
 from .model import NULL, Instance, Row, Schema
 from .semantics import AnswerSet, eval_n, holds_n, iter_matches, project, relevant_vars
+from .solver import DEFAULT_SEARCH_BOUND, NodeBudget
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,13 +147,17 @@ class _Versions:
         return table
 
     def report(self, query: Query) -> SecretAnswerReport:
-        table = self.witnesses(query)
-        answers = frozenset(answer for answer, conditions in table.items()
-                            if _is_secret(conditions, self.full))
-        return SecretAnswerReport(query, answers, self.instances, table)
+        table, budget = self.witnesses(query), self.instances.budget
+        budget.found = 0  # the secret answers found, for a bound's message
+        answers = []
+        for answer, conditions in table.items():
+            if _is_secret(conditions, self.full, budget):
+                answers.append(answer)
+                budget.found += 1
+        return SecretAnswerReport(query, frozenset(answers), self.instances, table)
 
 
-def _is_secret(conditions, full: list) -> bool:
+def _is_secret(conditions, full: list, budget: NodeBudget | None = None) -> bool:
     """Whether every choice of one transversal per component satisfies
     one of the witness conditions `conditions`; `full[j]` is the mask of
     all of component j's transversals."""
@@ -171,10 +176,10 @@ def _is_secret(conditions, full: list) -> bool:
     for condition in spanning:
         for j in condition:
             domains.setdefault(j, full[j])
-    return not _countermodel(domains, spanning)
+    return not _countermodel(domains, spanning, budget or NodeBudget())
 
 
-def _countermodel(domains: dict, witnesses: list) -> bool:
+def _countermodel(domains: dict, witnesses: list, budget: NodeBudget) -> bool:
     """Whether some choice of one transversal per component, each within
     its domain mask, falsifies every witness of `witnesses`, each a dict
     from two or more components to masks.
@@ -183,8 +188,8 @@ def _countermodel(domains: dict, witnesses: list) -> bool:
     one choice at a time.  A witness the choice falsifies is done; one it
     satisfies loses that component, and once one component is left it
     narrows that component's domain instead.  A domain emptied so is a
-    dead end.  Each node is one partial choice, so the search visits
-    fewer nodes than the product has partial choices.
+    dead end.  Each choice tried is one node of `budget`, a partial
+    choice, so the search visits fewer nodes than the product has.
     """
     if not witnesses:
         return True
@@ -193,6 +198,7 @@ def _countermodel(domains: dict, witnesses: list) -> bool:
     while choices:
         bit = choices & -choices
         choices ^= bit
+        budget.visit("countermodel search", "secret answers")
         narrowed, rest = dict(domains), []
         for witness in witnesses:
             mask = witness.get(component)
@@ -208,23 +214,23 @@ def _countermodel(domains: dict, witnesses: list) -> bool:
                 if not narrowed[j]:
                     break
         else:
-            if _countermodel(narrowed, rest):
+            if _countermodel(narrowed, rest, budget):
                 return True
     return False
 
 
-def _versions(instance: Instance, views, max_cells: int = DEFAULT_CELL_BOUND) -> _Versions:
-    instances = enumerate_secrecy_instances(instance, views, max_cells=max_cells)
+def _versions(instance: Instance, views, max_nodes: int = DEFAULT_SEARCH_BOUND) -> _Versions:
+    instances = enumerate_secrecy_instances(instance, views, max_nodes=max_nodes)
     if not instances:
         raise CrossCheckError("no secrecy instance to take answers over")
     return _Versions(instances)
 
 
 def secret_answers(instance: Instance, views, query: Query,
-                   max_cells: int = DEFAULT_CELL_BOUND) -> SecretAnswerReport:
+                   max_nodes: int = DEFAULT_SEARCH_BOUND) -> SecretAnswerReport:
     """Answers certain across every secrecy instance of `instance`."""
     _check_rule(query, instance.schema, allow_null=True)
-    return _versions(instance, views, max_cells).report(query)
+    return _versions(instance, views, max_nodes).report(query)
 
 
 def _atomic_query(schema: Schema, relation: str) -> Query:

@@ -26,27 +26,17 @@ rest of the program through its relation's copy rule
 
 Queries are answered cautiously: the query is rewritten to its classical
 form, retargeted at `_s` atoms under a fresh `ans` head, and the answers
-true in every stable model are returned; they must coincide with the
-secret answers computed from the materialised secrecy instances.  Only
-what the query reads is grounded: the `_s` rules of a relation the
-query does not read, and then its `_u` rules, form a top layer that no
-other rule reads, and every stable model of the rest extends to exactly
-one of the whole program, so leaving them out changes neither the number
-of models nor their `ans` atoms.  Of a relation that no view reads
-either, the `_t` rules go too, and its rows, facts that no rule left
-mentions, are not grounded.  The `_s` rule of a relation the query
-reads is the one rule of its predicate, read only by the `ans` rule, so
-it is unfolded there: `ans(X) :- p_s(X,Y,T1).` grounds as
-`ans(X) :- p_t(X,Y,T1), not p_u(X,Y,T1).`, which keeps every model's
-other atoms (see `solver.drop_unread`), and no `_s` atom is grounded at
-all.  The copy rule is then the one rule left that reads the relation,
-so the rows enter at `_t`: each row p(a, t) is handed to the grounder as
-the fact p_t(a, t), and the copy goes, which again keeps every model's
-other atoms, so no atom of the relation itself is grounded either.  The
-answers are read from the atoms true in every model, without building
-each model.  Each secrecy instance is read off its stable model by
-projection: every `_s` atom is one tuple, named by its id; this reads
-the whole program's models.
+true in every stable model are returned, read from the atoms true in
+every model without building each model; they must coincide with the
+secret answers of `answers`.  Only what the query reads is grounded
+(`solver.drop_unread`, which keeps every model's `ans` atoms): the `_s`
+and `_u` rules of a relation the query does not read go, and so do the
+`_t` rules and rows of one that no view reads either; the `_s` rule of a
+relation the query reads is unfolded into the `ans` rule, so no `_s`
+atom is grounded; and each row p(a, t) left enters as the fact
+p_t(a, t) in place of the copy rule.  Each secrecy instance is read off
+its stable model by projection: every `_s` atom is one tuple, named by
+its id; this reads the whole program's models.
 
 Export produces solver-ready text for the dlv and clingo dialects
 (predicates lowercased, disjunction `v` respectively `|`); denial

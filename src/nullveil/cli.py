@@ -4,25 +4,25 @@ One subcommand per operation family:
 
     nullveil eval      --schema S --facts F --query Q
     nullveil instances --schema S --facts F --views V [--mode targeted|exhaustive]
-                       [--max-cells N]
+                       [--max-nodes N]
     nullveil answer    --schema S --facts F --views V --query Q [--via direct|asp|both]
-                       [--max-cells N] [--max-nodes N]
+                       [--max-nodes N]
     nullveil compile   --schema S --facts F --views V [--dialect dlv|clingo] [--dcs]
     nullveil solve     --schema S --facts F --views V [--query Q] [--solver PATH]
                        [--max-nodes N]
 
 `--query` takes literal query text when it contains `:-`, otherwise a
 file path.  Output is plain text or, with `--format json`, stable JSON
-with rows sorted.  `--max-cells` (default 24) bounds the candidate cells
-of the secrecy-instance search.  `--max-nodes` (old name `--max-models`)
-bounds the internal engine's stable-model search: its search nodes plus
-the models it assembles from independent components count against it.
-An external solver gets `SOLVER_TIMEOUT_S` seconds.  Exit codes: 0
-success, 2 parse or usage error (a negative bound is one), 3 semantic
-error or failed external solver, 4 cross-check failure (no secrecy
-instance or stable model counts as one), 5 bound exceeded (running out
-of recursion depth or memory, or the external solver's time limit,
-counts as one).
+with rows sorted.  `--max-nodes` (old name `--max-models`, default
+2^20) bounds the search of the route a command runs: on the direct
+route the MMCS and countermodel nodes, on the program route the
+stable-model search nodes, and on either the instances or models it
+assembles from independent components.  An external solver gets
+`SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse or usage
+error (a negative bound is one), 3 semantic error or failed external
+solver, 4 cross-check failure (no secrecy instance or stable model
+counts as one), 5 bound exceeded (running out of recursion depth or
+memory, or the external solver's time limit, counts as one).
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from . import asp
 from .answers import secret_answers
 from .errors import (BoundExceededError, CrossCheckError, NullveilError,
                      ParseError, SemanticError)
-from .instances import (DEFAULT_CELL_BOUND, EnumerationMode, candidate_cells,
-                        enumerate_secrecy_instances)
+from .instances import EnumerationMode, candidate_cells, enumerate_secrecy_instances
 from .lang import fact_lines, parse_facts, parse_query, parse_schema, parse_views
 from .model import Instance, sorted_cells
 from .semantics import eval_classical, eval_n
@@ -125,7 +124,7 @@ def cmd_instances(args) -> int:
     _, instance, views, _ = _load(args, need_views=True)
     mode = EnumerationMode(args.mode)
     solutions = enumerate_secrecy_instances(instance, views, mode,
-                                            max_cells=args.max_cells)
+                                            max_nodes=args.max_nodes)
     # the targeted edges are the exhaustive ones cut to the targeted pool,
     # so the targeted instances are the exhaustive ones that lie inside it
     pool = None
@@ -152,8 +151,7 @@ def cmd_answer(args) -> int:
     _, instance, views, query = _load(args, need_views=True, need_query=True)
     direct = answers_asp = None
     if args.via in ("direct", "both"):
-        direct = secret_answers(instance, views, query,
-                                max_cells=args.max_cells).answers
+        direct = secret_answers(instance, views, query, max_nodes=args.max_nodes).answers
     if args.via in ("asp", "both"):
         answers_asp = asp.cautious_answers(instance, views, query,
                                            max_nodes=args.max_nodes)
@@ -258,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     def node_bound(p):
         p.add_argument("--max-nodes", "--max-models", dest="max_nodes", type=int,
                        default=DEFAULT_SEARCH_BOUND,
-                       help="bound on stable-model search nodes plus assembled "
-                            "models (--max-models is the old name)")
+                       help="bound on the search nodes plus the instances or "
+                            "models assembled (--max-models is the old name)")
 
     p = sub.add_parser("eval", help="evaluate a query under both semantics")
     common(p, query=True)
@@ -268,13 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instances", help="enumerate secrecy instances")
     common(p, views=True)
     p.add_argument("--mode", choices=("targeted", "exhaustive"), default="targeted")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BOUND)
+    node_bound(p)
     p.set_defaults(func=cmd_instances)
 
     p = sub.add_parser("answer", help="compute secret answers to a query")
     common(p, views=True, query=True)
     p.add_argument("--via", choices=("direct", "asp", "both"), default="direct")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BOUND)
     node_bound(p)
     p.set_defaults(func=cmd_answer)
 
@@ -299,10 +296,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name in ("max_cells", "max_nodes"):
-            if getattr(args, name, 0) < 0:
-                parser.error(f"--{name.replace('_', '-')} must not be negative: "
-                             f"{getattr(args, name)}")
+        if getattr(args, "max_nodes", 0) < 0:
+            parser.error(f"--max-nodes must not be negative: {args.max_nodes}")
     except SystemExit as exc:  # argparse exits with 2 on bad usage
         return int(exc.code or 0)
     try:

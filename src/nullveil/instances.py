@@ -4,9 +4,9 @@ A secrecy instance of a base instance D is an id-correlated null
 degradation of D that is admissible for the view set and whose set of
 nulled cells is inclusion-minimal among such degradations.
 
-Enumeration evaluates each view over D once, for the candidate pool,
-checked against `max_cells`, and the violating matches (comparisons
-hold, no combination variable binds null, some head value is non-null).
+Enumeration evaluates each view over D once, for the candidate pool
+and the violating matches (comparisons hold, no combination variable
+binds null, some head value is non-null).
 Nulling one of a match's combination or body-constant cells, or all of
 its non-null head cells, resolves it; `_pool_and_options` writes that as
 edges, and the secrecy instances are their minimal transversals (the
@@ -19,6 +19,9 @@ one minimal transversal of each component, for the components share no
 cell.  So MMCS runs once per component, and `enumerate_secrecy_instances`
 returns the product lazily (`SecrecyInstances`): its length is the
 product of the counts, and only iterating it builds the change sets.
+One `solver.NodeBudget` of `max_nodes` bounds a call: the MMCS nodes
+of every component, then the instances to assemble from two or more
+components, and the countermodel searches of `answers`, which share it.
 Since the components share no row either, each row's version in a
 secrecy instance depends on its own component's transversal alone,
 which is what lets `answers` decide secret answers without the product.
@@ -48,7 +51,8 @@ nulling B creates a violating match that D does not have, and a
 non-admissible instance would pass; the precondition rejects such a view
 with a `SemanticError` before any search.  The tests check the
 equivalence on random change sets and the transversals against
-`oracle_secrecy_instances`, a sweep of the pool and a brute-force scan.
+`oracle_secrecy_instances`, a sweep of the pool and a brute-force scan
+that assumes no monotonicity.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -58,10 +62,6 @@ matched by a body constant destroys the match too; the exhaustive pool
 holds every such cell, the default pool only those that are targets of
 some match, so on views whose bodies hold no constants the two modes
 agree.
-
-`oracle_secrecy_instances` is the independent reference: it sweeps
-subsets of every non-null cell in increasing size with a cross-checked
-admissibility test on each, and assumes no monotonicity.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ from .errors import BoundExceededError
 from .lang import Const, _check_rule
 from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
 from .semantics import builtin_classical, iter_matches, relevant_vars, scan
+from .solver import DEFAULT_SEARCH_BOUND, NodeBudget
 from .views import is_admissible
 
 DEFAULT_ORACLE_CELL_BOUND = 16
-DEFAULT_CELL_BOUND = 24
 
 
 class EnumerationMode(enum.Enum):
@@ -118,8 +118,7 @@ def instance_leq_D(base: Instance, d1: Instance, d2: Instance) -> bool:
     return changes1 <= changes2
 
 
-def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
-                      max_cells: int | None = None) -> tuple[frozenset, tuple]:
+def _pool_and_options(instance: Instance, views, mode: EnumerationMode) -> tuple[frozenset, tuple]:
     """The candidate pool and its edges, each once, in the order the
     matches give them, from one evaluation of each view.
 
@@ -130,20 +129,9 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
     positions, the match gives the edge D when a head variable is
     relevant, and otherwise one edge D | {h} per non-null head cell h:
     "a cell of D, or all the head cells" in conjunctive normal form.
-    With `max_cells`, a larger pool raises `BoundExceededError`, the
-    exhaustive pool before any view is evaluated.  A view outside the
-    precondition of the module docstring raises `SemanticError`.
+    A view outside the precondition of the module docstring raises
+    `SemanticError`.
     """
-    def bounded(pool: frozenset) -> frozenset:
-        if max_cells is not None and len(pool) > max_cells:
-            raise BoundExceededError(
-                f"secrecy-instance enumeration exceeded its bound of {max_cells} "
-                f"candidate cells ({len(pool)} cells in the pool)")
-        return pool
-
-    pool = None
-    if mode is EnumerationMode.EXHAUSTIVE:
-        pool = bounded(frozenset(instance.cells()))
     targets, edges = set(), {}  # edges in insertion order, not the hash seed's
     for view in views:
         _check_rule(view, instance.schema, allow_null=False)
@@ -172,8 +160,7 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode,
                 edges[destroying] = None
             else:
                 edges.update(dict.fromkeys(destroying | {cell} for cell in heads))
-    if pool is None:
-        pool = bounded(frozenset(targets))
+    pool = frozenset(instance.cells() if mode is EnumerationMode.EXHAUSTIVE else targets)
     # a body-constant cell is in the default pool only as another match's target
     return pool, tuple(dict.fromkeys(edge & pool for edge in edges))
 
@@ -183,7 +170,7 @@ def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozens
     return _pool_and_options(instance, views, mode)[0]
 
 
-def _minimal_transversals(edges) -> list[frozenset]:
+def _minimal_transversals(edges, budget: NodeBudget | None = None) -> list[frozenset]:
     """All inclusion-minimal cell sets meeting every edge of the sequence
     `edges`, each found once by the MMCS search of Murakami & Uno (2014).
 
@@ -196,6 +183,7 @@ def _minimal_transversals(edges) -> list[frozenset]:
     lacks one, and a node with every edge met is then minimal.  An empty
     edge leaves no transversal; no edges leave the empty one.
     """
+    budget = budget or NodeBudget()
     occurs: dict[Cell, set] = {}  # cell -> the numbers of the edges it meets
     for number, edge in enumerate(edges):
         for cell in edge:
@@ -206,8 +194,10 @@ def _minimal_transversals(edges) -> list[frozenset]:
     stack = [((), (), frozenset(range(len(edges))), frozenset(occurs))]
     while stack:
         chosen, critical, unmet, candidates = stack.pop()
+        budget.visit("secrecy-instance search", "transversals")
         if not unmet:
             found.append(frozenset(chosen))
+            budget.found += 1
             continue
         # min keeps the first of equals: ties go to the lowest number
         branch = min((edges[number] & candidates for number in sorted(unmet)), key=len)
@@ -258,12 +248,16 @@ class SecrecyInstances(Sequence):
     instance picks one alternative per component and nulls their union.
     The length is the product of the counts, computed without building
     the product; indexing or iterating builds and sorts it on each call,
-    and yields `SecrecySolution`s in canonical order.
+    and yields `SecrecySolution`s in canonical order.  Each instance
+    assembled from two or more components is one node of `budget`,
+    checked before the first is built.
     """
 
-    def __init__(self, base: Instance, components: tuple[tuple[ChangeSet, ...], ...]):
+    def __init__(self, base: Instance, components: tuple[tuple[ChangeSet, ...], ...],
+                 budget: NodeBudget | None = None):
         self.base = base
         self.components = components
+        self.budget = budget or NodeBudget()
 
     def __len__(self) -> int:
         return prod(len(alternatives) for alternatives in self.components)
@@ -271,6 +265,8 @@ class SecrecyInstances(Sequence):
     def choices(self) -> list[tuple[ChangeSet, tuple[int, ...]]]:
         """Every secrecy instance as its change set and the index of the
         alternative it picks in each component, in canonical order."""
+        self.budget.assemble("secrecy-instance search", self.components,
+                             "component transversals", "instances")
         picked = []
         for choice in product(*(range(len(a)) for a in self.components)):
             changes = frozenset().union(*(a[i] for a, i in zip(self.components, choice)))
@@ -305,15 +301,16 @@ def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[f
 
 def enumerate_secrecy_instances(instance: Instance, views,
                                 mode: EnumerationMode = EnumerationMode.TARGETED,
-                                max_cells: int = DEFAULT_CELL_BOUND) -> SecrecyInstances:
+                                max_nodes: int = DEFAULT_SEARCH_BOUND) -> SecrecyInstances:
     """All secrecy instances of `instance` for the view set, as change
     sets in canonical order: the lazy product of the minimal transversals
     of each component of the edges, each component searched alone.  An
     admissible instance yields the single empty-change solution."""
-    _, edges = _pool_and_options(instance, views, mode, max_cells)
+    _, edges = _pool_and_options(instance, views, mode)
+    budget = NodeBudget(max_nodes)
     return SecrecyInstances(instance, tuple(
-        tuple(sorted(_minimal_transversals(component), key=sorted_cells))
-        for component in _components(edges)))
+        tuple(sorted(_minimal_transversals(component, budget), key=sorted_cells))
+        for component in _components(edges)), budget)
 
 
 def oracle_secrecy_instances(instance: Instance, views,

@@ -164,6 +164,35 @@ from .semantics import builtin_classical, iter_matches
 
 DEFAULT_SEARCH_BOUND = 1 << 20
 
+
+@dataclass(slots=True)
+class NodeBudget:
+    """The search nodes one call may visit, counted on by its searches in
+    turn: `visit` counts one and, past the bound, raises naming the stage,
+    the bound and `found`, the progress of the search running now."""
+
+    max_nodes: int = DEFAULT_SEARCH_BOUND
+    nodes: int = 0
+    found: int = 0
+
+    def visit(self, stage: str, found_what: str) -> None:
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise BoundExceededError(
+                f"{stage} exceeded its bound of {self.max_nodes} nodes "
+                f"({self.max_nodes} nodes visited, {self.found} {found_what} found so far)")
+
+    def assemble(self, stage: str, parts, found_what: str, what: str) -> None:
+        """Before the product of two or more `parts` is built, one node per
+        item, raise when it has more items than the nodes left."""
+        assembled = prod(map(len, parts))
+        if len(parts) > 1 and self.nodes + assembled > self.max_nodes:
+            raise BoundExceededError(
+                f"{stage} exceeded its bound of {self.max_nodes} nodes "
+                f"({self.nodes} nodes visited, {sum(map(len, parts))} {found_what} "
+                f"found, {assembled} {what} to assemble)")
+
+
 GAtom = tuple  # (pred, tuple[Value, ...])
 
 
@@ -517,14 +546,14 @@ class _Enumerator:
     a queue of clauses that became unit.
 
     The search keeps its open branches on an explicit stack, so its depth
-    is bounded by `max_nodes` and not by the interpreter's recursion limit.
+    is bounded by `budget` and not by the interpreter's recursion limit.
     Subclasses extend `_propagate` and `_accept`.
     """
 
     stage = "reduct-minimality check"
     found_what = "models"
 
-    def __init__(self, nvars: int, clauses: list, max_nodes: int):
+    def __init__(self, nvars: int, clauses: list, budget: NodeBudget):
         self.nvars = nvars
         self.unsat = any(not c for c in clauses)
         self.clauses = [c for c in clauses if c]
@@ -540,9 +569,7 @@ class _Enumerator:
         self.assign = [_UNDEF] * (nvars + 1)
         self.trail: list[int] = []
         self.pending: list[int] = []
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        self.found = 0
+        self.budget = budget
 
     def _set(self, var: int, value: int) -> bool:
         """Assign, update counters, queue clauses turned unit; False on conflict."""
@@ -615,7 +642,7 @@ class _Enumerator:
                     i += 1
                 if i == len(branch_vars):
                     if self._accept():
-                        self.found += 1
+                        self.budget.found += 1
                         yield self.assign
                 else:
                     mark = len(self.trail)
@@ -624,12 +651,7 @@ class _Enumerator:
                 return
             i, mark, value = stack.pop()
             self._undo_to(mark)
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise BoundExceededError(
-                    f"{self.stage} exceeded its bound of {self.max_nodes} nodes "
-                    f"({self.max_nodes} nodes visited, {self.found} "
-                    f"{self.found_what} found so far)")
+            self.budget.visit(self.stage, self.found_what)
             self.pending.clear()
             ok = self._set(branch_vars[i], value) and self._propagate()
 
@@ -697,8 +719,7 @@ class _StableSearch(_Enumerator):
     stage = "stable-model search"
     found_what = "component models"
 
-    def __init__(self, atoms: list[int], rules: list[tuple], max_nodes: int,
-                 nodes: int = 0, found: int = 0):
+    def __init__(self, atoms: list[int], rules: list[tuple], budget: NodeBudget):
         natoms = len(atoms)
         index = {a: i for i, a in enumerate(atoms, 1)}
         rules = [tuple(tuple(index[a] for a in part) for part in rule) for rule in rules]
@@ -720,9 +741,7 @@ class _StableSearch(_Enumerator):
         # true atoms need support
         clauses += ((minus[a], *(natoms + 1 + r for r in head_occ[a]))
                     for a in range(1, natoms + 1))
-        super().__init__(natoms + len(rules), clauses, max_nodes)
-        # counted on from the searches of the other components, which share the bound
-        self.nodes, self.found = nodes, found
+        super().__init__(natoms + len(rules), clauses, budget)
         self.atoms = atoms
         self.natoms = natoms
         self.rules = rules
@@ -793,7 +812,7 @@ class _StableSearch(_Enumerator):
             if any(assign[n] == _TRUE for n in neg) or any(assign[p] != _TRUE for p in pos):
                 continue  # not in the reduct, or false under every subset
             clauses.append([-p for p in pos] + [h for h in head if assign[h] == _TRUE])
-        check = _Enumerator(self.natoms, clauses, max_nodes=1 << 22)
+        check = _Enumerator(self.natoms, clauses, NodeBudget(1 << 22))
         return next(check.enumerate(model), None) is None
 
 
@@ -968,20 +987,12 @@ def stable_models(program: GroundProgram,
                for (head, pos, neg), alive in zip(program.rules, live) if alive]
     output, components = _split(value, residue)
     parts = []  # per component: its models
-    nodes = found = 0
+    budget = NodeBudget(max_nodes)
     for component_atoms, rules in components:
-        search = _StableSearch(component_atoms, rules, max_nodes, nodes, found)
-        parts.append(search.models())
-        nodes, found = search.nodes, search.found
+        parts.append(_StableSearch(component_atoms, rules, budget).models())
         if not parts[-1]:
             return StableModels(atoms, certain, [])
-    if len(parts) > 1:
-        assembled = prod(map(len, parts))
-        if nodes + assembled > max_nodes:
-            raise BoundExceededError(
-                f"{_StableSearch.stage} exceeded its bound of {max_nodes} nodes "
-                f"({nodes} nodes visited, {found} component models found, "
-                f"{assembled} models to assemble)")
+    budget.assemble(_StableSearch.stage, parts, "component models", "models")
     models = []
     for choice in product(*parts):
         model = set().union(*choice)

@@ -1,7 +1,8 @@
 """Seeded random generators for instances, queries, and views.
 
 Queries stay inside the SQL-like class (null never compared with = or
-!=), matching the domain on which the classical rewriting is exact.
+!=), matching the domain on which the classical rewriting is exact,
+unless `null_cmp_prob` asks for such comparisons.
 Views use plain comparisons only and, when `lp_safe` is set, carry at
 most one update target of each kind per body atom, so that the compiled
 program's whole-atom updates coincide with per-cell ones.
@@ -67,9 +68,12 @@ def _rand_args(rng: random.Random, arity: int, pool: list,
 
 
 def rand_query(rng: random.Random, schema: Schema, max_atoms: int = 3,
-               n_consts: int = 4, ops: tuple = COMPARISON_OPS) -> Query:
+               n_consts: int = 4, ops: tuple = COMPARISON_OPS,
+               null_cmp_prob: float = 0.0) -> Query:
     """A random query whose comparisons other than `isnull`/`isnotnull`
-    draw their operator from `ops`."""
+    draw their operator from `ops`, and which holds one more comparison
+    `V = null` or `V != null` with probability `null_cmp_prob` (none by
+    default, which leaves the draws of every seeded stream unchanged)."""
     pool: list = []
     atoms = []
     for _ in range(rng.randint(1, max_atoms)):
@@ -91,6 +95,9 @@ def rand_query(rng: random.Random, schema: Schema, max_atoms: int = 3,
             else:
                 right = Const(Value.of_int(rng.randint(1, n_consts)))
             builtins.append(BuiltinAtom(op, (left, right)))
+    if null_cmp_prob and pool and rng.random() < null_cmp_prob:
+        builtins.append(BuiltinAtom(rng.choice(("=", "!=")),
+                                    (Var(rng.choice(pool)), Const(NULL))))
     out_count = rng.randint(0, min(3, len(pool))) if pool else 0
     out = tuple(Var(name) for name in rng.sample(pool, out_count))
     return Query(out, tuple(atoms), tuple(builtins))

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from nullveil import (Atom, BuiltinAtom, Const, CrossCheckError, Instance, NULL, Query,
-                      SemanticError, Var, apply_changes, eval_n, parse_facts, parse_query,
-                      parse_schema, parse_view, parse_views)
+from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, CrossCheckError, Instance,
+                      NULL, Query, SemanticError, Var, apply_changes, eval_n, parse_facts,
+                      parse_query, parse_schema, parse_view, parse_views)
 from nullveil import answers as answers_module
 from nullveil import instances as instances_module
 from nullveil import model as model_module
@@ -273,6 +273,12 @@ def test_an_answer_that_only_spanning_witnesses_make_secret():
     assert all(len(condition) == 2 for condition in report.witnesses[()])
     assert report.answers == frozenset({()})
     assert all(got == frozenset({()}) for _, got in report.per_instance)
+    # the two components take 10 MMCS nodes, and the countermodel search 3
+    assert report.instances.budget.nodes == 13
+    with pytest.raises(BoundExceededError, match=(
+            r"^countermodel search exceeded its bound of 11 nodes "
+            r"\(11 nodes visited, 0 secret answers found so far\)$")):
+        secret_answers(d, views, query, max_nodes=11)
 
 
 def _stream_pairs(*pairs: str):
@@ -326,9 +332,9 @@ search, sort = instances._minimal_transversals, instances.sorted_cells
 matches, countermodel = answers.iter_matches, answers._countermodel
 inside = []
 
-def counted_search(edges):
+def counted_search(edges, budget):
     inside.append(edges)
-    found = search(edges)
+    found = search(edges, budget)
     inside.pop()
     counts["mmcs nodes"] += len(found)
     return found
@@ -360,7 +366,7 @@ for k in map(int, sys.argv[1:]):
                              for i in range(1, k + 1)), schema)
     counts = dict.fromkeys(("mmcs nodes", "witness matches", "search nodes"), 0)
     for text in ("?(X) :- P(X, Y).", "?(Y) :- R(Y, Z)."):
-        report = answers.secret_answers(d, views, parse_query(text, schema), max_cells=4 * k)
+        report = answers.secret_answers(d, views, parse_query(text, schema))
         counts[text] = sorted([v.token() for v in a] for a in report.answers)
     counts["components"] = [[sorted(c.token() for c in changes) for changes in alternatives]
                             for alternatives in report.instances.components]
@@ -394,11 +400,34 @@ def test_the_factored_route_does_not_depend_on_the_hash_seed():
     assert _growth_counts("0", 6) == _growth_counts("3", 6)
 
 
+def _k_pairs(k: int):
+    return _stream_pairs(*(f"P({i}, {100 + i}). R({100 + i}, {200 + i})."
+                           for i in range(1, k + 1)))
+
+
+@pytest.mark.parametrize("k", [7, 10, 12, 20])
+def test_secret_answers_at_the_default_bound_past_twenty_four_cells(k):
+    """k violating pairs hold 4k candidate cells, past the 24 that a
+    bound on cells allowed, and need 5k MMCS nodes: the secret answers
+    need no bound raised."""
+    schema, d, views = _k_pairs(k)
+    report = secret_answers(d, views, parse_query("?(Y) :- R(Y, Z).", schema))
+    assert len(candidate_cells(d, views, EnumerationMode.TARGETED)) == 4 * k
+    assert report.answers == frozenset()
+    assert report.instances.budget.nodes == 5 * k
+
+
+def test_leakage_check_and_answer_instance_at_the_default_bound():
+    """At k=8 (32 candidate cells) both answer without a bound raised."""
+    _, d, views = _k_pairs(8)
+    assert check_no_leakage(d, views).ok
+    assert secrecy_answer_instance(d, views).total_rows() == 0
+
+
 def test_leakage_check_and_answer_instance_do_not_build_the_product(monkeypatch):
     """At k=6 (729 secrecy instances) neither the no-leakage check nor the
     secrecy answer instance reads a secrecy instance one by one."""
-    schema, d, views = _stream_pairs(*(f"P({i}, {100 + i}). R({100 + i}, {200 + i})."
-                                       for i in range(1, 7)))
+    _, d, views = _k_pairs(6)
 
     def no_product(self):
         raise AssertionError("the product was built")

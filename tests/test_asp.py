@@ -596,6 +596,30 @@ def test_routes_agree_on_non_strict_order_comparisons_randomized():
     assert compared >= 700 and nonempty >= 120, (compared, nonempty)
 
 
+def test_routes_agree_on_queries_that_compare_with_null_randomized():
+    """Queries with `V = null` or `V != null`, which hold on no row under
+    the SQL-like semantics, get the same answers, or the same class of
+    error, on both routes."""
+    rng = random.Random(173)
+    compared = nonempty = 0
+    for _ in range(1000):
+        schema, instance, views = rand_case(rng, max_tuples=3, lp_safe=True)
+        query = rand_query(rng, schema, null_cmp_prob=0.8)
+        outcomes = []
+        for answer in (lambda: cautious_answers(instance, views, query),
+                       lambda: secret_answers(instance, views, query).answers):
+            try:
+                outcomes.append(answer())
+            except NullveilError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (instance, [v.token() for v in views],
+                                            query.token())
+        compared += any(b.args[-1] == Const(NULL) for b in query.builtins)
+        nonempty += bool(outcomes[0])
+    # 810 and 35
+    assert compared >= 700 and nonempty >= 25, (compared, nonempty)
+
+
 def test_readback_of_1100_rows_returns_the_instance():
     # more base rows than the interpreter's default recursion limit (1,000)
     schema = parse_schema("relation P(A:int, B:int).")

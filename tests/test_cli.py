@@ -210,24 +210,51 @@ def test_exit_codes_semantic_and_bound(files, capsys):
                        "--query", bad_query)
     assert code == 3 and "unknown relation" in err
     code, _, err = run(capsys, "instances", "--schema", schema, "--facts", facts,
-                       "--views", views, "--max-cells", "1")
-    assert code == 5 and "bound" in err
+                       "--views", views, "--max-nodes", "1")
+    assert code == 5 and "bound exceeded: secrecy-instance search exceeded its bound" in err
 
 
-def test_cell_bound_flag_only_on_instance_search_commands(files, capsys):
+def test_one_node_bound_flag_on_every_search_command(files, capsys):
+    """`--max-nodes` bounds `instances`, `answer` under each `--via` and
+    `solve`, and no command takes `--max-cells`."""
     schema = files("s.nv", SCHEMA_PR)
     facts = files("f.nv", "P(1,2). R(2,1).")
     views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.")
     query = "?(X,Y) :- P(X,Y)."
-    for command in (["eval", "--query", query], ["compile", "--views", views],
-                    ["solve", "--views", views]):
-        code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
-                           "--max-cells", "3")
+    for command in (["eval", "--query", query], ["compile", "--views", views]):
+        for flag in ("--max-cells", "--max-nodes"):
+            code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
+                               flag, "3")
+            assert code == 2 and f"unrecognized arguments: {flag}" in err
+    searches = [(["instances"], "secrecy-instance search"),
+                (["answer", "--query", query], "secrecy-instance search"),
+                (["answer", "--query", query, "--via", "direct"], "secrecy-instance search"),
+                (["answer", "--query", query, "--via", "asp"], "stable-model search"),
+                (["answer", "--query", query, "--via", "both"], "secrecy-instance search"),
+                (["solve"], "stable-model search")]
+    for command, stage in searches:
+        args = [*command, "--schema", schema, "--facts", facts, "--views", views]
+        code, _, err = run(capsys, *args, "--max-cells", "48")
         assert code == 2 and "unrecognized arguments: --max-cells" in err
-    for command in (["instances"], ["answer", "--query", query]):
-        code, _, err = run(capsys, *command, "--schema", schema, "--facts", facts,
-                           "--views", views, "--max-cells", "1")
-        assert code == 5 and "enumeration exceeded its bound of 1 candidate cells" in err
+        code, _, err = run(capsys, *args, "--max-nodes", "0")
+        assert code == 5 and f"{stage} exceeded its bound of 0 nodes" in err
+        code, _, _ = run(capsys, *args, "--max-nodes", "100")
+        assert code == 0
+
+
+def test_instances_past_the_default_bound_exit_5_before_assembling(files, capsys):
+    """k=13 independent violating pairs: 3^13 secrecy instances to
+    assemble are more than the default 2^20 nodes."""
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", " ".join(f"P({i}, {100 + i}). R({100 + i}, {200 + i})."
+                                   for i in range(1, 14)))
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.")
+    code, out, err = run(capsys, "instances", "--schema", schema, "--facts", facts,
+                         "--views", views)
+    assert code == 5 and not out
+    assert err == ("bound exceeded: secrecy-instance search exceeded its bound of 1048576 "
+                   "nodes (65 nodes visited, 39 component transversals found, "
+                   "1594323 instances to assemble)\n")
 
 
 def test_unreadable_input_text_exits_2(files, capsys, tmp_path):
@@ -278,8 +305,8 @@ def test_negative_bounds_are_usage_errors(files, capsys):
     query = "?(X,Y) :- P(X,Y)."
     for command, flag in ((["answer", "--via", "asp", "--query", query], "--max-nodes"),
                           (["solve"], "--max-models"),
-                          (["instances"], "--max-cells"),
-                          (["answer", "--query", query], "--max-cells")):
+                          (["instances"], "--max-nodes"),
+                          (["answer", "--query", query], "--max-nodes")):
         code, out, err = run(capsys, *command, "--schema", schema, "--facts", facts,
                              "--views", views, flag, "-5")
         assert code == 2 and not out and "must not be negative: -5" in err

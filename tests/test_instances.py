@@ -141,9 +141,9 @@ def test_constant_body_views_diverge_only_in_exhaustive_mode():
 def test_bounds_are_enforced():
     case = four_tuple_example()
     with pytest.raises(BoundExceededError, match=(
-            r"^secrecy-instance enumeration exceeded its bound of 2 candidate cells "
-            r"\(4 cells in the pool\)$")):
-        enumerate_secrecy_instances(case.instance, case.views, max_cells=2)
+            r"^secrecy-instance search exceeded its bound of 2 nodes "
+            r"\(2 nodes visited, 1 transversals found so far\)$")):
+        enumerate_secrecy_instances(case.instance, case.views, max_nodes=2)
     with pytest.raises(BoundExceededError, match=(
             r"^secrecy-instance oracle exceeded its bound of 3 non-null cells "
             r"\(8 cells in the instance\)$")):
@@ -343,6 +343,11 @@ def _stream_database(p_rows, r_rows):
             parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema))
 
 
+def _k_pairs(k: int):
+    return _stream_database([(i, 100 + i) for i in range(1, k + 1)],
+                            [(100 + i, 200 + i) for i in range(1, k + 1)])
+
+
 @pytest.mark.parametrize("p_rows, r_rows, n_edges, n_transversals", [
     ([(i, 100) for i in range(1, 7)], [(100, i) for i in range(1, 7)], 72, 3971),
     ([(1, 100)], [(100, i) for i in range(1, 13)], 24, 4097),
@@ -444,10 +449,50 @@ def test_the_product_of_the_components_is_the_search_over_all_edges_randomized()
 def test_k_independent_violations_are_k_components_counted_without_the_product():
     """At k=12 the 531,441 secrecy instances are twelve components of
     three transversals each, counted without building the product."""
-    schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
-    view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
-    d = parse_facts(" ".join(f"P({i}, {100 + i}). R({100 + i}, {200 + i})."
-                             for i in range(1, 13)), schema)
-    solutions = enumerate_secrecy_instances(d, [view], max_cells=48)
+    d, view = _k_pairs(12)
+    solutions = enumerate_secrecy_instances(d, [view])
     assert [len(alternatives) for alternatives in solutions.components] == [3] * 12
     assert len(solutions) == 3 ** 12
+
+
+def test_the_star_of_twelve_is_enumerated_at_the_default_bound():
+    """One P row joined to twelve R rows: 26 candidate cells, which a
+    bound on cells refused, and 8,204 MMCS nodes, well inside the node
+    bound."""
+    d, view = _stream_database([(1, 100)], [(100, 200 + i) for i in range(1, 13)])
+    solutions = enumerate_secrecy_instances(d, [view])
+    assert len(candidate_cells(d, [view], EnumerationMode.TARGETED)) == 26
+    assert len(solutions) == len(list(solutions)) == 4097
+    assert solutions.budget.nodes == 8204
+
+
+def test_the_node_bound_names_the_search_and_its_progress():
+    """The biclique of six P and six R rows needs 7,976 MMCS nodes; a
+    bound of 1,000 stops the search with the transversals found so far."""
+    d, view = _stream_database([(i, 100) for i in range(1, 7)], [(100, i) for i in range(1, 7)])
+    with pytest.raises(BoundExceededError, match=(
+            r"^secrecy-instance search exceeded its bound of 1000 nodes "
+            r"\(1000 nodes visited, \d+ transversals found so far\)$")):
+        enumerate_secrecy_instances(d, [view], max_nodes=1000)
+
+
+def test_assembling_the_product_counts_against_the_node_bound(monkeypatch):
+    """At k=6 the six components take 30 MMCS nodes; the 729 secrecy
+    instances to assemble pass a bound of 100, which iterating checks
+    before it builds the first, while the length stays free."""
+    d, view = _k_pairs(6)
+    solutions = enumerate_secrecy_instances(d, [view], max_nodes=100)
+    assert len(solutions) == 729
+
+    def no_product(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(instances_module, "product", no_product)
+    for read in (list, lambda s: s[0]):
+        with pytest.raises(BoundExceededError, match=(
+                r"^secrecy-instance search exceeded its bound of 100 nodes "
+                r"\(30 nodes visited, 18 component transversals found, "
+                r"729 instances to assemble\)$")):
+            read(solutions)
+    monkeypatch.undo()
+    assert len(list(enumerate_secrecy_instances(d, [view], max_nodes=30 + 729))) == 729

@@ -285,7 +285,7 @@ def test_stable_models_match_brute_force_oracle(spied):
         assert stable_models(numbered(rules)) == oracle_stable_models(rules), rules
         for kind in _settled_kinds(spied):
             settled[kind] += 1
-        nodes += spied.searches[-1].nodes if spied.searches else 0  # each counts on
+        nodes += spied.searches[-1].budget.nodes if spied.searches else 0  # each counts on
     assert head_cycles >= 300  # the minimality-checked leaves are covered
     assert all(settled[kind] >= floor for kind, floor in SETTLED_KINDS.items()), settled
     # the search tree is pinned: a weaker propagation visits more nodes,
@@ -555,7 +555,7 @@ def test_search_nodes_grow_linearly_in_independent_violations(spied):
         spied.searches.clear()
         assert len(stable_models(ground(program.rules + (query,), program.facts))) == 3 ** k
         assert len(spied.searches) == k
-        nodes[k] = spied.searches[-1].nodes  # each search counts on from the last
+        nodes[k] = spied.searches[-1].budget.nodes  # each search counts on from the last
         assert nodes[k] <= k * nodes[1], nodes
 
 
@@ -572,7 +572,7 @@ def test_one_large_component_is_searched_as_one(spied, m, natoms, nodes):
     program = compile_program(parse_facts(facts, schema), views)
     assert len(stable_models(ground(program.rules + (query,), program.facts))) == 2 ** m + 1
     (search,) = spied.searches
-    assert (search.natoms, search.nodes) == (natoms, nodes)
+    assert (search.natoms, search.budget.nodes) == (natoms, nodes)
 
 
 def test_stable_models_do_not_depend_on_rule_order():
