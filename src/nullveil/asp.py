@@ -28,15 +28,28 @@ Queries are answered cautiously: the query is rewritten to its classical
 form, retargeted at `_s` atoms under a fresh `ans` head, and the answers
 true in every stable model are returned, read from the atoms true in
 every model without building each model; they must coincide with the
-secret answers of `answers`.  Only what the query reads is grounded
-(`solver.drop_unread`, which keeps every model's `ans` atoms): the `_s`
-and `_u` rules of a relation the query does not read go, and so do the
-`_t` rules and rows of one that no view reads either; the `_s` rule of a
-relation the query reads is unfolded into the `ans` rule, so no `_s`
-atom is grounded; and each row p(a, t) left enters as the fact
-p_t(a, t) in place of the copy rule.  Each secrecy instance is read off
-its stable model by projection: every `_s` atom is one tuple, named by
-its id; this reads the whole program's models.
+secret answers of `answers`.  Only what the `ans` rule reads is
+grounded, picked by relation: the view rules; the `_t` rule over `_a` of
+each relation that a view or the query reads; the `_u` rules of each
+relation the query reads; the `ans` rule with each `_s` atom replaced by
+the body of its relation's `_s` rule, the `_t` atom and the negated `_u`
+atom with the same arguments; and each row p(a, t) of a relation that a
+view or the query reads, as the fact p_t(a, t).  The answers stay.  An
+`_s` predicate has one rule, which only the `ans` rule reads, and only
+positively, so putting that rule's body in place of each `_s` atom keeps
+the stable models (GPPE, Brass & Dix 1997, "Characterizations of the
+disjunctive stable semantics by partial evaluation").  The copy rule's
+instances are p_t(a, t) :- p(a, t). for the rows, each with a true body,
+so the `_t` facts stand for them.  What is left out then is normal rules
+and facts whose heads no rule kept mentions: the `_s` rules, the rows as
+p facts, the `_u` rules of a relation the query does not read, and the
+copy and `_t` rules of one that no view reads either.  They form a top
+layer that splits off (Lifschitz & Turner 1994, "Splitting a logic
+program"), so each stable model of what is kept extends in exactly one
+way to one of the whole program, with the same `ans` atoms.  Each
+secrecy instance is read off its stable model by projection: every `_s`
+atom is one tuple, named by its id; this reads the whole program's
+models.
 
 Export produces solver-ready text for the dlv and clingo dialects
 (predicates lowercased, disjunction `v` respectively `|`); denial
@@ -50,13 +63,12 @@ import enum
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import DialectError, SemanticError, UnsupportedRuleError
+from .errors import CrossCheckError, DialectError, SemanticError, UnsupportedRuleError
 from .lang import (Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef, _Parser,
                    _check_rule)
 from .model import Instance, NULL, Row, Schema, Value
-from .semantics import AnswerSet, intersect_answers, relevant_vars, rewrite_query
-from .solver import (DEFAULT_SEARCH_BOUND, GAtom, Rule, StableModels, drop_unread, ground,
-                     stable_models)
+from .semantics import AnswerSet, relevant_vars, rewrite_query
+from .solver import DEFAULT_SEARCH_BOUND, GAtom, Rule, StableModels, ground, stable_models
 
 
 class Annotation(enum.Enum):
@@ -72,11 +84,20 @@ ANS_PRED = "ans"
 @dataclass(frozen=True, slots=True)
 class AnnotatedProgram:
     """The compiled secrecy program: the database as ground atoms, each
-    tuple's values with its id last, and the view and version rules, both
-    in compilation order."""
+    tuple's values with its id last; the view rules, in view order; and
+    per relation, by lowercased name in schema order, its version rules:
+    the copy rule, the `_t` rule over `_a`, the `_u` rules and the `_s`
+    rule."""
 
     facts: tuple[GAtom, ...]
-    rules: tuple[Rule, ...]
+    view_rules: tuple[Rule, ...]
+    version_rules: dict[str, tuple[Rule, ...]]
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        """The view rules, then each relation's version rules."""
+        return self.view_rules + tuple(
+            r for rules in self.version_rules.values() for r in rules)
 
 
 def _ann(pred: str, annotation: Annotation) -> str:
@@ -122,14 +143,13 @@ def compile_program(instance: Instance, views) -> AnnotatedProgram:
     _check_reserved_names(instance.schema)
     facts = tuple((name.lower(), row.values + (Value.of_int(row.tid),))
                   for name in instance.schema.names() for row in instance.rows(name))
-    rules: list[Rule] = []
+    view_rules: list[Rule] = []
     for view in views:
         _check_rule(view, instance.schema, allow_null=False)
-        rules.extend(_view_rules(view))
-
-    for rel in instance.schema.relations:
-        rules.extend(_version_rules(rel.name.lower(), rel.arity))
-    return AnnotatedProgram(facts, tuple(rules))
+        view_rules.extend(_view_rules(view))
+    return AnnotatedProgram(facts, tuple(view_rules), {
+        rel.name.lower(): tuple(_version_rules(rel.name.lower(), rel.arity))
+        for rel in instance.schema.relations})
 
 
 def _version_rules(low: str, arity: int) -> list[Rule]:
@@ -237,27 +257,43 @@ def models_to_instances(models, base: Instance) -> list[Instance]:
 def cautious_answers(instance: Instance, views, query: Query,
                      max_nodes: int = DEFAULT_SEARCH_BOUND) -> AnswerSet:
     """Query answers true in every stable model of the secrecy program,
-    grounding only the rules the query reads, its `_s` rules unfolded
-    into the `ans` rule, and only the rows of relations those rules read,
-    each given as its `_t` atom in place of the copy rule (see
-    `drop_unread`)."""
+    grounding only the part that the `ans` rule reads, picked by
+    relation (see the module docstring)."""
     _check_rule(query, instance.schema, allow_null=True)
     program = compile_program(instance, views)
     query_rule = compile_query_program(query)
-    rules, facts = drop_unread(program.rules + (query_rule,), {ANS_PRED}, program.facts)
+    # p from p_s and p_t: every annotation is one letter
+    queried = {a.pred[:-2] for a in query_rule.pos}
+    read = queried | {a.pred[:-2] for r in program.view_rules for a in r.pos}
+    rules = list(program.view_rules)
+    for low, (_, t_rule, *u_rules, _) in program.version_rules.items():
+        if low in read:
+            rules.append(t_rule)
+        if low in queried:
+            rules += u_rules
+    rules.append(Rule(
+        query_rule.head,
+        tuple(Atom(_ann(a.pred[:-2], Annotation.T), a.args) for a in query_rule.pos),
+        tuple(Atom(_ann(a.pred[:-2], Annotation.U), a.args) for a in query_rule.pos),
+        query_rule.builtins))
+    facts = [(_ann(pred, Annotation.T), values) for pred, values in program.facts if pred in read]
     return model_answers(stable_models(ground(rules, facts), max_nodes))
 
 
 def model_answers(models) -> AnswerSet:
-    """Cautious answers: the `ans` rows true in every stable model; no
-    stable model at all raises `CrossCheckError`.  `models` is what
-    `stable_models` returns, which gives its atoms true in every model
-    without building each model, or any list of models."""
+    """Cautious answers: the `ans` rows true in every stable model,
+    compared syntactically, nulls included.  No stable model at all has
+    no certain answers to speak of and raises `CrossCheckError` rather
+    than reading as the empty answer.  `models` is what `stable_models`
+    returns, which gives its atoms true in every model without building
+    each model, or any list of models."""
     if isinstance(models, StableModels):
         models = [models.cautious()] if models else []
-    return intersect_answers(
-        frozenset(args for pred, args in model if pred == ANS_PRED)
-        for model in models)
+    answer_sets = [frozenset(args for pred, args in model if pred == ANS_PRED)
+                   for model in models]
+    if not answer_sets:
+        raise CrossCheckError("no stable model to take answers over")
+    return frozenset.intersection(*answer_sets)
 
 
 # --------------------------------------------------------------------------

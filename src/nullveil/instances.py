@@ -67,7 +67,6 @@ agree.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -238,7 +237,7 @@ def _components(edges) -> list[list[frozenset]]:
     return list(components.values())
 
 
-class SecrecyInstances(Sequence):
+class SecrecyInstances:
     """The secrecy instances of `base`, lazily, as the product of its
     components' alternatives.
 
@@ -247,10 +246,10 @@ class SecrecyInstances(Sequence):
     component's minimal transversals in canonical order.  A secrecy
     instance picks one alternative per component and nulls their union.
     The length is the product of the counts, computed without building
-    the product; indexing or iterating builds and sorts it on each call,
-    and yields `SecrecySolution`s in canonical order.  Each instance
-    assembled from two or more components is one node of `budget`,
-    checked before the first is built.
+    the product; iterating builds and sorts it on each call, and yields
+    `SecrecySolution`s in canonical order.  Each instance assembled from
+    two or more components is one node of `budget`, checked before the
+    first is built.
     """
 
     def __init__(self, base: Instance, components: tuple[tuple[ChangeSet, ...], ...],
@@ -272,9 +271,6 @@ class SecrecyInstances(Sequence):
             changes = frozenset().union(*(a[i] for a, i in zip(self.components, choice)))
             picked.append((changes, choice))
         return sorted(picked, key=lambda item: sorted_cells(item[0]))
-
-    def __getitem__(self, index: int) -> SecrecySolution:
-        return SecrecySolution(self.choices()[index][0], self.base)
 
     def __iter__(self):
         return (SecrecySolution(changes, self.base) for changes, _ in self.choices())

@@ -21,9 +21,6 @@ witness pass of secret answers and the grounder in `solver` bind
 conjunctive bodies through it.  Over instances every atom scans its
 relation; secret answers scan every version of each row at once, and
 the grounder's row source probes a hash index instead.
-`intersect_answers` intersects the answer sets of the stable models, for
-cautious answers; secret answers decide each candidate by a countermodel
-search instead (see `answers`).
 
 Everything here is pure over immutable instances; evaluations can run
 concurrently.
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .errors import CrossCheckError, SemanticError
+from .errors import SemanticError
 from .lang import Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var
 from .model import Instance, NULL, Row, Value
 
@@ -182,17 +179,6 @@ def _extend(rows_of: RowSource, atoms: tuple[Atom, ...], i: int, env: Assignment
                     break
         else:
             yield from _extend(rows_of, atoms, i + 1, bound, matched + (row,))
-
-
-def intersect_answers(answer_sets: Iterable[AnswerSet]) -> AnswerSet:
-    """Rows common to every answer set of a non-empty family of stable
-    models, compared syntactically, nulls included.  An empty family has
-    no certain answers to speak of and is reported as a fault rather than
-    read as the empty answer."""
-    sets = list(answer_sets)
-    if not sets:
-        raise CrossCheckError("no stable model to take answers over")
-    return frozenset.intersection(*sets)
 
 
 def project(query: Query, env: Assignment) -> tuple[Value, ...]:

@@ -54,26 +54,6 @@ not all of them.  A column is indexed the first time a rule probes it
 or a semi-join reads it, and kept up to date from then on; columns that
 no rule binds cost nothing.
 
-A caller that reads only some predicates, as cautious answers read only
-`ans`, can shrink the program before grounding with `drop_unread`.  It
-drops the top layer that those predicates do not read, which splits off
-(Lifschitz & Turner 1994, below), and it unfolds every other predicate
-that one normal rule defines and that occurs elsewhere only in positive
-bodies: each occurrence is replaced by that rule's body, which keeps the
-stable models by the generalized principle of partial evaluation (GPPE;
-Brass & Dix 1997), and the rule, which then nothing reads, goes as a top
-layer.  ASP preprocessors eliminate such predicates the same way
-(Gebser, Kaufmann, Neumann & Schaub 2008, "Advanced preprocessing for
-answer set solving").  The stable models of what is left are those of
-the whole program restricted to the predicates left.  The same pass
-takes the facts: those that nothing left reads go, and a predicate whose
-facts one rule left reads, and copies unchanged into its head, enters at
-that head, the copy unfolded with the facts as its definition.  On a
-secrecy program this unfolds the `_s` rule of each relation the query
-reads into the `ans` rule, so no `_s` atom is grounded, and the rows of
-each relation a view or the query reads enter as `_t` facts, so no atom
-of the relation itself is grounded.
-
 Almost all of a ground secrecy program is decided before any search:
 its facts, what they derive, and the atoms nothing can derive.  So one
 linear pass settles it first, the standard grounder simplification
@@ -153,7 +133,7 @@ on the order in which the search finds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
@@ -396,143 +376,6 @@ def ground(rules: Iterable[Rule], facts: Iterable[GAtom] = (),
                     instantiate(r, k, iter_matches(store.rows_of, order, first=seeds))
         delta = store.end_round()
     return GroundProgram(list(store.numbers), list(out))
-
-
-def _substituted(args: tuple, env: dict) -> tuple:
-    """`args` with each variable named in `env` replaced."""
-    return tuple(env.get(t.name, t) if isinstance(t, Var) else t for t in args)
-
-
-def drop_unread(rules: Iterable[Rule], keep,
-                facts: Iterable[GAtom] = ()) -> tuple[list[Rule], list[GAtom]]:
-    """`rules` less the top layer that the predicates in `keep` do not read,
-    with every predicate that one normal rule defines unfolded, and
-    `facts`, ground atoms, less those that nothing left reads, with every
-    predicate that one copy rule reads entering at that rule's head.
-
-    First it drops, repeatedly, every rule of a predicate P outside `keep`
-    when each rule defining P has P as its only head atom and does not
-    read P, and no other rule left mentions P, in a head or a body.  The
-    dropped rules then form a non-recursive top layer of normal rules:
-    none of the rules left mentions a predicate they define, so those
-    rules split the program (Lifschitz & Turner 1994), and each stable
-    model of the rules left extends in exactly one way to one of the
-    whole program.  A constraint is never dropped, nor is a rule of a
-    predicate that reads itself, such as `a :- not a.`.
-
-    Then it unfolds each predicate P outside `keep` that exactly one rule
-    and no fact defines, with P as its only head atom over pairwise
-    distinct variables and a positive body that is not empty and does not
-    read P, when every other occurrence of P is a positive body atom.  Each
-    occurrence is replaced by the defining rule's positive body under the
-    substitution of its head's variables by the occurrence's terms, the
-    rule's other variables renamed apart for each occurrence, and its
-    negated atoms and built-ins are appended; then the defining rule goes.
-    Replacing a positive body atom by the bodies of the rules that define
-    it keeps the stable models (GPPE, Brass & Dix 1997).  A ground
-    occurrence has exactly the ground instances of the one definition
-    with its head as the bodies to put in its place; where one rule reads
-    P twice at the same ground atom, the rules whose two copies differ
-    are subsumed by the one whose copies agree.  After that only its own
-    rule mentions P, a top layer as above.  Unfolding keeps the polarity
-    of every occurrence and leaves nothing unread that was read, so
-    nothing is left to drop after it.
-
-    Last come the facts.  A fact of a predicate outside `keep` that no
-    rule left mentions goes: it is true in every model, and nothing reads
-    it.  A predicate P with facts, outside `keep` and mentioned by exactly
-    one rule left, enters at that rule's head when the rule is a copy
-    `Q(X1..Xn) :- P(X1..Xn).`: one head atom, one positive atom, the same
-    pairwise distinct variables in the same order, nothing negated and no
-    built-in.  Each fact P(a) is then given as Q(a), and the copy goes.
-    So no other rule heads P, and its facts are its definition; this is
-    the unfolding above with that definition (GPPE): the copy's ground
-    instances are `Q(a) :- P(a).` for the facts P(a), each with a body
-    that is true.
-
-    The stable models of the rules and facts left are those of `rules`
-    and `facts` restricted to the predicates left.  The rules left keep
-    their order, each unfolded rule in its reader's place, and so do the
-    facts."""
-    rules = list(rules)
-    facts = list(facts)
-    factual = {pred for pred, _ in facts}
-    sole: dict[str, list[int]] = {}  # predicate -> the rules that define it alone
-    others: dict[str, int] = {}  # predicate -> rules left that mention it otherwise
-    mentions = []
-    for i, r in enumerate(rules):
-        body = {a.pred for a in r.pos + r.neg}
-        defines = r.head[0].pred if len(r.head) == 1 and r.head[0].pred not in body else None
-        if defines is not None:
-            sole.setdefault(defines, []).append(i)
-        mentions.append(body | {a.pred for a in r.head})
-        for pred in mentions[-1]:
-            if pred != defines:
-                others[pred] = others.get(pred, 0) + 1
-    live = [True] * len(rules)
-    drop = [pred for pred in sole if pred not in keep and not others.get(pred)]
-    while drop:
-        pred = drop.pop()
-        for i in sole[pred]:
-            live[i] = False
-            for read in mentions[i] - {pred}:
-                others[read] -= 1
-                if not others[read] and read in sole and read not in keep:
-                    drop.append(read)
-    rules = [r for r, alive in zip(rules, live) if alive]
-    heading: dict[str, list[int]] = {}  # predicate -> a rule per head occurrence
-    negated = {a.pred for r in rules for a in r.neg}
-    for i, r in enumerate(rules):
-        for atom in r.head:
-            heading.setdefault(atom.pred, []).append(i)
-    for pred, (i, *more) in heading.items():
-        definition = rules[i]  # as unfolded so far
-        head = definition.head[0].args
-        if (more or pred in keep or pred in negated or pred in factual or len(definition.head) > 1
-                or not all(isinstance(t, Var) for t in head) or len(set(head)) < len(head)
-                or not definition.pos or any(a.pred == pred for a in definition.pos)):
-            continue
-        rules[i] = None
-        names = [t.name for t in head]
-        inner = sorted({t.name for item in definition.pos + definition.neg + definition.builtins
-                        for t in item.args if isinstance(t, Var)} - set(names))
-        for j, r in enumerate(rules):
-            if r is None or all(a.pred != pred for a in r.pos):
-                continue
-            used = {t.name for item in r.head + r.pos + r.neg + r.builtins
-                    for t in item.args if isinstance(t, Var)} if inner else set()
-            fresh = (name for name in (f"V{k}" for k in count(1)) if name not in used)
-            pos, neg, builtins = [], list(r.neg), list(r.builtins)
-            for atom in r.pos:
-                if atom.pred != pred:
-                    pos.append(atom)
-                    continue
-                env = dict(zip(names, atom.args))
-                env.update((name, Var(next(fresh))) for name in inner)
-                pos += (Atom(a.pred, _substituted(a.args, env)) for a in definition.pos)
-                neg += (Atom(a.pred, _substituted(a.args, env)) for a in definition.neg)
-                builtins += (BuiltinAtom(b.op, _substituted(b.args, env))
-                             for b in definition.builtins)
-            rules[j] = Rule(r.head, tuple(pos), tuple(neg), tuple(builtins))
-    rules = [r for r in rules if r is not None]
-    mentioning: dict[str, list[int]] = {}  # predicate -> the rules that mention it
-    for i, r in enumerate(rules):
-        for pred in {a.pred for a in r.head + r.pos + r.neg}:
-            mentioning.setdefault(pred, []).append(i)
-    copied: dict[str, str] = {}  # extensional predicate -> the head its copy gives its facts
-    for pred in factual:
-        if pred in keep or len(mentioning.get(pred, ())) != 1:
-            continue
-        (i,) = mentioning[pred]
-        r = rules[i]
-        args = r.pos[0].args if len(r.pos) == 1 else None
-        if (len(r.head) == 1 and r.head[0].args == args and not r.neg and not r.builtins
-                and all(isinstance(t, Var) for t in args) and len(set(args)) == len(args)):
-            copied[pred] = r.head[0].pred
-            rules[i] = None
-    facts = [(copied.get(pred, pred), values) for pred, values in facts
-             if pred in mentioning or pred in keep]
-    return [r for r in rules if r is not None], facts
 
 
 # --------------------------------------------------------------------------

@@ -11,13 +11,12 @@ from nullveil import (Atom, BuiltinAtom, Const, DialectError, NULL, ParseError, 
                       parse_facts, parse_query, parse_schema, parse_view)
 from nullveil import asp
 from nullveil.answers import secret_answers
-from nullveil.asp import (ANS_PRED, cautious_answers, compile_program,
-                          compile_query_program, export_program, export_rule,
-                          model_answers, models_to_instances, parse_answer_sets,
-                          parse_program_text, to_denial_constraints)
+from nullveil.asp import (cautious_answers, compile_program, compile_query_program,
+                          export_program, export_rule, model_answers, models_to_instances,
+                          parse_answer_sets, parse_program_text, to_denial_constraints)
 from nullveil.errors import NullveilError
 from nullveil.instances import enumerate_secrecy_instances
-from nullveil.solver import drop_unread, ground, stable_models
+from nullveil.solver import _gatom_key, ground, stable_models
 
 from corpus import answers, four_tuple_example, nonmono_example, two_tuple_example
 from randgen import rand_case, rand_query
@@ -432,20 +431,40 @@ def test_asp_route_matches_enumeration_on_self_joins_randomized():
     assert self_joined >= 100
 
 
-def test_grounding_only_what_the_query_reads_keeps_the_answers_randomized():
+def spy_on_ground(monkeypatch) -> list:
+    """The (rules, facts) of each call to `ground` that `asp` makes, in a
+    list that the test may clear."""
+    grounded = []
+
+    def spying(rules, facts=(), **kwargs):
+        grounded.append((list(rules), list(facts)))
+        return ground(rules, facts, **kwargs)
+    monkeypatch.setattr(asp, "ground", spying)
+    return grounded
+
+
+def leaves_out_u_rules(program, rules) -> bool:
+    """Whether `rules` lack some `_u` rule of the compiled `program`."""
+    return any(u not in rules for _, _, *u_rules, _ in program.version_rules.values()
+               for u in u_rules)
+
+
+def test_grounding_only_what_the_query_reads_keeps_the_answers_randomized(monkeypatch):
     """`cautious_answers` sets aside the rules of the relations the query
     does not read; its answers, or the class of error it raises, are those
-    of all the stable models of the whole program."""
+    of all the stable models of the whole program.  The last 300 cases
+    have views with constants in their bodies."""
     rng = random.Random(137)
+    grounded = spy_on_ground(monkeypatch)
     pruned = nonempty = 0
-    for i in range(600):
+    for i in range(900):
         schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
                                             lp_safe=bool(i % 2), self_joins=bool(i // 2 % 2),
-                                            max_arity=3)
+                                            max_arity=3, body_const_prob=0.2 * (i >= 600))
         query = rand_query(rng, schema)
         program = compile_program(instance, views)
         rules = program.rules + (compile_query_program(query),)
-        pruned += len(drop_unread(rules, {ANS_PRED}, program.facts)[0]) < len(rules)
+        grounded.clear()
         outcomes = []
         for answer in (lambda: cautious_answers(instance, views, query),
                        lambda: model_answers(stable_models(ground(rules, program.facts)))):
@@ -455,8 +474,48 @@ def test_grounding_only_what_the_query_reads_keeps_the_answers_randomized():
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1], (instance, [v.token() for v in views],
                                             query.token())
+        pruned += bool(grounded) and leaves_out_u_rules(program, grounded[0][0])
         nonempty += bool(outcomes[0])
-    assert pruned >= 150 and nonempty >= 50, (pruned, nonempty)
+    # 264 and 114
+    assert pruned >= 200 and nonempty >= 80, (pruned, nonempty)
+
+
+def test_the_grounded_part_has_the_whole_programs_models_randomized(monkeypatch):
+    """On 600 random cases, the stable models of the rules and rows that
+    `cautious_answers` grounds are those of the whole secrecy program and
+    the query rule, restricted to the predicates it grounds, one for one.
+    Half the cases have views with constants in their bodies.  There is
+    always a model: the program has no constraint, and its only negated
+    atoms, the `_u` atoms of the `_s` rules, depend on no `_s` atom."""
+    rng = random.Random(181)
+    grounded = spy_on_ground(monkeypatch)
+    kinds = dict.fromkeys(("_u rules left out", "_t rules left out", "several models",
+                           "answers"), 0)
+    for i in range(600):
+        schema, instance, views = rand_case(rng, max_tuples=4, max_views=3, n_consts=3,
+                                            lp_safe=bool(i % 2), self_joins=True, max_arity=3,
+                                            body_const_prob=0.2 * (i // 2 % 2))
+        query = rand_query(rng, schema)
+        grounded.clear()
+        answers = cautious_answers(instance, views, query)
+        (rules, facts), = grounded
+        program = compile_program(instance, views)
+        whole = stable_models(ground(program.rules + (compile_query_program(query),),
+                                     program.facts))
+        kept = {a.pred for r in rules for a in r.head + r.pos + r.neg}
+        kept |= {pred for pred, _ in facts}
+        models = sorted(sorted(map(_gatom_key, m)) for m in stable_models(ground(rules, facts)))
+        assert models == sorted(sorted(_gatom_key(a) for a in m if a[0] in kept)
+                                for m in whole), (instance, [v.token() for v in views],
+                                                  query.token())
+        kinds["_u rules left out"] += leaves_out_u_rules(program, rules)
+        kinds["_t rules left out"] += any(t_rule not in rules
+                                          for _, t_rule, *_ in program.version_rules.values())
+        kinds["several models"] += len(whole) > 1
+        kinds["answers"] += bool(answers)
+    # 202, 46, 42 and 91
+    assert kinds["_u rules left out"] >= 150 and kinds["answers"] >= 70, kinds
+    assert kinds["_t rules left out"] >= 30 and kinds["several models"] >= 30, kinds
 
 
 @pytest.mark.parametrize("query", ["?(X) :- P(X, Y).", "?(X, Z) :- P(X, Y), R(Y, Z)."])

@@ -104,8 +104,9 @@ def test_enumerate_admissible_base_returns_identity():
     case = nonmono_example(with_r=False)
     solutions = enumerate_secrecy_instances(case.instance, case.views)
     assert len(solutions) == 1
-    assert solutions[0].changes == frozenset()
-    assert solutions[0].instance == case.instance
+    solution = next(iter(solutions))
+    assert solution.changes == frozenset()
+    assert solution.instance == case.instance
 
 
 def test_oracle_agrees_on_goldens():
@@ -488,7 +489,7 @@ def test_assembling_the_product_counts_against_the_node_bound(monkeypatch):
         raise AssertionError("an instance was built")
 
     monkeypatch.setattr(instances_module, "product", no_product)
-    for read in (list, lambda s: s[0]):
+    for read in (list, lambda s: next(iter(s))):
         with pytest.raises(BoundExceededError, match=(
                 r"^secrecy-instance search exceeded its bound of 100 nodes "
                 r"\(30 nodes visited, 18 component transversals found, "

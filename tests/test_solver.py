@@ -10,7 +10,7 @@ from nullveil import (Atom, BoundExceededError, BuiltinAtom, Const, CrossCheckEr
 from nullveil.asp import (ANS_PRED, cautious_answers, compile_program, compile_query_program,
                           model_answers)
 from nullveil.semantics import builtin_classical
-from nullveil.solver import GroundProgram, Rule, drop_unread, fact, ground, stable_models
+from nullveil.solver import GroundProgram, Rule, fact, ground, stable_models
 
 from randgen import rand_case, rand_query
 
@@ -623,7 +623,7 @@ def test_grounding_a_query_rule_is_classical_evaluation_randomized():
 
 
 # --------------------------------------------------------------------------
-# facts, the unread top layer, and readback
+# facts and readback
 
 def test_facts_ground_as_fact_rules_randomized():
     """Atoms given as `facts` ground exactly as the same atoms given as
@@ -640,295 +640,6 @@ def test_facts_ground_as_fact_rules_randomized():
     # ahead of the body-free rules too
     choice = [Rule((a0("x"), a0("y")))]
     assert ground(choice, [("y", ())]) == ground([fact(a0("y"))] + choice)
-
-
-def _above_the_query(rules) -> list:
-    """`rules` after the fact q and an `ans` rule that reads it."""
-    return [fact(a0("q")), Rule((a0(ANS_PRED),), (a0("q"),))] + rules
-
-
-def _cautious(rules):
-    return model_answers(stable_models(ground(rules)))
-
-
-def test_an_odd_loop_above_the_query_is_kept():
-    """`a :- ans, not a.` reads a itself, so it stays, and there is still
-    no stable model."""
-    whole = _above_the_query([Rule((a0("a"),), (a0(ANS_PRED),), (a0("a"),))])
-    assert drop_unread(whole, {ANS_PRED}) == (whole, [])
-    with pytest.raises(CrossCheckError):
-        _cautious(whole)
-
-
-def test_two_rules_of_one_unread_predicate_go_together():
-    """b is defined twice, each time alone in the head, and nothing else
-    mentions it: both rules go, then c, which only b read, and the
-    answers stay."""
-    whole = _above_the_query([Rule((a0("b"),), (a0("q"),)),
-                              Rule((a0("b"),), (), (a0("c"),)),
-                              Rule((a0("c"),), (a0("q"),))])
-    kept, _ = drop_unread(whole, {ANS_PRED})
-    assert kept == whole[:2]
-    assert _cautious(kept) == _cautious(whole) == {()}
-
-
-def test_a_predicate_in_a_disjunctive_head_is_kept():
-    """b heads `b :- q.` alone, but also the disjunction `b v c.`, so
-    neither rule goes."""
-    whole = _above_the_query([Rule((a0("b"),), (a0("q"),)), Rule((a0("b"), a0("c")))])
-    assert drop_unread(whole, {ANS_PRED}) == (whole, [])
-    assert _cautious(whole) == {()}
-
-
-X, Y = Var("X"), Var("Y")
-ONE, TWO = Const(Value.of_int(1)), Const(Value.of_int(2))
-
-
-def unary(pred):
-    return lambda term: Atom(pred, (term,))
-
-
-q, p, r, s, ans = map(unary, ("q", "p", "r", "s", ANS_PRED))
-
-
-def _keyed_models(rules, facts=()) -> list:
-    """The oracle's stable models of `rules` and `facts`, grounded, as
-    sets of `_gatom_key`s, which sort."""
-    keyed = [tuple(tuple(map(solver._gatom_key, part)) for part in rule)
-             for rule in decoded(ground(rules, facts))]
-    return oracle_stable_models(keyed)
-
-
-def _rand_unfolding_program(rng: random.Random) -> list:
-    """Random 0-ary rules over a, b and c, as in `_rand_ground_program`,
-    with the facts q(1) and maybe q(2), one definition of p, maybe a rule
-    that blocks unfolding p, and one or two readers of p or of s, which
-    reads p; in random order."""
-    zero = [a0(name) for name in "abc"[:rng.randint(1, 3)]]
-
-    def some(sizes):
-        return tuple(rng.sample(zero, min(len(zero), rng.choice(sizes))))
-    rules = [Rule(some((0, 1, 1, 2)), some((0, 1, 1)), some((0, 0, 1)))
-             for _ in range(rng.randint(0, 2))]
-    rules += [fact(q(ONE))] + [fact(q(TWO))] * (rng.random() < 0.5)
-    rules.append(rng.choice([
-        Rule((p(X),), (q(X),) + some((0, 1)), some((0, 0, 1))),
-        # a variable outside the head, and a built-in over it
-        Rule((p(X),), (q(X), q(Y)), builtins=(BuiltinAtom("!=", (X, Y)),)),
-        Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, TWO)),)),
-    ]))
-    if rng.random() < 0.4:
-        rules.append(rng.choice([
-            Rule((p(X),), (q(X),), some((0, 1))),  # a second definition
-            Rule((p(X), zero[0]), (q(X),)),  # a disjunctive head
-            Rule((zero[0],), (q(X),), (p(X),)),  # a negated occurrence
-            Rule((p(X),), (p(X), q(X))),  # a definition that reads p
-        ]))
-    rules += rng.sample([
-        Rule((ans(X),), (p(X),) + some((0, 1)), some((0, 0, 1))),
-        Rule((ans(ONE),), (p(ONE),)),  # a constant at the occurrence
-        Rule((ans(X),), (q(X), p(Y), p(X))),  # two occurrences
-        Rule(some((1,)), (p(TWO),), some((0, 1))),
-        Rule((), (p(X),) + some((1,))),  # a constraint
-        Rule((ans(X),), (s(X),)),
-    ], rng.randint(1, 2))
-    if any(s(X) in rule.pos for rule in rules):
-        rules.append(Rule((s(X),), (p(X),), some((0, 1))))
-    return rng.sample(rules, len(rules))
-
-
-def test_the_pass_keeps_the_stable_models_randomized():
-    """On 1,000 random programs with `ans` kept, the oracle's stable
-    models after `drop_unread` are those before it, restricted to the
-    predicates left, one for one, also when there is none; and the
-    search finds them too."""
-    rng = random.Random(151)
-    kinds = dict.fromkeys(("unfolded", "p kept", "s and p unfolded", "renamed apart",
-                           "no model"), 0)
-    for _ in range(1000):
-        rules = _rand_unfolding_program(rng)
-        kept, _ = drop_unread(rules, {ANS_PRED})
-        left = {a.pred for rule in kept for a in rule.head + rule.pos + rule.neg}
-        models = _keyed_models(kept)
-        before = _keyed_models(rules)
-        assert models == sorted((frozenset(a for a in m if a[0] in left) for m in before),
-                                key=sorted), (rules, kept)
-        assert [frozenset(map(solver._gatom_key, m)) for m in stable_models(ground(kept))] \
-            == models, (rules, kept)
-        kinds["unfolded"] += any(rule not in rules for rule in kept)
-        kinds["p kept"] += "p" in left
-        kinds["s and p unfolded"] += (Rule((ans(X),), (s(X),)) in rules
-                                      and not left & {"s", "p"})
-        kinds["renamed apart"] += Var("V1") in {t for rule in kept for a in rule.pos
-                                                for t in a.args}
-        kinds["no model"] += not before
-    # 715, 364, 163, 202 and 170
-    assert all(count >= 100 for count in kinds.values()), kinds
-
-
-@pytest.mark.parametrize("whole", [
-    # p is negated
-    [fact(q(ONE)), Rule((p(X),), (q(X),)), Rule((ans(X),), (p(X),)),
-     Rule((ans(X),), (q(X),), (p(X),))],
-    # p sits in a disjunctive head
-    [fact(q(ONE)), Rule((p(X), r(X)), (q(X),)), Rule((ans(X),), (p(X),)),
-     Rule((ans(X),), (r(X),))],
-    # p has two definitions
-    [fact(q(ONE)), fact(q(TWO)), Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, ONE)),)),
-     Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, TWO)),)), Rule((ans(X),), (p(X),))],
-    # p's definition has an empty body
-    [fact(q(ONE)), fact(a0("p")), Rule((ans(X),), (q(X), a0("p")))],
-    # p's definition reads p
-    [fact(q(ONE)), Rule((p(X),), (q(X), p(X))), Rule((ans(X),), (p(X),))],
-    # p's head repeats a variable, so p(Y, 1) cannot be substituted
-    [fact(q(ONE)), fact(q(TWO)), Rule((Atom("p", (X, X)),), (q(X),)),
-     Rule((ans(Y),), (q(Y), Atom("p", (Y, ONE))))],
-], ids=["negated", "disjunctive-head", "two-definitions", "empty-body", "reads-itself",
-        "repeated-head-variable"])
-def test_what_the_pass_does_not_unfold(whole):
-    assert drop_unread(whole, {ANS_PRED}) == (whole, [])
-
-
-@pytest.mark.parametrize("whole, unfolded, answers", [
-    # a constant at the occurrence: the definition's negated atom gets it
-    ([fact(q(ONE)), fact(q(TWO)), fact(r(TWO)), Rule((p(X),), (q(X),), (r(X),)),
-      Rule((ans(Y),), (q(Y), p(ONE)))],
-     [Rule((ans(Y),), (q(Y), q(ONE)), (r(ONE),))],
-     {(Value.of_int(1),), (Value.of_int(2),)}),
-    # Y, outside the head, is renamed apart at each of two occurrences,
-    # past the reader's own V1; one Y for both would pair 1 and 2 with
-    # nothing but themselves
-    ([fact(Atom(pred, tuple(Const(Value.of_int(v)) for v in values)))
-      for pred, values in [("r", (5,)), ("r", (6,)), ("e", (1, 5)), ("e", (2, 6))]]
-     + [Rule((p(X),), (Atom("e", (X, Y)), r(Y))),
-        Rule((Atom(ANS_PRED, (X, Var("V1"))),), (p(X), p(Var("V1"))))],
-     [Rule((Atom(ANS_PRED, (X, Var("V1"))),),
-           (Atom("e", (X, Var("V2"))), r(Var("V2")), Atom("e", (Var("V1"), Var("V3"))),
-            r(Var("V3"))))],
-     {(Value.of_int(i), Value.of_int(j)) for i in (1, 2) for j in (1, 2)}),
-    # the definition's built-in over the constants it is given: false at 2
-    ([fact(q(ONE)), fact(q(TWO)), Rule((p(X),), (q(X),), builtins=(BuiltinAtom("!=", (X, TWO)),)),
-      Rule((ans(ONE),), (p(ONE),)), Rule((ans(TWO),), (p(TWO),))],
-     [Rule((ans(ONE),), (q(ONE),), builtins=(BuiltinAtom("!=", (ONE, TWO)),)),
-      Rule((ans(TWO),), (q(TWO),), builtins=(BuiltinAtom("!=", (TWO, TWO)),))],
-     {(Value.of_int(1),)}),
-], ids=["constant", "variable-outside-the-head", "built-in-over-constants"])
-def test_unfolding_substitutes_the_occurrence(whole, unfolded, answers):
-    kept, _ = drop_unread(whole, {ANS_PRED})
-    assert [rule for rule in kept if rule not in whole] == unfolded
-    assert _cautious(kept) == _cautious(whole) == answers
-
-
-def e(*terms):
-    return Atom("e", terms)
-
-
-def t(*terms):
-    return Atom("t", terms)
-
-
-def _rand_copy_program(rng: random.Random) -> tuple:
-    """Random rules over a and b, as in `_rand_unfolding_program`, the
-    facts of a binary extensional predicate e, maybe of g, t, `ans` and an
-    unread h, a rule that reads e into t, copying or not, maybe a rule
-    that keeps e from being copied, maybe a second definition of t, and
-    one or two readers of t; `keep` holds `ans` and maybe e.  Returns
-    (rules, facts, keep), rules and facts in random order."""
-    zero = [a0(name) for name in "ab"[:rng.randint(1, 2)]]
-
-    def some(sizes):
-        return tuple(rng.sample(zero, min(len(zero), rng.choice(sizes))))
-    rules = [Rule(some((0, 1, 1, 2)), some((0, 1, 1)), some((0, 0, 1)))
-             for _ in range(rng.randint(0, 1))]
-    facts = rng.sample([gatom("e", 1, 2), gatom("e", 2, 2), gatom("e", 2, 1)], rng.randint(1, 2))
-    facts += [gatom("g", 1)] * (rng.random() < 0.5) + [gatom("h", 1)] * (rng.random() < 0.3)
-    facts += [gatom("t", 2, 2)] * (rng.random() < 0.2) + [gatom(ANS_PRED, 3)] * (rng.random() < 0.2)
-    rules.append(rng.choice([
-        *[Rule((t(X, Y),), (e(X, Y),))] * 4,  # the copy, four times as likely as the rest
-        Rule((t(X, TWO),), (e(X, TWO),)),  # a constant
-        Rule((t(X, X),), (e(X, X),)),  # a repeated variable
-        Rule((t(X, Y),), (e(X, Y),), builtins=(BuiltinAtom("!=", (X, Y)),)),
-        Rule((t(Y, X),), (e(X, Y),)),  # permuted
-        Rule((t(X, Y),), (e(X, Y),), some((1,))),  # a negated atom
-    ]))
-    if rng.random() < 0.3:
-        rules.append(rng.choice([
-            Rule((ans(X),), (e(X, Y),)),  # e read twice
-            Rule((zero[0],), (Atom("g", (X,)),), (e(X, X),)),  # e under `not`
-            Rule((e(X, X),), (Atom("g", (X,)),)),  # a rule heads e
-        ]))
-    if rng.random() < 0.7:
-        rules.append(Rule((t(X, X),), (Atom("g", (X,)),), some((0, 1))))
-    rules += rng.sample([
-        Rule((ans(X),), (t(X, Y),) + some((0, 1)), some((0, 0, 1))),
-        Rule((ans(Y),), (t(X, Y), t(Y, X))),
-        Rule(some((1,)), (t(ONE, TWO),), some((0, 1))),
-        Rule((), (t(X, X),) + some((1,))),  # a constraint
-    ], rng.randint(1, 2))
-    keep = {ANS_PRED, "e"} if rng.random() < 0.15 else {ANS_PRED}
-    return rng.sample(rules, len(rules)), rng.sample(facts, len(facts)), keep
-
-
-def test_the_pass_keeps_the_stable_models_with_facts_randomized():
-    """On 600 random programs with facts and copy rules, the oracle's
-    stable models after `drop_unread` are those before it, restricted to
-    the predicates left, one for one, also when there is none; and the
-    search finds them too."""
-    rng = random.Random(157)
-    kinds = dict.fromkeys(("copied", "e kept", "unread facts gone", "no model"), 0)
-    for _ in range(600):
-        rules, facts, keep = _rand_copy_program(rng)
-        kept, given = drop_unread(rules, keep, facts)
-        left = {a.pred for rule in kept for a in rule.head + rule.pos + rule.neg}
-        left |= {pred for pred, _ in given}
-        fact_rules = [fact(Atom(pred, tuple(map(Const, values)))) for pred, values in facts]
-        before = _keyed_models(fact_rules + rules)
-        models = _keyed_models(kept, given)
-        assert models == sorted((frozenset(a for a in m if a[0] in left) for m in before),
-                                key=sorted), (rules, facts, kept, given)
-        assert [frozenset(map(solver._gatom_key, m))
-                for m in stable_models(ground(kept, given))] == models, (rules, facts)
-        kinds["copied"] += "e" not in left and any(rule.pos == (e(X, Y),) for rule in rules)
-        kinds["e kept"] += "e" in left
-        kinds["unread facts gone"] += len(given) < len(facts)
-        kinds["no model"] += not before
-    # 128, 471, 232 and 97
-    assert all(count >= 80 for count in kinds.values()), kinds
-
-
-COPY = Rule((t(X, Y),), (e(X, Y),))
-T_TOO = Rule((t(X, X),), (Atom("g", (X,)),))  # a second definition, so t is not unfolded
-T_READ = Rule((ans(X),), (t(X, Y),))
-E_FACTS = [gatom("e", 1, 2), gatom("e", 2, 2), gatom("g", 1)]
-
-
-@pytest.mark.parametrize("rules, keep", [
-    ([COPY, T_TOO, T_READ], {ANS_PRED, "e"}),
-    ([COPY, T_TOO, T_READ, Rule((ans(X),), (e(X, X),))], {ANS_PRED}),
-    ([COPY, T_TOO, T_READ, Rule((ans(X),), (Atom("g", (X,)),), (e(X, X),))], {ANS_PRED}),
-    ([Rule((t(X, TWO),), (e(X, TWO),)), T_TOO, T_READ], {ANS_PRED}),
-    ([Rule((t(X, X),), (e(X, X),)), T_TOO, T_READ], {ANS_PRED}),
-    ([Rule((t(X, Y),), (e(X, Y),), builtins=(BuiltinAtom("<", (X, Y)),)), T_TOO, T_READ],
-     {ANS_PRED}),
-    ([Rule((t(Y, X),), (e(X, Y),)), T_TOO, T_READ], {ANS_PRED}),
-    ([COPY, T_TOO, T_READ, Rule((e(X, X),), (Atom("g", (X,)),))], {ANS_PRED}),
-], ids=["kept", "read-twice", "negated", "constant", "repeated-variable", "built-in",
-        "permuted", "headed"])
-def test_what_the_pass_does_not_copy(rules, keep):
-    assert drop_unread(rules, keep, E_FACTS) == (rules, E_FACTS)
-
-
-def test_facts_enter_at_their_copy():
-    """e's one reader copies it into t, so e's facts are given as t's and
-    the copy goes; h's fact, which nothing reads, goes too; g's stays."""
-    facts = [gatom("h", 5)] + E_FACTS
-    assert drop_unread([T_READ, COPY, T_TOO], {ANS_PRED}, facts) == \
-        ([T_READ, T_TOO], [gatom("t", 1, 2), gatom("t", 2, 2), gatom("g", 1)])
-    assert _cautious([T_READ, COPY, T_TOO] + [fact(Atom(pred, tuple(map(Const, values))))
-                                              for pred, values in facts]) \
-        == {(Value.of_int(1),), (Value.of_int(2),)}
-    # a fact of a kept predicate stays, read or not
-    assert drop_unread([T_READ, COPY, T_TOO], {ANS_PRED, "h"}, facts)[1][0] == gatom("h", 5)
 
 
 def test_readback_gives_the_certain_atoms_once_randomized():
