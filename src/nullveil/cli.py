@@ -16,8 +16,8 @@ file path.  Output is plain text or, with `--format json`, stable JSON
 with rows sorted.  `--max-nodes` (old name `--max-models`, default
 2^20) bounds the search of the route a command runs: on the direct
 route the MMCS and countermodel nodes, on the program route the
-stable-model search nodes, and on either the instances or models it
-assembles from independent components.  An external solver gets
+model-search and reduct-check nodes, and on either the instances or
+models it assembles from independent components.  An external solver gets
 `SOLVER_TIMEOUT_S` seconds.  Exit codes: 0 success, 2 parse or usage
 error (a negative bound is one), 3 semantic error or failed external
 solver, 4 cross-check failure (no secrecy instance or stable model

@@ -1,8 +1,9 @@
-"""Information orders and enumeration of secrecy instances.
+"""Information orders, enumeration of secrecy instances, and its oracle.
 
 A secrecy instance of a base instance D is an id-correlated null
-degradation of D that is admissible for the view set and whose set of
-nulled cells is inclusion-minimal among such degradations.
+degradation of D that is admissible, every view being null on it (its
+SQL-like extension empty or the all-null row), and whose set of nulled
+cells is inclusion-minimal among such degradations.
 
 Enumeration evaluates each view over D once, for the candidate pool
 and the violating matches (comparisons hold, no combination variable
@@ -51,8 +52,8 @@ nulling B creates a violating match that D does not have, and a
 non-admissible instance would pass; the precondition rejects such a view
 with a `SemanticError` before any search.  The tests check the
 equivalence on random change sets and the transversals against
-`oracle_secrecy_instances`, a sweep of the pool and a brute-force scan
-that assumes no monotonicity.
+`oracle_secrecy_instances`, a powerset scan that assumes no monotonicity,
+whose `is_admissible` cross-checks evaluation with a classical sentence.
 
 The search chooses cells from one of two candidate pools: the default
 pool of combination and secrecy positions of tuples in potentially
@@ -71,12 +72,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .errors import BoundExceededError
-from .lang import Const, _check_rule
-from .model import Cell, ChangeSet, Instance, Row, apply_changes, diff_changes, sorted_cells
-from .semantics import builtin_classical, iter_matches, relevant_vars, scan
+from .errors import BoundExceededError, CrossCheckError
+from .lang import BuiltinAtom, Const, Var, ViewDef, _check_rule
+from .model import (NULL, Cell, ChangeSet, Instance, Row, apply_changes, diff_changes,
+                    sorted_cells)
+from .semantics import builtin_classical, eval_n, iter_matches, relevant_vars, scan
 from .solver import DEFAULT_SEARCH_BOUND, NodeBudget
-from .views import is_admissible
 
 DEFAULT_ORACLE_CELL_BOUND = 16
 
@@ -115,6 +116,35 @@ def instance_leq_D(base: Instance, d1: Instance, d2: Instance) -> bool:
     changes1 = diff_changes(base, d1)
     changes2 = diff_changes(base, d2)
     return changes1 <= changes2
+
+
+@dataclass(frozen=True, slots=True)
+class AttrSets:
+    """Positions (relation, 1-based index) a view makes update-relevant."""
+
+    combination: frozenset
+    secrecy: frozenset
+
+
+def attr_sets(view: ViewDef) -> AttrSets:
+    """The view's combination and secrecy attributes.  They can overlap
+    without any head variable being relevant: in `V(X) :- P(X,Y), P(Y,Z).`
+    position P.1 holds both X and Y.  Whether a view allows secrecy-side
+    updates is therefore decided by the variables (a relevant head
+    variable forbids them), never by overlapping positions."""
+    relevant = relevant_vars(view)
+    head = {v.name for v in view.out}
+    combination = set()
+    secrecy = set()
+    for atom in view.body:
+        for pos, term in enumerate(atom.args, 1):
+            if not isinstance(term, Var):
+                continue
+            if term.name in relevant:
+                combination.add((atom.pred, pos))
+            if term.name in head:
+                secrecy.add((atom.pred, pos))
+    return AttrSets(frozenset(combination), frozenset(secrecy))
 
 
 def _pool_and_options(instance: Instance, views, mode: EnumerationMode) -> tuple[frozenset, tuple]:
@@ -274,6 +304,50 @@ class SecrecyInstances:
 
     def __iter__(self):
         return (SecrecySolution(changes, self.base) for changes, _ in self.choices())
+
+
+# --------------------------------------------------------------------------
+# the brute-force oracle: admissibility by evaluation, and a powerset sweep
+
+def is_null_view(instance: Instance, view: ViewDef) -> bool:
+    """True iff the view's SQL-like extension is empty or all-null."""
+    return eval_n(instance, view) <= {(NULL,) * len(view.out)}
+
+
+# complements; an order comparison and its complement are both false on null
+_NEGATION = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<",
+             "isnull": "isnotnull", "isnotnull": "isnull"}
+
+
+def null_view_sentence_holds(instance: Instance, view: ViewDef) -> bool:
+    """Classical check that the view is null: for every body match, some
+    combination variable is null, or all head variables are, or some
+    comparison conjunct fails (negated member-wise, null treated as an
+    ordinary constant)."""
+    relevant = relevant_vars(view)
+    head = tuple(v.name for v in view.out)
+    negated = [BuiltinAtom(_NEGATION[b.op], b.args) for b in view.builtins]
+    for env, _ in iter_matches(scan(instance), view.body):
+        if any(env[name].is_null for name in relevant):
+            continue
+        if all(env[name].is_null for name in head):
+            continue
+        if any(builtin_classical(b, env) for b in negated):
+            continue
+        return False
+    return True
+
+
+def is_admissible(instance: Instance, views) -> bool:
+    """True iff every view in `views` is null on `instance`.  The
+    classical sentence route is evaluated as well and must agree."""
+    direct = all(is_null_view(instance, v) for v in views)
+    classical = all(null_view_sentence_holds(instance, v) for v in views)
+    if direct != classical:
+        raise CrossCheckError(
+            "admissibility checks disagree: "
+            f"direct={direct} sentence={classical} on {instance!r}")
+    return direct
 
 
 def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[frozenset]:

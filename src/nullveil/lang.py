@@ -265,14 +265,14 @@ class _Parser:
         return tuple(terms)
 
     def parse_var_list(self) -> tuple[Var, ...]:
+        start = self.pos
         terms = self.parse_term_list()
-        out: list[Var] = []
-        for term in terms:
+        # each term is one token, after the "(" or a ","
+        for term, tok in zip(terms, self.tokens[start + 1::2]):
             if not isinstance(term, Var):
                 raise ParseError(f"head terms must be variables, found {term.token()!r}",
-                                 self.peek().line, self.peek().col)
-            out.append(term)
-        return tuple(out)
+                                 tok.line, tok.col)
+        return terms
 
     def parse_body_item(self) -> Atom | BuiltinAtom:
         """One body item: a unary null check, a database atom or a

@@ -16,11 +16,11 @@ under `eval_n`; then the unary null checks are lowered to (in)equalities
 and every relevant variable is guarded with `v != null`.
 
 `iter_matches` is the package's one body-matching engine: both
-evaluations, the admissibility sentence, the candidate-cell search, the
-witness pass of secret answers and the grounder in `solver` bind
-conjunctive bodies through it.  Over instances every atom scans its
-relation; secret answers scan every version of each row at once, and
-the grounder's row source probes a hash index instead.
+evaluations, the candidate-cell search and the oracle's admissibility
+sentence in `instances`, the witness pass of secret answers and the
+grounder in `solver` bind conjunctive bodies through it.  Over
+instances every atom scans its relation; secret answers scan every
+version of each row at once; the grounder probes a hash index.
 
 Everything here is pure over immutable instances; evaluations can run
 concurrently.
@@ -112,16 +112,6 @@ def builtin_n(b: BuiltinAtom, env: Assignment) -> bool:
     if b.op == "!=":
         return left != right and not left.is_null and not right.is_null
     return _order_holds(b.op, left, right)
-
-
-_NEGATION = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<",
-             "isnull": "isnotnull", "isnotnull": "isnull"}
-
-
-def negate_builtin(b: BuiltinAtom) -> BuiltinAtom:
-    """Complementary built-in; with order ops false on null in both
-    polarities, double negation is *not* the identity on null operands."""
-    return BuiltinAtom(_NEGATION[b.op], b.args)
 
 
 RowSource = Callable[[Atom, Assignment], Iterable[Row]]

@@ -124,7 +124,8 @@ is a stable model.  Only components whose rules have head cycles check
 each leaf for being a minimal model of its reduct, by a satisfiability
 search over the model; the certain atoms are in every model of that
 reduct, and the other components share no atom with it, so the check
-reads the component's rules only.
+reads the component's rules only.  Its nodes count against the call's
+bound like the search's own.
 
 Grounding and model search are pure; the returned models do not depend
 on the order in which the search finds them.
@@ -394,7 +395,7 @@ class _Enumerator:
     """
 
     stage = "reduct-minimality check"
-    found_what = "models"
+    found_what = "component models"  # a check's countermodels are not counted
 
     def __init__(self, nvars: int, clauses: list, budget: NodeBudget):
         self.nvars = nvars
@@ -485,7 +486,6 @@ class _Enumerator:
                     i += 1
                 if i == len(branch_vars):
                     if self._accept():
-                        self.budget.found += 1
                         yield self.assign
                 else:
                     mark = len(self.trail)
@@ -560,7 +560,6 @@ class _StableSearch(_Enumerator):
     """
 
     stage = "stable-model search"
-    found_what = "component models"
 
     def __init__(self, atoms: list[int], rules: list[tuple], budget: NodeBudget):
         natoms = len(atoms)
@@ -601,9 +600,11 @@ class _StableSearch(_Enumerator):
 
     def models(self) -> list[list[int]]:
         """Every stable model, as its true atoms in the program's numbering."""
-        branch = list(range(1, self.natoms + 1))
-        return [[a for a, i in zip(self.atoms, branch) if assign[i] == _TRUE]
-                for assign in self.enumerate(branch)]
+        branch, models = list(range(1, self.natoms + 1)), []
+        for assign in self.enumerate(branch):
+            models.append([a for a, i in zip(self.atoms, branch) if assign[i] == _TRUE])
+            self.budget.found += 1
+        return models
 
     def _propagate(self) -> bool:
         """Unit propagation alternating with unfounded-set propagation
@@ -655,7 +656,7 @@ class _StableSearch(_Enumerator):
             if any(assign[n] == _TRUE for n in neg) or any(assign[p] != _TRUE for p in pos):
                 continue  # not in the reduct, or false under every subset
             clauses.append([-p for p in pos] + [h for h in head if assign[h] == _TRUE])
-        check = _Enumerator(self.natoms, clauses, NodeBudget(1 << 22))
+        check = _Enumerator(self.natoms, clauses, self.budget)
         return next(check.enumerate(model), None) is None
 
 

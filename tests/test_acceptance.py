@@ -20,9 +20,9 @@ from nullveil.answers import (check_no_leakage, secrecy_answer_instance,
 from nullveil.asp import (cautious_answers, compile_program, export_program,
                           models_to_instances, parse_answer_sets,
                           to_denial_constraints)
-from nullveil.instances import enumerate_secrecy_instances, oracle_secrecy_instances
+from nullveil.instances import (enumerate_secrecy_instances, is_admissible, is_null_view,
+                                null_view_sentence_holds, oracle_secrecy_instances)
 from nullveil.solver import ground, stable_models
-from nullveil.views import is_admissible, is_null_view, null_view_sentence_holds
 
 from corpus import (answers, four_tuple_example, join_example, nonmono_example,
                     row, sql_null_example, threshold_example, two_tuple_example)

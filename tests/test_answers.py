@@ -18,9 +18,8 @@ from nullveil.asp import cautious_answers
 from nullveil.answers import (_Versions, _is_secret, check_no_leakage,
                               secrecy_answer_instance, secret_answers)
 from nullveil.instances import (EnumerationMode, SecrecyInstances, candidate_cells,
-                                enumerate_secrecy_instances)
+                                enumerate_secrecy_instances, is_admissible)
 from nullveil.model import sorted_cells
-from nullveil.views import is_admissible
 from corpus import answers, four_tuple_example, nonmono_example, row, two_tuple_example
 from randgen import rand_case, rand_query
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nullveil.cli as cli_module
+from nullveil import Value
 from nullveil.cli import main
 
 
@@ -183,6 +184,41 @@ def test_cmd_compile_program_and_dcs(files, capsys, tmp_path):
     code, _, err = run(capsys, "compile", "--schema", schema, "--facts", facts,
                        "--views", views, "--dialect", "smodels")
     assert code == 2 and "argument --dialect" in err
+
+
+def test_cmd_answer_via_both_exits_4_when_the_routes_disagree(files, capsys, monkeypatch):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). P(3,4). R(2,1). R(3,3).")
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z).")
+    monkeypatch.setattr(cli_module.asp, "cautious_answers",
+                        lambda *args, **kwargs: frozenset({(Value.of_int(9), Value.of_int(9))}))
+    code, out, err = run(capsys, "answer", "--schema", schema, "--facts", facts,
+                         "--views", views, "--query", "?(X,Y) :- P(X,Y).", "--via", "both")
+    assert (code, out) == (4, "")
+    assert err == ("cross-check failure: direct and asp answers disagree: "
+                   "[['3', '4']] vs [['9', '9']]\n")
+
+
+def test_cmd_compile_output_writes_the_program_to_a_file(files, capsys, tmp_path):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    views = files("v.nv", "Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 3.")
+    code, program, _ = run(capsys, "compile", "--schema", schema, "--facts", facts,
+                           "--views", views)
+    assert code == 0
+    output = tmp_path / "program.lp"
+    code, out, err = run(capsys, "compile", "--schema", schema, "--facts", facts,
+                         "--views", views, "--output", str(output))
+    assert (code, out, err) == (0, f"wrote {output}\n", "")
+    assert output.read_text(encoding="utf-8") == program
+
+
+def test_empty_views_argument_exits_3(files, capsys):
+    schema = files("s.nv", SCHEMA_PR)
+    facts = files("f.nv", "P(1,2). R(2,1).")
+    code, out, err = run(capsys, "instances", "--schema", schema, "--facts", facts,
+                         "--views", "")
+    assert (code, out, err) == (3, "", "error: --views is required for this command\n")
 
 
 def test_cmd_solve_internal_engine(files, capsys):

@@ -13,10 +13,9 @@ import nullveil.instances as instances_module
 import nullveil.semantics as semantics_module
 from nullveil.instances import (EnumerationMode, _minimal_sweep, _minimal_transversals,
                                 _pool_and_options, candidate_cells,
-                                enumerate_secrecy_instances, instance_leq_D,
+                                enumerate_secrecy_instances, instance_leq_D, is_admissible,
                                 oracle_secrecy_instances, tuple_leq)
 from nullveil.model import sorted_cells
-from nullveil.views import is_admissible
 
 from corpus import row, two_tuple_example, four_tuple_example, nonmono_example
 from randgen import rand_case

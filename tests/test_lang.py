@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
-from nullveil import (ParseError, Query, QueryClass, SemanticError, ViewDef,
-                      classify_query, eval_n, parse_facts, parse_query, parse_schema,
-                      parse_view, parse_views, print_facts, print_schema, rewrite_query)
+from nullveil import (NULL, Instance, ParseError, Query, QueryClass, Relation, Row, Schema,
+                      SemanticError, ViewDef, classify_query, eval_n, parse_facts,
+                      parse_query, parse_schema, parse_view, parse_views, print_facts,
+                      print_schema, rewrite_query)
 from nullveil.asp import parse_answer_sets, parse_program_text
 
 from corpus import row
@@ -40,6 +41,13 @@ def test_parse_facts_auto_and_explicit_ids():
     assert d2.row("P", 1).values == row("3 4")
 
 
+def test_auto_ids_skip_the_explicit_ones():
+    schema = parse_schema("relation P(A:int, B:int).")
+    d = parse_facts("@2 P(1,1). P(2,2). P(3,3).", schema)
+    assert [(r.tid, r.values) for r in d.rows("P")] == [(2, row("1 1")), (1, row("2 2")),
+                                                       (3, row("3 3"))]
+
+
 def test_parse_facts_null_and_errors():
     schema = parse_schema("relation R(A:sym, B:sym).")
     d = parse_facts("R(e, null).", schema)
@@ -60,6 +68,63 @@ def test_positions_after_a_multi_line_string():
         parse_facts('P("a\nb").\nQ(1).', schema)
     with pytest.raises(ParseError, match="^2:7: unknown relation Q"):
         parse_facts('P("a\nbc"). Q(1).', schema)
+
+
+INPUT_SCHEMA = parse_schema("relation P(A:int, B:int). relation T(S:str).")
+
+
+@pytest.mark.parametrize("make, error, position, message", [
+    (lambda s: parse_facts('T("abc', s), ParseError, "1:3", "unterminated string"),
+    (lambda s: parse_schema("relation (A:int)."), ParseError, "1:10",
+     "expected relation name, found '('"),
+    (lambda s: parse_schema("table P(A:int)."), ParseError, "1:1",
+     "expected 'relation', found 'table'"),
+    (lambda s: parse_schema("relation P(A:float)."), ParseError, "1:14",
+     "unknown sort 'float'"),
+    (lambda s: parse_facts("@0 P(1, 2).", s), ParseError, "1:1",
+     "expected positive tuple id after '@'"),
+    (lambda s: parse_facts("P(X, 2).", s), ParseError, "1:1",
+     "facts must be ground, found variable X"),
+    (lambda s: parse_query("?(X) :- P(X, ).", s), ParseError, "1:14",
+     "expected a term, found ')'"),
+    (lambda s: parse_query("?(1) :- P(X, Y).", s), ParseError, "1:3",
+     "head terms must be variables, found '1'"),
+    (lambda s: parse_views("V(X, 2) :- P(X, Y).", s), ParseError, "1:6",
+     "head terms must be variables, found '2'"),
+    (lambda s: parse_query("?(X) :- P(X, Y), isnull(X, Y).", s), ParseError, "1:18",
+     "isnull takes one argument"),
+    (lambda s: parse_query("?(X) :- P(X, Y). extra", s), ParseError, "1:18",
+     "unexpected input after query: 'extra'"),
+    (lambda s: parse_query("?(X) :- X = 1.", s), SemanticError, None,
+     "rule body must contain at least one database atom"),
+    (lambda s: parse_query("?(X) :- P(X).", s), SemanticError, None,
+     "P expects 2 arguments, got 1"),
+    (lambda s: parse_query("?(X) :- P(X, a).", s), SemanticError, None,
+     "constant a does not fit P[2]:int"),
+    (lambda s: parse_query("?(X) :- P(X, Y), Z < 1.", s), SemanticError, None,
+     "variable Z of built-in 'Z < 1' does not occur in any body atom"),
+    (lambda s: parse_query("?(X) :- P(X, Y), Y < a.", s), SemanticError, None,
+     "order comparison on non-int constant a"),
+    (lambda s: parse_view("", s), SemanticError, None,
+     "expected exactly one view rule, found 0"),
+    (lambda s: parse_views("P(X) :- P(X, Y).", s), SemanticError, None,
+     "view name P clashes with a relation"),
+    (lambda s: Schema([Relation("P", (("A", "float"),))]), SemanticError, None,
+     "unknown column sort 'float' in P"),
+    (lambda s: Instance(s, {"P": [Row(1, (NULL,))]}), SemanticError, None,
+     "P expects 2 values, got 1"),
+    (lambda s: Instance(s, {"P": [Row(0, (NULL, NULL))]}), SemanticError, None,
+     "tuple id must be positive, got 0"),
+    (lambda s: Instance(s, {"Q": []}), SemanticError, None, "unknown relation Q"),
+    (lambda s: Instance(s, {}).rows("Q"), SemanticError, None, "unknown relation Q"),
+])
+def test_input_errors(make, error, position, message):
+    """Each input error is raised with its class, its message and, for a
+    parse error, the line and column of the offending token."""
+    with pytest.raises(error) as exc:
+        make(INPUT_SCHEMA)
+    assert type(exc.value) is error
+    assert str(exc.value) == (f"{position}: {message}" if position else message)
 
 
 def test_digits_int_cannot_read_are_parse_errors():

@@ -275,7 +275,7 @@ def test_stable_models_named_cases(rules, expected):
 
 def test_stable_models_match_brute_force_oracle(spied):
     rng = random.Random(61)
-    head_cycles = nodes = 0
+    head_cycles = nodes = check_nodes = 0
     settled = dict.fromkeys(SETTLED_KINDS, 0)
     for _ in range(3000):
         rules = _rand_ground_program(rng)
@@ -285,12 +285,15 @@ def test_stable_models_match_brute_force_oracle(spied):
         assert stable_models(numbered(rules)) == oracle_stable_models(rules), rules
         for kind in _settled_kinds(spied):
             settled[kind] += 1
-        nodes += spied.searches[-1].budget.nodes if spied.searches else 0  # each counts on
+        if spied.searches:  # each counts on, and the reduct checks with them
+            checks = sum(search.check_nodes for search in spied.searches)
+            nodes += spied.searches[-1].budget.nodes - checks
+            check_nodes += checks
     assert head_cycles >= 300  # the minimality-checked leaves are covered
     assert all(settled[kind] >= floor for kind, floor in SETTLED_KINDS.items()), settled
     # the search tree is pinned: a weaker propagation visits more nodes,
     # and one that prunes more than the founded set allows visits fewer
-    assert nodes == 1988
+    assert (nodes, check_nodes) == (1988, 219)
 
 
 def test_disjoint_programs_have_the_product_of_their_models(spied):
@@ -324,7 +327,8 @@ def test_disjoint_programs_have_the_product_of_their_models(spied):
 def spied(monkeypatch):
     """What `stable_models` settles and searches: each `_settle` call's
     rules and result, and each component search it builds, which counts
-    the leaves its reduct check accepts and rejects."""
+    the leaves its reduct check accepts and rejects and the nodes the
+    checks visit."""
     seen = SimpleNamespace(settled=[], searches=[])
     settle = solver._settle
 
@@ -334,14 +338,16 @@ def spied(monkeypatch):
         return result
 
     class RecordingSearch(solver._StableSearch):
-        accepted = rejected = 0
+        accepted = rejected = check_nodes = 0
 
         def __init__(self, *args):
             super().__init__(*args)
             seen.searches.append(self)
 
         def _accept(self):
+            before = self.budget.nodes
             accepted = super()._accept()
+            self.check_nodes += self.budget.nodes - before
             self.accepted += accepted
             self.rejected += not accepted
             return accepted
@@ -458,6 +464,37 @@ def test_head_cycle_in_the_residue_is_still_checked(spied):
     assert not search.hcf and search.rejected == 1
     assert _searched_rules(program, spied) == [((a, b), (), ()), ((a,), (b,), (b,)),
                                                ((b,), (a,), ())]
+
+
+@pytest.mark.parametrize("max_nodes, stage", [
+    (1000, "reduct-minimality check"),
+    (2000, "stable-model search"),
+])
+def test_reduct_checks_count_against_the_node_bound(monkeypatch, max_nodes, stage):
+    """A four-row database whose update program has a head cycle: at the
+    default bound the search visits 35,600 nodes and the leaves' reduct
+    checks 237,403 more.  The checks count against the call's one bound,
+    so the call stops once search and checks have visited `max_nodes`
+    together, and a check that runs past it reports the component models
+    found, not its own countermodels."""
+    schema = parse_schema("relation p(c1:int, c2:int, c3:int).")
+    instance = parse_facts("@1 p(4, 3, null). @2 p(1, 4, 2). @3 p(1, 4, 1). "
+                           "@4 p(2, 2, 4).", schema)
+    views = [parse_view("v0(V5, V2) :- p(V1, V2, V3), p(V4, V5, V1).", schema)]
+    visits = dict.fromkeys(("stable-model search", "reduct-minimality check"), 0)
+
+    class CountingBudget(solver.NodeBudget):
+        def visit(self, stage, found_what):
+            visits[stage] += 1
+            super().visit(stage, found_what)
+
+    monkeypatch.setattr(solver, "NodeBudget", CountingBudget)
+    with pytest.raises(BoundExceededError) as exc:
+        cautious_answers(instance, views, parse_query("?(A) :- p(A, B, C).", schema),
+                         max_nodes=max_nodes)
+    assert str(exc.value) == (f"{stage} exceeded its bound of {max_nodes} nodes "
+                              f"({max_nodes} nodes visited, 2 component models found so far)")
+    assert sum(visits.values()) == max_nodes + 1 and all(visits.values()), visits
 
 
 def test_search_is_sized_by_the_residue_not_the_database(spied):

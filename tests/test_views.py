@@ -3,8 +3,8 @@ import random
 from nullveil import (apply_changes, parse_facts, parse_schema,
                       parse_view, relevant_vars)
 from nullveil.asp import nulled_atom
-from nullveil.views import (attr_sets, is_admissible, is_null_view,
-                            null_view_sentence_holds)
+from nullveil.instances import (attr_sets, is_admissible, is_null_view,
+                                null_view_sentence_holds)
 
 from corpus import threshold_example, two_tuple_example
 from randgen import rand_case, rand_schema, rand_view
