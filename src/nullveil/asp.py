@@ -14,7 +14,10 @@ update that nulls a non-null head value or one combination-side update.
 Each secrecy-side rule guards the head variable it nulls; a view with a
 relevant head variable gets combination-side updates only (the same test
 the enumeration makes, per variable, so a self-join whose positions
-overlap keeps both kinds).
+overlap keeps both kinds).  A view is compiled as `semantics.update_view`
+writes it, each body constant c as a fresh variable Y and `Y = c`, so
+the cell c matches gets a combination-side update, as on the direct
+route.
 Overwrite rules, one per relation position and keyed on the tuple id,
 then mark a version as overwritten once an update of the same tuple has
 nulled a value the version still holds.
@@ -67,7 +70,7 @@ from .errors import CrossCheckError, DialectError, SemanticError, UnsupportedRul
 from .lang import (Atom, BuiltinAtom, Const, Query, UNARY_BUILTINS, Var, ViewDef, _Parser,
                    _check_rule)
 from .model import Instance, NULL, Row, Schema, Value
-from .semantics import AnswerSet, relevant_vars, rewrite_query
+from .semantics import AnswerSet, relevant_vars, rewrite_query, update_view
 from .solver import DEFAULT_SEARCH_BOUND, GAtom, Rule, StableModels, ground, stable_models
 
 
@@ -138,15 +141,15 @@ def _check_reserved_names(schema: Schema) -> None:
 
 def compile_program(instance: Instance, views) -> AnnotatedProgram:
     """Build the secrecy program for `instance` and the view set.  Each
-    view must pass the parser's view check, as on the direct route (see
-    `instances`); one that does not raises `SemanticError`."""
+    view is compiled as `semantics.update_view` writes it, after the
+    parser's view check, as on the direct route (see `instances`); a view
+    that fails the check raises `SemanticError`."""
     _check_reserved_names(instance.schema)
     facts = tuple((name.lower(), row.values + (Value.of_int(row.tid),))
                   for name in instance.schema.names() for row in instance.rows(name))
     view_rules: list[Rule] = []
     for view in views:
-        _check_rule(view, instance.schema, allow_null=False)
-        view_rules.extend(_view_rules(view))
+        view_rules.extend(_view_rules(update_view(view, instance.schema)))
     return AnnotatedProgram(facts, tuple(view_rules), {
         rel.name.lower(): tuple(_version_rules(rel.name.lower(), rel.arity))
         for rel in instance.schema.relations})

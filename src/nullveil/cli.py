@@ -3,8 +3,7 @@
 One subcommand per operation family:
 
     nullveil eval      --schema S --facts F --query Q
-    nullveil instances --schema S --facts F --views V [--mode targeted|exhaustive]
-                       [--max-nodes N]
+    nullveil instances --schema S --facts F --views V [--max-nodes N]
     nullveil answer    --schema S --facts F --views V --query Q [--via direct|asp|both]
                        [--max-nodes N]
     nullveil compile   --schema S --facts F --views V [--dialect dlv|clingo] [--dcs]
@@ -39,7 +38,7 @@ from . import asp
 from .answers import secret_answers
 from .errors import (BoundExceededError, CrossCheckError, NullveilError,
                      ParseError, SemanticError)
-from .instances import EnumerationMode, candidate_cells, enumerate_secrecy_instances
+from .instances import enumerate_secrecy_instances
 from .lang import fact_lines, parse_facts, parse_query, parse_schema, parse_views
 from .model import Instance, sorted_cells
 from .semantics import eval_classical, eval_n
@@ -122,26 +121,14 @@ def cmd_eval(args) -> int:
 
 def cmd_instances(args) -> int:
     _, instance, views, _ = _load(args, need_views=True)
-    mode = EnumerationMode(args.mode)
-    solutions = enumerate_secrecy_instances(instance, views, mode,
-                                            max_nodes=args.max_nodes)
-    # the targeted edges are the exhaustive ones cut to the targeted pool,
-    # so the targeted instances are the exhaustive ones that lie inside it
-    pool = None
-    if mode is EnumerationMode.EXHAUSTIVE:
-        pool = candidate_cells(instance, views, EnumerationMode.TARGETED)
+    solutions = enumerate_secrecy_instances(instance, views, max_nodes=args.max_nodes)
     items = []
     lines = []
     for i, solution in enumerate(solutions, 1):
-        extra = pool is not None and not solution.changes <= pool
         degraded = solution.instance
-        item = {"changes": _changes_json(solution.changes),
-                "facts": _instance_json(degraded)}
-        if pool is not None:
-            item["exhaustive_only"] = extra
-        items.append(item)
-        flag = "  [exhaustive-only]" if extra else ""
-        lines.append(f"instance {i}: changes {_changes_text(solution.changes)}{flag}")
+        items.append({"changes": _changes_json(solution.changes),
+                      "facts": _instance_json(degraded)})
+        lines.append(f"instance {i}: changes {_changes_text(solution.changes)}")
         lines += ["  " + fact for fact in fact_lines(degraded)]
     _emit(args, {"instances": items}, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -265,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instances", help="enumerate secrecy instances")
     common(p, views=True)
-    p.add_argument("--mode", choices=("targeted", "exhaustive"), default="targeted")
     node_bound(p)
     p.set_defaults(func=cmd_instances)
 

@@ -5,14 +5,15 @@ degradation of D that is admissible, every view being null on it (its
 SQL-like extension empty or the all-null row), and whose set of nulled
 cells is inclusion-minimal among such degradations.
 
-Enumeration evaluates each view over D once, for the candidate pool
-and the violating matches (comparisons hold, no combination variable
-binds null, some head value is non-null).
-Nulling one of a match's combination or body-constant cells, or all of
-its non-null head cells, resolves it; `_pool_and_options` writes that as
-edges, and the secrecy instances are their minimal transversals (the
-monotone dualization setting of Eiter & Gottlob 1995), which the MMCS
-search of Murakami & Uno (2014) finds once each, over the base.
+Enumeration evaluates each view over D once, as `semantics.update_view`
+writes it, so that a body constant's cell is a combination cell, as in
+the program of `asp`, for the violating matches (comparisons hold, no
+combination variable binds null, some head value is non-null).  Nulling
+one of a match's combination cells, or all of its non-null head cells,
+resolves it; `_edges` writes that as edges, and the secrecy instances
+are their minimal transversals (the monotone dualization setting of
+Eiter & Gottlob 1995), which the MMCS search of Murakami & Uno (2014)
+finds once each, over the base.
 
 Two edges that hold cells of one row (relation, tid) are in one
 component, and the minimal transversals of the edges are the unions of
@@ -28,23 +29,22 @@ secrecy instance depends on its own component's transversal alone,
 which is what lets `answers` decide secret answers without the product.
 
 That the transversals are the secrecy instances rests on a precondition
-on the views, which `_pool_and_options` checks with the parser's own
+on the views, which `update_view` checks with the parser's own
 `lang._check_rule`: view bodies hold no null constants, and view
 built-ins neither mention null nor test for it (no `isnull` or
 `isnotnull`).  Nulls then live only in the data, and for a set C of
-non-null pool cells, D_C = D with C nulled is admissible exactly when C
+non-null cells, D_C = D with C nulled is admissible exactly when C
 meets every edge, that is, resolves every violating match of D:
 
-* a violating match of D_C is one of D: each of its combination and
-  body-constant cells is non-null in D_C, so unchanged, and the same
-  rows match in D with the same combination values, so the comparisons
-  hold there too; its non-null head cell is unchanged as well.  C holds
-  none of that match's combination or body-constant cells and not all
-  of its non-null head cells, so C misses one of its edges;
+* a violating match of D_C is one of D: each of its combination cells
+  is non-null in D_C, so unchanged, and the same rows match in D with
+  the same combination values, so the comparisons hold there too; its
+  non-null head cell is unchanged as well.  C holds none of that
+  match's combination cells and not all of its non-null head cells, so
+  C misses one of its edges;
 * a violating match of D whose edges C does not all meet is one of D_C:
-  C nulls none of its combination or body-constant cells, so the same
-  rows still match with the same combination values, and some non-null
-  head cell stays.
+  C nulls none of its combination cells, so the same rows still match
+  with the same combination values, and some non-null head cell stays.
 
 So admissibility is monotone in C, and the minimal admissible C are the
 minimal transversals.  A view with `isnull(B)` breaks the first step:
@@ -52,17 +52,9 @@ nulling B creates a violating match that D does not have, and a
 non-admissible instance would pass; the precondition rejects such a view
 with a `SemanticError` before any search.  The tests check the
 equivalence on random change sets and the transversals against
-`oracle_secrecy_instances`, a powerset scan that assumes no monotonicity,
-whose `is_admissible` cross-checks evaluation with a classical sentence.
-
-The search chooses cells from one of two candidate pools: the default
-pool of combination and secrecy positions of tuples in potentially
-violating body matches (mirroring the shape of the compiled update
-program), and an exhaustive pool of every non-null cell.  Nulling a cell
-matched by a body constant destroys the match too; the exhaustive pool
-holds every such cell, the default pool only those that are targets of
-some match, so on views whose bodies hold no constants the two modes
-agree.
+`oracle_secrecy_instances`, a powerset scan of every non-null cell that
+assumes no monotonicity and reads the views as given, whose
+`is_admissible` cross-checks evaluation with a classical sentence.
 """
 
 from __future__ import annotations
@@ -73,18 +65,14 @@ from itertools import combinations, product
 from math import prod
 
 from .errors import BoundExceededError, CrossCheckError
-from .lang import BuiltinAtom, Const, Var, ViewDef, _check_rule
+from .lang import BuiltinAtom, Var, ViewDef
 from .model import (NULL, Cell, ChangeSet, Instance, Row, apply_changes, diff_changes,
                     sorted_cells)
-from .semantics import builtin_classical, eval_n, iter_matches, relevant_vars, scan
+from .semantics import (builtin_classical, eval_n, iter_matches, relevant_vars, scan,
+                        update_view)
 from .solver import DEFAULT_SEARCH_BOUND, NodeBudget
 
 DEFAULT_ORACLE_CELL_BOUND = 16
-
-
-class EnumerationMode(enum.Enum):
-    TARGETED = "targeted"
-    EXHAUSTIVE = "exhaustive"
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,23 +135,17 @@ def attr_sets(view: ViewDef) -> AttrSets:
     return AttrSets(frozenset(combination), frozenset(secrecy))
 
 
-def _pool_and_options(instance: Instance, views, mode: EnumerationMode) -> tuple[frozenset, tuple]:
-    """The candidate pool and its edges, each once, in the order the
-    matches give them, from one evaluation of each view.
-
-    The default pool holds the combination cells and non-null head cells
-    of every match whose comparisons hold and whose combination variables
-    are non-null; the exhaustive pool is every non-null cell.  With D a
-    violating match's pool cells at combination or body-constant
-    positions, the match gives the edge D when a head variable is
-    relevant, and otherwise one edge D | {h} per non-null head cell h:
-    "a cell of D, or all the head cells" in conjunctive normal form.
-    A view outside the precondition of the module docstring raises
-    `SemanticError`.
-    """
-    targets, edges = set(), {}  # edges in insertion order, not the hash seed's
+def _edges(instance: Instance, views) -> tuple[frozenset, ...]:
+    """The edges of the violating matches, each once, in the order the
+    matches give them, from one evaluation of each view as `update_view`
+    writes it.  With D a violating match's combination cells, the match
+    gives the edge D when a head variable is relevant, and otherwise one
+    edge D | {h} per non-null head cell h: "a cell of D, or all the head
+    cells" in conjunctive normal form.  A view outside the precondition
+    of the module docstring raises `SemanticError`."""
+    edges = {}  # in insertion order, not the hash seed's
     for view in views:
-        _check_rule(view, instance.schema, allow_null=False)
+        view = update_view(view, instance.schema)
         relevant = relevant_vars(view)
         head = {v.name for v in view.out}
         head_relevant = bool(head & relevant)
@@ -175,28 +157,29 @@ def _pool_and_options(instance: Instance, views, mode: EnumerationMode) -> tuple
             destroying, heads = set(), {}
             for atom, row in zip(view.body, rows):
                 for pos, (term, value) in enumerate(zip(atom.args, row.values), 1):
-                    cell = Cell(atom.pred, row.tid, pos)
-                    if isinstance(term, Const):
-                        destroying.add(cell)
-                    elif term.name in relevant:
-                        destroying.add(cell)
-                        targets.add(cell)
+                    if term.name in relevant:
+                        destroying.add(Cell(atom.pred, row.tid, pos))
                     elif term.name in head and not value.is_null:
-                        heads[cell] = None
-            targets.update(heads)
+                        heads[Cell(atom.pred, row.tid, pos)] = None
             destroying = frozenset(destroying)
             if head_relevant:
                 edges[destroying] = None
             else:
                 edges.update(dict.fromkeys(destroying | {cell} for cell in heads))
-    pool = frozenset(instance.cells() if mode is EnumerationMode.EXHAUSTIVE else targets)
-    # a body-constant cell is in the default pool only as another match's target
-    return pool, tuple(dict.fromkeys(edge & pool for edge in edges))
+    return tuple(edges)
+
+
+# perfbench/run.py:146-147 counts a question's candidate cells through
+# `candidate_cells(instance, views, EnumerationMode.TARGETED)`, and
+# perfbench/tracing.py:31 wraps `candidate_cells`; both stay for them.
+class EnumerationMode(enum.Enum):
+    TARGETED = "targeted"
 
 
 def candidate_cells(instance: Instance, views, mode: EnumerationMode) -> frozenset:
-    """Cells an update may null in `mode`: the pool of `_pool_and_options`."""
-    return _pool_and_options(instance, views, mode)[0]
+    """The cells of the edges, every cell an update may null; `mode` is
+    ignored."""
+    return frozenset().union(*_edges(instance, views))
 
 
 def _minimal_transversals(edges, budget: NodeBudget | None = None) -> list[frozenset]:
@@ -370,13 +353,12 @@ def _minimal_sweep(instance: Instance, views, cells: tuple[Cell, ...]) -> list[f
 
 
 def enumerate_secrecy_instances(instance: Instance, views,
-                                mode: EnumerationMode = EnumerationMode.TARGETED,
                                 max_nodes: int = DEFAULT_SEARCH_BOUND) -> SecrecyInstances:
     """All secrecy instances of `instance` for the view set, as change
     sets in canonical order: the lazy product of the minimal transversals
     of each component of the edges, each component searched alone.  An
     admissible instance yields the single empty-change solution."""
-    _, edges = _pool_and_options(instance, views, mode)
+    edges = _edges(instance, views)
     budget = NodeBudget(max_nodes)
     return SecrecyInstances(instance, tuple(
         tuple(sorted(_minimal_transversals(component, budget), key=sorted_cells))

@@ -13,7 +13,8 @@ false.
 with the SQL-like one, on every query: a comparison with the null
 constant by `=` or `!=` becomes one that never holds, as it never holds
 under `eval_n`; then the unary null checks are lowered to (in)equalities
-and every relevant variable is guarded with `v != null`.
+and every relevant variable is guarded with `v != null`.  `update_view`
+writes a view's body constants as variables, for both routes' updates.
 
 `iter_matches` is the package's one body-matching engine: both
 evaluations, the candidate-cell search and the oracle's admissibility
@@ -28,11 +29,13 @@ concurrently.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemanticError
-from .lang import Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var
-from .model import Instance, NULL, Row, Value
+from .lang import (Atom, BuiltinAtom, Const, Query, Term, UNARY_BUILTINS, Var, ViewDef,
+                   _check_rule)
+from .model import Instance, NULL, Row, Schema, Value
 
 AnswerSet = frozenset  # of tuple[Value, ...]
 
@@ -60,6 +63,31 @@ def relevant_vars(query: Query) -> frozenset:
             if isinstance(term, Var):
                 counts[term.name] = counts.get(term.name, 0) + 1
     return frozenset(name for name, n in counts.items() if n >= 2)
+
+
+def update_view(view: ViewDef, schema: Schema) -> ViewDef:
+    """The view as both routes search its updates, after the parser's view
+    check: each body constant c becomes a fresh variable Y and the
+    built-in `Y = c`.  A body constant is a join condition, and nulling
+    its cell destroys the match; Y occurs twice, so its cell is a
+    combination position on both routes.  The extension stays, as c is
+    not null and a relevant Y binds no null."""
+    _check_rule(view, schema, allow_null=False)
+    used = {t.name for item in view.body + view.builtins for t in item.args
+            if isinstance(t, Var)}
+    fresh = (name for name in (f"Y{k}" for k in count(1)) if name not in used)
+    builtins = list(view.builtins)
+    body = []
+    for atom in view.body:
+        args = []
+        for term in atom.args:
+            if isinstance(term, Const):
+                var = Var(next(fresh))
+                builtins.append(BuiltinAtom("=", (var, term)))
+                term = var
+            args.append(term)
+        body.append(Atom(atom.pred, tuple(args)))
+    return ViewDef(view.out, tuple(body), tuple(builtins), view.name)
 
 
 def term_value(term: Term, env: Assignment) -> Value:

@@ -113,16 +113,19 @@ def _head_occurrences(atoms, name: str) -> dict:
 
 def _lp_safe_shape(view: ViewDef) -> bool:
     """Whole-atom update granularity coincides with cell granularity only
-    when no body atom carries two update targets (at most one relevant
-    and one head-variable occurrence per atom)."""
+    when no body atom carries two update targets (at most one combination
+    and one head-variable occurrence per atom).  A body constant is a
+    combination position: both routes search the view with each constant
+    written as a relevant variable (`semantics.update_view`)."""
     from nullveil import relevant_vars
 
     relevant = relevant_vars(view)
     head = {v.name for v in view.out}
     for atom in view.body:
         names = [t.name for t in atom.args if isinstance(t, Var)]
-        if sum(1 for n in names if n in relevant) > 1 or \
-                sum(1 for n in names if n in head) > 1:
+        combination = sum(1 for t in atom.args
+                          if isinstance(t, Const) or t.name in relevant)
+        if combination > 1 or sum(1 for n in names if n in head) > 1:
             return False
     return True
 

@@ -17,8 +17,8 @@ from nullveil import model as model_module
 from nullveil.asp import cautious_answers
 from nullveil.answers import (_Versions, _is_secret, check_no_leakage,
                               secrecy_answer_instance, secret_answers)
-from nullveil.instances import (EnumerationMode, SecrecyInstances, candidate_cells,
-                                enumerate_secrecy_instances, is_admissible)
+from nullveil.instances import (SecrecyInstances, _edges, enumerate_secrecy_instances,
+                                is_admissible)
 from nullveil.model import sorted_cells
 from corpus import answers, four_tuple_example, nonmono_example, row, two_tuple_example
 from randgen import rand_case, rand_query
@@ -129,12 +129,13 @@ def test_no_leakage_enumerates_secrecy_instances_once(monkeypatch):
 
 
 def test_delta_answers_equal_a_full_evaluation_randomized():
-    """Random change sets C inside either pool, admissible or not, taken
-    as the alternatives of one component: the answers read off the
-    witnesses of one pass over every row version equal `eval_n` over each
-    degraded instance, on self-joins, body constants, arity 3 and queries
-    with `isnull` and `isnotnull`, where nulling a cell can add an
-    answer, and the secret answers are their intersection."""
+    """Random change sets C of non-null cells, admissible or not, in an
+    edge or not, taken as the alternatives of one component: the answers
+    read off the witnesses of one pass over every row version equal
+    `eval_n` over each degraded instance, on self-joins, body constants,
+    arity 3 and queries with `isnull` and `isnotnull`, where nulling a
+    cell can add an answer, and the secret answers are their
+    intersection."""
     rng = random.Random(61)
     outcomes = {True: 0, False: 0}
     gained = 0
@@ -144,23 +145,22 @@ def test_delta_answers_equal_a_full_evaluation_randomized():
                                             self_joins=True)
         query = rand_query(rng, schema)
         base = eval_n(instance, query)
-        for mode in EnumerationMode:
-            pool = sorted_cells(candidate_cells(instance, views, mode))
-            if not pool:
-                continue
-            alternatives = tuple(frozenset(c for c in pool if rng.random() < 0.3)
-                                 for _ in range(4))
-            report = _Versions(SecrecyInstances(instance, (alternatives,))).report(query)
-            fulls = []
-            for changes, got in report.per_instance:
-                degraded = apply_changes(instance, changes)
-                fulls.append(eval_n(degraded, query))
-                assert got == fulls[-1], (instance, query.token(), sorted_cells(changes))
-                outcomes[is_admissible(degraded, views)] += 1
-                gained += not fulls[-1] <= base
-            assert report.answers == frozenset.intersection(*fulls)
-    # 873 admissible degradations, 479 not; 41 gain an answer
-    assert outcomes[True] >= 650 and outcomes[False] >= 350 and gained >= 30, \
+        cells = sorted_cells(instance.cells())
+        if not cells:
+            continue
+        alternatives = tuple(frozenset(c for c in cells if rng.random() < 0.3)
+                             for _ in range(8))
+        report = _Versions(SecrecyInstances(instance, (alternatives,))).report(query)
+        fulls = []
+        for changes, got in report.per_instance:
+            degraded = apply_changes(instance, changes)
+            fulls.append(eval_n(degraded, query))
+            assert got == fulls[-1], (instance, query.token(), sorted_cells(changes))
+            outcomes[is_admissible(degraded, views)] += 1
+            gained += not fulls[-1] <= base
+        assert report.answers == frozenset.intersection(*fulls)
+    # 1,553 admissible degradations, 439 not; 38 gain an answer
+    assert outcomes[True] >= 1250 and outcomes[False] >= 350 and gained >= 30, \
         (outcomes, gained)
 
 
@@ -196,9 +196,9 @@ def _only_spanning(report) -> bool:
 def test_factored_answers_equal_the_intersection_over_the_product_randomized():
     """On 1,000 `rand_case` cases (self-joins, body constants, arity 3, up
     to three views) and 500 two- or three-pair stream cases, with random
-    queries, `isnull` among them, in both modes: each secrecy instance's
-    answers read off the witnesses are `eval_n` over it, in canonical
-    order, and the secret answers are their intersection.  The stream
+    queries, `isnull` among them: each secrecy instance's answers read
+    off the witnesses are `eval_n` over it, in canonical order, and the
+    secret answers are their intersection.  The stream
     cases give answers that only witnesses spanning two components carry
     in some secrecy instance, which `rand_case` almost never does."""
     rng = random.Random(83)
@@ -212,17 +212,15 @@ def test_factored_answers_equal_the_intersection_over_the_product_randomized():
             schema, instance, views = _stream_case(rng)
         query = rand_query(rng, schema)
         base = eval_n(instance, query)
-        for mode in EnumerationMode:
-            instances = enumerate_secrecy_instances(instance, views, mode)
-            report = _Versions(instances).report(query)
-            expected = tuple((s.changes, eval_n(s.instance, query)) for s in instances)
-            assert report.per_instance == expected, (instance, query.token(), mode)
-            assert report.answers == frozenset.intersection(*(a for _, a in expected))
-            if mode is EnumerationMode.TARGETED:
-                assert secret_answers(instance, views, query).answers == report.answers
-                kinds["only spanning"] += _only_spanning(report)
-                kinds["gained"] += any(not a <= base for _, a in expected)
-                kinds["no violation"] += not instances.components
+        instances = enumerate_secrecy_instances(instance, views)
+        report = _Versions(instances).report(query)
+        expected = tuple((s.changes, eval_n(s.instance, query)) for s in instances)
+        assert report.per_instance == expected, (instance, query.token())
+        assert report.answers == frozenset.intersection(*(a for _, a in expected))
+        assert secret_answers(instance, views, query).answers == report.answers
+        kinds["only spanning"] += _only_spanning(report)
+        kinds["gained"] += any(not a <= base for _, a in expected)
+        kinds["no violation"] += not instances.components
     # 26 with an answer only spanning witnesses carry, 75 that gain an
     # answer and 735 without a violation
     assert kinds["only spanning"] >= 18 and kinds["gained"] >= 55 \
@@ -411,7 +409,7 @@ def test_secret_answers_at_the_default_bound_past_twenty_four_cells(k):
     need no bound raised."""
     schema, d, views = _k_pairs(k)
     report = secret_answers(d, views, parse_query("?(Y) :- R(Y, Z).", schema))
-    assert len(candidate_cells(d, views, EnumerationMode.TARGETED)) == 4 * k
+    assert len(frozenset().union(*_edges(d, views))) == 4 * k
     assert report.answers == frozenset()
     assert report.instances.budget.nodes == 5 * k
 

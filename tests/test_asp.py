@@ -15,7 +15,8 @@ from nullveil.asp import (cautious_answers, compile_program, compile_query_progr
                           export_program, export_rule, model_answers, models_to_instances,
                           parse_answer_sets, parse_program_text, to_denial_constraints)
 from nullveil.errors import NullveilError
-from nullveil.instances import enumerate_secrecy_instances
+from nullveil.instances import enumerate_secrecy_instances, oracle_secrecy_instances
+from nullveil.semantics import eval_n
 from nullveil.solver import _gatom_key, ground, stable_models
 
 from corpus import answers, four_tuple_example, nonmono_example, two_tuple_example
@@ -431,6 +432,61 @@ def test_asp_route_matches_enumeration_on_self_joins_randomized():
     assert self_joined >= 100
 
 
+def route_outcomes(instance, views, query) -> list:
+    """What the program route and the direct route give: the answers, or
+    the class of the error raised."""
+    outcomes = []
+    for answer in (lambda: cautious_answers(instance, views, query),
+                   lambda: secret_answers(instance, views, query).answers):
+        try:
+            outcomes.append(answer())
+        except NullveilError as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("facts, view, query, expected", [
+    ("p(2). q(4).", "v(X) :- q(4), p(X).", "?(A) :- q(A).", set()),
+    ("p(2). p(4).", "v(X) :- p(4), p(X).", "?(A) :- p(A).", {(Value.of_int(2),), (NULL,)}),
+], ids=["other-relation", "self-join"])
+def test_routes_null_the_cell_a_body_constant_matches(facts, view, query, expected):
+    """A body constant is a join condition, so nulling the cell it matches
+    resolves a match.  Over `p(2). q(4).` nulling q#1 is one secrecy
+    instance and nulling p#1 the other, so `?(A) :- q(A).` has no secret
+    answer.  Over `p(2). p(4).` the match of p#2 with itself is resolved
+    only by nulling p#2, which also resolves p#1's match, so p#1 keeps
+    its value.  Both routes give the oracle's answers."""
+    schema = parse_schema("relation p(c1:int). relation q(c1:int).")
+    d = parse_facts(facts, schema)
+    views = [parse_view(view, schema)]
+    q = parse_query(query, schema)
+    oracle = frozenset.intersection(*(eval_n(s.instance, q)
+                                      for s in oracle_secrecy_instances(d, views)))
+    assert oracle == secret_answers(d, views, q).answers == \
+        cautious_answers(d, views, q) == expected
+
+
+def test_routes_agree_on_views_with_body_constants_randomized():
+    """Differential test of the two routes on views with constants in
+    their bodies, self-joins, arity 3 and up to three views, with random
+    queries: the same answers, or the same class of error."""
+    rng = random.Random(3)
+    with_constants = nonempty = 0
+    for _ in range(1000):
+        schema, instance, views = rand_case(rng, max_tuples=3, max_views=3, lp_safe=True,
+                                            max_arity=3, body_const_prob=0.2,
+                                            self_joins=True)
+        query = rand_query(rng, schema)
+        outcomes = route_outcomes(instance, views, query)
+        assert outcomes[0] == outcomes[1], (instance, [v.token() for v in views],
+                                            query.token())
+        with_constants += any(isinstance(t, Const) for v in views
+                              for a in v.body for t in a.args)
+        nonempty += bool(outcomes[0])
+    # 351 and 141
+    assert with_constants >= 300 and nonempty >= 110, (with_constants, nonempty)
+
+
 def spy_on_ground(monkeypatch) -> list:
     """The (rules, facts) of each call to `ground` that `asp` makes, in a
     list that the test may clear."""
@@ -640,13 +696,7 @@ def test_routes_agree_on_non_strict_order_comparisons_randomized():
     for _ in range(1000):
         schema, instance, views = rand_case(rng, max_tuples=3, lp_safe=True, ops=ops)
         query = rand_query(rng, schema, ops=ops)
-        outcomes = []
-        for answer in (lambda: cautious_answers(instance, views, query),
-                       lambda: secret_answers(instance, views, query).answers):
-            try:
-                outcomes.append(answer())
-            except NullveilError as exc:
-                outcomes.append(type(exc))
+        outcomes = route_outcomes(instance, views, query)
         assert outcomes[0] == outcomes[1], (instance, [v.token() for v in views],
                                             query.token())
         compared += any(b.op in ops for q in views + [query] for b in q.builtins)
@@ -664,13 +714,7 @@ def test_routes_agree_on_queries_that_compare_with_null_randomized():
     for _ in range(1000):
         schema, instance, views = rand_case(rng, max_tuples=3, lp_safe=True)
         query = rand_query(rng, schema, null_cmp_prob=0.8)
-        outcomes = []
-        for answer in (lambda: cautious_answers(instance, views, query),
-                       lambda: secret_answers(instance, views, query).answers):
-            try:
-                outcomes.append(answer())
-            except NullveilError as exc:
-                outcomes.append(type(exc))
+        outcomes = route_outcomes(instance, views, query)
         assert outcomes[0] == outcomes[1], (instance, [v.token() for v in views],
                                             query.token())
         compared += any(b.args[-1] == Const(NULL) for b in query.builtins)

@@ -95,28 +95,26 @@ def test_cmd_instances_text_indents_tuples_not_string_lines(files, capsys):
     assert out == 'instance 1: changes {}\n  @1 P("a\nb").\n  @2 P("c\u2028d").\n'
 
 
-def test_cmd_instances_exhaustive_flags_extra_solutions(files, capsys, monkeypatch):
+def test_cmd_instances_lists_the_cell_a_body_constant_matches(files, capsys):
+    """Nulling the cell that the body constant 2 matches is one secrecy
+    instance, and nulling the head cell the other; `--mode` is gone."""
     schema = files("s.nv", "relation P(A:int, B:int).")
     facts = files("f.nv", "P(1,2).")
     views = files("v.nv", "Vs(X) :- P(X,2).")
-    modes = []
-    enumerate_instances = cli_module.enumerate_secrecy_instances
-
-    def counting(instance, views, mode, **kwargs):
-        modes.append(mode)
-        return enumerate_instances(instance, views, mode, **kwargs)
-    monkeypatch.setattr(cli_module, "enumerate_secrecy_instances", counting)
     code, out, _ = run(capsys, "instances", "--schema", schema, "--facts", facts,
-                       "--views", views, "--mode", "exhaustive", "--format", "json")
+                       "--views", views, "--format", "json")
     assert code == 0
-    assert [m.value for m in modes] == ["exhaustive"]  # one search, not one per mode
-    payload = json.loads(out)
-    flags = {tuple((c["relation"], c["tid"], c["pos"]) for c in item["changes"]):
-             item["exhaustive_only"] for item in payload["instances"]}
-    assert flags == {(("P", 1, 1),): False, (("P", 1, 2),): True}
-    _, text_out, _ = run(capsys, "instances", "--schema", schema, "--facts", facts,
-                         "--views", views, "--mode", "exhaustive")
-    assert "[exhaustive-only]" in text_out
+    assert json.loads(out) == {"instances": [
+        {"changes": [{"relation": "P", "tid": 1, "pos": 1}], "facts": {"P": [["null", "2"]]}},
+        {"changes": [{"relation": "P", "tid": 1, "pos": 2}], "facts": {"P": [["1", "null"]]}},
+    ]}
+    _, out, _ = run(capsys, "instances", "--schema", schema, "--facts", facts,
+                    "--views", views)
+    assert out == ("instance 1: changes {P#1[1]}\n  @1 P(null, 2).\n"
+                   "instance 2: changes {P#1[2]}\n  @1 P(1, null).\n")
+    code, _, err = run(capsys, "instances", "--schema", schema, "--facts", facts,
+                       "--views", views, "--mode", "exhaustive")
+    assert code == 2 and "unrecognized arguments: --mode" in err
 
 
 def test_cmd_answer_via_direct_asp_and_both(files, capsys):
@@ -512,7 +510,7 @@ def test_json_output_does_not_depend_on_the_hash_seed(tmp_path):
     write_readme_inputs(tmp_path)
     common = ["--schema", "schema.nv", "--facts", "facts.nv", "--views", "views.nv",
               "--format", "json"]
-    commands = [["instances", "--mode", "exhaustive", *common],
+    commands = [["instances", *common],
                 ["answer", "--query", "?(X,Y) :- P(X,Y).", "--via", "both", *common]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}

@@ -11,10 +11,9 @@ from nullveil import (BoundExceededError, Cell, Const, Instance, apply_changes,
                       parse_facts, parse_schema, parse_view)
 import nullveil.instances as instances_module
 import nullveil.semantics as semantics_module
-from nullveil.instances import (EnumerationMode, _minimal_sweep, _minimal_transversals,
-                                _pool_and_options, candidate_cells,
-                                enumerate_secrecy_instances, instance_leq_D, is_admissible,
-                                oracle_secrecy_instances, tuple_leq)
+from nullveil.instances import (EnumerationMode, _edges, _minimal_sweep, _minimal_transversals,
+                                candidate_cells, enumerate_secrecy_instances, instance_leq_D,
+                                is_admissible, oracle_secrecy_instances, tuple_leq)
 from nullveil.model import sorted_cells
 
 from corpus import row, two_tuple_example, four_tuple_example, nonmono_example
@@ -58,9 +57,6 @@ def test_candidate_cells_two_tuple_example():
     cells = candidate_cells(case.instance, case.views, EnumerationMode.TARGETED)
     assert cells == {Cell("P", 1, 1), Cell("P", 1, 2),
                      Cell("R", 1, 1), Cell("R", 1, 2)}
-    exhaustive = candidate_cells(case.instance, case.views,
-                                 EnumerationMode.EXHAUSTIVE)
-    assert cells <= exhaustive and len(exhaustive) == 4
 
 
 def test_candidate_cells_admissible_instance_empty():
@@ -123,19 +119,18 @@ def test_oracle_empty_instance():
     assert len(oracle) == 1 and oracle[0].changes == frozenset()
 
 
-def test_constant_body_views_diverge_only_in_exhaustive_mode():
+def test_the_cell_a_body_constant_matches_is_an_update_target():
+    """Nulling the cell that the body constant 2 matches destroys the
+    match, as nulling the head cell does: two secrecy instances, as the
+    oracle finds."""
     schema = parse_schema("relation P(A:int, B:int).")
     d = parse_facts("P(1,2).", schema)
     view = parse_view("Vs(X) :- P(X,2).", schema)
-    targeted = enumerate_secrecy_instances(d, [view], EnumerationMode.TARGETED)
-    assert {s.changes for s in targeted} == {frozenset({Cell("P", 1, 1)})}
-    exhaustive = enumerate_secrecy_instances(d, [view], EnumerationMode.EXHAUSTIVE)
-    assert {s.changes for s in exhaustive} == {
-        frozenset({Cell("P", 1, 1)}),
-        frozenset({Cell("P", 1, 2)}),  # nulling the constant-matched cell
-    }
+    solutions = enumerate_secrecy_instances(d, [view])
+    assert [s.changes for s in solutions] == [frozenset({Cell("P", 1, 1)}),
+                                              frozenset({Cell("P", 1, 2)})]
     oracle = oracle_secrecy_instances(d, [view])
-    assert {s.changes for s in oracle} == {s.changes for s in exhaustive}
+    assert [s.changes for s in oracle] == [s.changes for s in solutions]
 
 
 def test_bounds_are_enforced():
@@ -151,74 +146,71 @@ def test_bounds_are_enforced():
 
 
 def test_solution_invariants_randomized():
-    """In both modes, on self-joins, body constants, arity 3 and up to
-    three views: every solution is admissible, restoring any one of its
-    nulled cells makes it inadmissible, and no solution contains
-    another."""
+    """On self-joins, body constants, arity 3 and up to three views: every
+    solution is admissible, restoring any one of its nulled cells makes
+    it inadmissible, and no solution contains another."""
     rng = random.Random(41)
     restored = 0
     for _ in range(600):
         schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
                                             max_arity=3, body_const_prob=0.2,
                                             self_joins=True)
-        for mode in EnumerationMode:
-            solutions = enumerate_secrecy_instances(instance, views, mode)
-            assert solutions, "at least one secrecy instance must exist"
-            changes = [s.changes for s in solutions]
-            for i, a in enumerate(changes):
-                assert is_admissible(apply_changes(instance, a), views)
-                for cell in a:
-                    assert not is_admissible(apply_changes(instance, a - {cell}), views), \
-                        (mode, instance, [v.token() for v in views], sorted_cells(a), cell)
-                    restored += 1
-                for j, b in enumerate(changes):
-                    if i != j:
-                        assert not a <= b, "solutions must be incomparable"
-            if is_admissible(instance, views):
-                assert changes == [frozenset()]
-    # 775 restorations
-    assert restored >= 600, restored
+        solutions = enumerate_secrecy_instances(instance, views)
+        assert solutions, "at least one secrecy instance must exist"
+        changes = [s.changes for s in solutions]
+        for i, a in enumerate(changes):
+            assert is_admissible(apply_changes(instance, a), views)
+            for cell in a:
+                assert not is_admissible(apply_changes(instance, a - {cell}), views), \
+                    (instance, [v.token() for v in views], sorted_cells(a), cell)
+                restored += 1
+            for j, b in enumerate(changes):
+                if i != j:
+                    assert not a <= b, "solutions must be incomparable"
+        if is_admissible(instance, views):
+            assert changes == [frozenset()]
+    # 412 restorations
+    assert restored >= 320, restored
 
 
-def test_targeted_mode_matches_oracle_randomized():
+def test_enumeration_matches_oracle_randomized():
+    """The search over the edges finds the oracle's secrecy instances, a
+    scan of every non-null cell, also on self-joins and views with
+    constants in their bodies."""
     rng = random.Random(43)
+    with_constants = 0
     for _ in range(120):
-        schema, instance, views = rand_case(rng, max_tuples=3)
+        schema, instance, views = rand_case(rng, max_tuples=3, body_const_prob=0.2,
+                                            self_joins=True)
+        with_constants += any(isinstance(t, Const) for v in views
+                              for a in v.body for t in a.args)
         direct = enumerate_secrecy_instances(instance, views)
         oracle = oracle_secrecy_instances(instance, views, max_cells=14)
         assert [s.changes for s in direct] == [s.changes for s in oracle], \
             (instance, [v.token() for v in views])
+    # 46 of the 120 cases have a body constant
+    assert with_constants >= 35, with_constants
 
 
 def test_cover_search_matches_subset_sweep_randomized():
     """The search over violating matches finds exactly the minimal
-    admissible subsets of the candidate pool, in both modes, on views
-    with integer body constants over data with nulls and repeated
-    values (two relations of at most three rows keep the sweep small)."""
+    admissible subsets of every non-null cell, on views with integer
+    body constants over data with nulls and repeated values (two
+    relations of at most three rows keep the sweep small)."""
     rng = random.Random(47)
-    with_constants = several = modes_differ = 0
+    with_constants = several = 0
     for _ in range(600):
         schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
                                             n_consts=2, body_const_prob=0.2)
         with_constants += any(isinstance(t, Const) for v in views
                               for a in v.body for t in a.args)
-        found = {}
-        for mode in EnumerationMode:
-            pool = sorted_cells(candidate_cells(instance, views, mode))
-            swept = _minimal_sweep(instance, views, pool)
-            found[mode] = [s.changes for s in
-                           enumerate_secrecy_instances(instance, views, mode)]
-            assert found[mode] == sorted(swept, key=sorted_cells), \
-                (mode, instance, [v.token() for v in views])
-        # the targeted instances are the exhaustive ones inside the targeted pool
-        targeted_pool = candidate_cells(instance, views, EnumerationMode.TARGETED)
-        assert found[EnumerationMode.TARGETED] == [
-            c for c in found[EnumerationMode.EXHAUSTIVE] if c <= targeted_pool]
-        several += len(found[EnumerationMode.TARGETED]) > 1
-        modes_differ += found[EnumerationMode.TARGETED] != found[EnumerationMode.EXHAUSTIVE]
-    # 241 cases with a body constant, 54 with several secrecy instances,
-    # 34 where the two modes differ
-    assert with_constants >= 200 and several >= 40 and modes_differ >= 25
+        swept = _minimal_sweep(instance, views, sorted_cells(instance.cells()))
+        found = [s.changes for s in enumerate_secrecy_instances(instance, views)]
+        assert found == sorted(swept, key=sorted_cells), \
+            (instance, [v.token() for v in views])
+        several += len(found) > 1
+    # 241 cases with a body constant, 78 with several secrecy instances
+    assert with_constants >= 200 and several >= 60, (with_constants, several)
 
 
 def _stream_instance_with_two_violations():
@@ -277,28 +269,27 @@ def test_enumeration_joins_each_view_once_and_builds_each_instance_once(monkeypa
 
 
 def test_resolving_every_violating_match_is_admissibility_randomized():
-    """For random change sets C inside either pool, admissible or not, C
-    meets every edge of `_pool_and_options` exactly when the degraded
-    instance is admissible, on self-joins, body constants, arity 3 and
-    up to three views: the equivalence that makes the minimal
-    transversals the secrecy instances."""
+    """For random change sets C of non-null cells, admissible or not, in
+    an edge or not, C meets every edge of `_edges` exactly when the
+    degraded instance is admissible, on self-joins, body constants,
+    arity 3 and up to three views: the equivalence that makes the
+    minimal transversals the secrecy instances."""
     rng = random.Random(59)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
         schema, instance, views = rand_case(rng, max_tuples=3, max_views=3,
                                             max_arity=3, body_const_prob=0.2,
                                             self_joins=True)
-        for mode in EnumerationMode:
-            pool, edges = _pool_and_options(instance, views, mode)
-            pool = sorted_cells(pool)
-            for _ in range(4 if pool else 0):
-                changes = frozenset(c for c in pool if rng.random() < 0.3)
-                resolved = all(not edge.isdisjoint(changes) for edge in edges)
-                assert resolved == is_admissible(apply_changes(instance, changes), views), \
-                    (instance, [v.token() for v in views], sorted_cells(changes))
-                outcomes[resolved] += 1
-    # 807 admissible degradations, 493 not
-    assert outcomes[True] >= 600 and outcomes[False] >= 400, outcomes
+        edges = _edges(instance, views)
+        cells = sorted_cells(instance.cells())
+        for _ in range(8 if cells else 0):
+            changes = frozenset(c for c in cells if rng.random() < 0.3)
+            resolved = all(not edge.isdisjoint(changes) for edge in edges)
+            assert resolved == is_admissible(apply_changes(instance, changes), views), \
+                (instance, [v.token() for v in views], sorted_cells(changes))
+            outcomes[resolved] += 1
+    # 1,495 admissible degradations, 545 not
+    assert outcomes[True] >= 1200 and outcomes[False] >= 420, outcomes
 
 
 def test_minimal_transversals_match_a_hitting_set_scan_randomized():
@@ -360,7 +351,7 @@ def test_transversal_search_visits_a_few_nodes_per_transversal(
     branch cells once at each node with an unmet edge, and every other
     node is a returned transversal."""
     d, view = _stream_database(p_rows, r_rows)
-    _, edges = _pool_and_options(d, [view], EnumerationMode.TARGETED)
+    edges = _edges(d, [view])
     sorts = _counting(monkeypatch, "sorted_cells")
     transversals = _minimal_transversals(edges)
     assert (len(edges), len(transversals)) == (n_edges, n_transversals)
@@ -372,13 +363,13 @@ def test_transversal_search_visits_a_few_nodes_per_transversal(
 NODE_COUNT_SCRIPT = """
 import nullveil.instances as instances
 from nullveil import parse_facts, parse_schema, parse_view
-from nullveil.instances import EnumerationMode, _minimal_transversals, _pool_and_options
+from nullveil.instances import _edges, _minimal_transversals
 
 schema = parse_schema("relation P(A:int, B:int). relation R(B:int, C:int).")
 view = parse_view("Vs(X,Z) :- P(X,Y), R(Y,Z), Y < 1000.", schema)
 d = parse_facts(" ".join(f"P({i}, {100 + i}). R({100 + i}, {200 + i})." for i in range(1, 7)),
                 schema)
-_, edges = _pool_and_options(d, [view], EnumerationMode.TARGETED)
+edges = _edges(d, [view])
 sorts = []
 sorted_cells = instances.sorted_cells
 instances.sorted_cells = lambda cells: sorts.append(cells) or sorted_cells(cells)
@@ -428,22 +419,21 @@ def test_the_product_of_the_components_is_the_search_over_all_edges_randomized()
     """Searched per component of the edges and multiplied out, the
     secrecy instances are those of one search over all the edges, in
     the same canonical order, on self-joins, body constants, arity 3 and
-    up to three views, in both modes."""
+    up to three views."""
     rng = random.Random(97)
     several = 0
     for _ in range(300):
         schema, instance, views = rand_case(rng, max_tuples=4, max_views=3,
                                             max_arity=3, body_const_prob=0.2,
                                             self_joins=True)
-        for mode in EnumerationMode:
-            _, edges = _pool_and_options(instance, views, mode)
-            solutions = enumerate_secrecy_instances(instance, views, mode)
-            whole = sorted(_minimal_transversals(edges), key=sorted_cells)
-            assert len(solutions) == len(whole)
-            assert [s.changes for s in solutions] == whole, (instance, edges)
-            several += len(solutions.components) > 1
-    # 86 enumerations with two components or more
-    assert several >= 60, several
+        edges = _edges(instance, views)
+        solutions = enumerate_secrecy_instances(instance, views)
+        whole = sorted(_minimal_transversals(edges), key=sorted_cells)
+        assert len(solutions) == len(whole)
+        assert [s.changes for s in solutions] == whole, (instance, edges)
+        several += len(solutions.components) > 1
+    # 43 enumerations with two components or more
+    assert several >= 30, several
 
 
 def test_k_independent_violations_are_k_components_counted_without_the_product():
@@ -461,7 +451,7 @@ def test_the_star_of_twelve_is_enumerated_at_the_default_bound():
     bound."""
     d, view = _stream_database([(1, 100)], [(100, 200 + i) for i in range(1, 13)])
     solutions = enumerate_secrecy_instances(d, [view])
-    assert len(candidate_cells(d, [view], EnumerationMode.TARGETED)) == 26
+    assert len(frozenset().union(*_edges(d, [view]))) == 26
     assert len(solutions) == len(list(solutions)) == 4097
     assert solutions.budget.nodes == 8204
 
